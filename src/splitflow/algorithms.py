@@ -13,9 +13,10 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .first_order import fb_increment, fbf_increment, km_increment
+from .integrate import _write_csv
 from .operators import (MonotoneMap, ProxFunction, SingleValuedMap, SmoothFunction,
                         fb_delta, prox_eval, resolvent_eval)
-from .primal_dual import PDParams, PDState, StructuredProblem, solve_prox_quadratic
+from .primal_dual import PDParams, PDState, StructuredProblem, _metric_block_solve
 
 Array = np.ndarray
 
@@ -100,30 +101,10 @@ def prox_admm_step(prob: StructuredProblem, params: PDParams, M1, M2,
     """
     c, gam, A = params.c, params.gamma_relax, prob.A
     x, z, y = state.x, state.z, state.y
-
-    def q1(v):
-        out = c * A.adjoint(A(v))
-        if M1 is not None:
-            out = out + M1(v)
-        return out
-
-    q1_norm = c * A.norm_estimate ** 2 + (M1.norm_estimate if M1 is not None else 0.0)
     w1 = -prob.h.gradient(x) + c * A.adjoint(z - y / c)
-    if M1 is not None:
-        w1 = w1 + M1(x)
-    x_next = solve_prox_quadratic(prob.f, q1, q1_norm, w1, x, tol=inner_tol)
-
-    def q2(v):
-        out = c * v
-        if M2 is not None:
-            out = out + M2(v)
-        return out
-
-    q2_norm = c + (M2.norm_estimate if M2 is not None else 0.0)
+    x_next = _metric_block_solve(prob.f, c, A, M1, w1, x, inner_tol)
     w2 = c * (A(gam * x_next + (1.0 - gam) * x) + y / c)
-    if M2 is not None:
-        w2 = w2 + M2(z)
-    z_next = solve_prox_quadratic(prob.g, q2, q2_norm, w2, z, tol=inner_tol)
+    z_next = _metric_block_solve(prob.g, c, None, M2, w2, z, inner_tol)
     y_next = y + c * (A(x_next) - z_next)
     return PDState(x=x_next, z=z_next, y=y_next)
 
@@ -183,14 +164,7 @@ def write_sequence_csv(seq: IterateSequence, path):
 
     The velocity columns hold the increments x_k - x_{k-1} (zero at k=0).
     """
-    n = seq.iterates.shape[1]
-    names = (["t"] + ["x_%d" % i for i in range(n)] + ["v_%d" % i for i in range(n)]
-             + list(seq.records.keys()))
     incr = np.zeros_like(seq.iterates)
     incr[1:] = seq.iterates[1:] - seq.iterates[:-1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for k in range(seq.iterates.shape[0]):
-            row = [float(k)] + list(seq.iterates[k]) + list(incr[k])
-            row += [seq.records[name][k] for name in seq.records]
-            fh.write(",".join("%.17g" % val for val in row) + "\n")
+    _write_csv(path, np.arange(seq.iterates.shape[0], dtype=float), seq.iterates, incr,
+               seq.records)

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: run <config>, check <config>, list-problems, list-flows.
-Exit codes: 0 on success, 2 on hypothesis/spec errors, 3 on divergence.
+Exit codes: 0 on success, 2 on hypothesis/spec errors (including missing
+keys and bad integrator grids), 3 on divergence or an inner-solver failure.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 
 from .config import list_flows, load_config, run_experiment
-from .errors import DivergenceError, SpecError
+from .errors import DivergenceError, SolverError, SpecError
 from .problems import corpus, solution_residual
 
 
@@ -59,6 +60,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print("divergence: %s (last finite t=%g)" % (exc, exc.last_finite_t),
               file=sys.stderr)
+        return 3
+    except SolverError as exc:
+        print("solver failure: %s (residual=%s)" % (exc, exc.residual), file=sys.stderr)
         return 3
     except FileNotFoundError as exc:
         print("error: %s" % exc, file=sys.stderr)

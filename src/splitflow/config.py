@@ -12,7 +12,7 @@ import dataclasses
 import json
 import os
 import warnings
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec, dr_fi
                           km_field, km_probes)
 from .integrate import IntegratorConfig, integrate, write_trajectory_csv
 from .nonconvex import nonconvex_probes, proxgrad_field
-from .primal_dual import PDParams, PDState, pd_field_special, pd_probes
+from .primal_dual import PDParams, PDState, _check_tau, pd_field_special, pd_probes
 from .problems import ProblemDef, get_problem
 from .schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power,
                         over_t)
@@ -86,115 +86,194 @@ def integrator_from_dict(d: dict) -> IntegratorConfig:
 # flow registry
 
 
-def _require(problem: ProblemDef, *keys):
+@dataclasses.dataclass(frozen=True)
+class _FlowDef:
+    """Everything the config layer knows about one flow name.
+
+    build(problem, params, icfg) -> (field, probes, spec) runs the flow's
+    load-time checks; residual names the record whose final value the run
+    reports and fits; checks(traj, problem, spec) -> the run's reports, in order.
+    """
+
+    build: Callable
+    residual: Optional[str] = None
+    checks: Callable = lambda traj, problem, spec: []
+
+
+def _components(problem: ProblemDef, *keys) -> list:
     for key in keys:
         if key not in problem.components:
             raise SpecError("flow needs component %r, which problem %r does not provide"
                             % (key, problem.name))
+    return [problem.components[key] for key in keys]
 
 
-def _build_km(problem, params):
-    _require(problem, "T")
-    spec = KMFlowSpec(T=problem.components["T"], lam=build_schedule(params["lambda"]),
+def _grid(icfg: IntegratorConfig):
+    """The grid on which schedule bounds are probed at load."""
+    return np.linspace(icfg.t_start, icfg.t_end, 101)
+
+
+def _warn_if_relaxation_vanishes(spec, icfg):
+    if min(spec._lam_at(t) for t in _grid(icfg)) <= 1e-12:
+        # inf lam > 0 is the condition a finite horizon can certify; the
+        # integral alternative cannot be checked numerically
+        warnings.warn("relaxation schedule reaches 0 on the run grid; "
+                      "convergence would rest on an integral condition that "
+                      "a finite horizon cannot verify")
+
+
+def _fejer(traj, problem):
+    """Fejer monotonicity, which only holds for the unperturbed flows."""
+    if problem.known_solution is None:
+        return []
+    return [fejer_check(traj, problem.known_solution)]
+
+
+def _build_km(problem, params, icfg):
+    T, = _components(problem, "T")
+    spec = KMFlowSpec(T=T, lam=build_schedule(params["lambda"]),
                       averaged_alpha=params.get("averaged_alpha"))
+    _warn_if_relaxation_vanishes(spec, icfg)
     return km_field(spec), km_probes(spec, ref=problem.known_solution), spec
 
 
-def _build_fb(problem, params):
-    _require(problem, "A", "B")
+def _km_checks(traj, problem, spec):
+    out = _fejer(traj, problem)
+    if "fp_residual" in traj.records:
+        out.append(record_monotone_check(traj, "fp_residual"))
+    return out
+
+
+def _build_fb(problem, params, icfg):
+    A, B = _components(problem, "A", "B")
     eps = params.get("epsilon")
-    spec = FBFlowSpec(A=problem.components["A"], B=problem.components["B"],
-                      gamma=float(params["gamma"]), lam=build_schedule(params["lambda"]),
+    spec = FBFlowSpec(A=A, B=B, gamma=float(params["gamma"]),
+                      lam=build_schedule(params["lambda"]),
                       epsilon=build_schedule(eps) if eps is not None else None,
                       tikhonov_sign=float(params.get("tikhonov_sign", 1.0)))
+    _warn_if_relaxation_vanishes(spec, icfg)
     return fb_field(spec), fb_probes(spec, ref=problem.known_solution), spec
 
 
-def _build_fbf(problem, params):
-    _require(problem, "A", "B")
-    spec = FBFFlowSpec(A=problem.components["A"], B=problem.components["B"],
-                       gamma=float(params["gamma"]), lam=float(params["lambda"]))
+def _build_fb_tikhonov(problem, params, icfg):
+    if "epsilon" not in params:
+        raise SpecError("fb-tikhonov needs an 'epsilon' schedule")
+    return _build_fb(problem, params, icfg)
+
+
+def _fb_checks(traj, problem, spec):
+    """Fejer and, with relaxation 1 and a short step, the objective-gap bound."""
+    if spec.epsilon is not None:  # a Tikhonov perturbation voids both
+        return []
+    out = _fejer(traj, problem)
+    comps = problem.components
+    if (spec.lam.bounds == (1.0, 1.0) and problem.known_solution is not None
+            and "f" in comps and "g" in comps):
+        q = spec.gamma * comps["g"].grad_lipschitz
+        if q * (3.0 + q) <= 1.0:
+            out.append(proxgrad_gap_certificate(traj, comps["f"], comps["g"], spec.gamma,
+                                                problem.known_solution))
+    return out
+
+
+def _build_fbf(problem, params, icfg):
+    A, B = _components(problem, "A", "B")
+    spec = FBFFlowSpec(A=A, B=B, gamma=float(params["gamma"]), lam=float(params["lambda"]))
     return fbf_field(spec), fbf_probes(spec, ref=problem.known_solution), spec
 
 
 def _build_dr(problem, params, form):
-    _require(problem, "A")
-    if form == "reflected":
-        _require(problem, "B_mono")
-        B = problem.components["B_mono"]
-    else:
-        _require(problem, "B")
-        B = problem.components["B"]
-    spec = DRFlowSpec(A=problem.components["A"], B=B, gamma=float(params["gamma"]),
-                      form=form)
+    A, B = _components(problem, "A", "B_mono" if form == "reflected" else "B")
+    spec = DRFlowSpec(A=A, B=B, gamma=float(params["gamma"]), form=form)
     ref = problem.known_solution if form == "coupled" else None
     return dr_field(spec), dr_probes(spec, ref=ref), spec
 
 
-def _build_proxgrad(problem, params):
-    _require(problem, "problem")
-    p = problem.components["problem"]
+def _build_proxgrad(problem, params, icfg):
+    p, = _components(problem, "problem")
     return proxgrad_field(p), nonconvex_probes(p), p
 
 
-def _build_second_order_fb(problem, params):
-    _require(problem, "A", "B")
+def _proxgrad_checks(traj, problem, spec):
+    if "merit_H" not in traj.records:
+        return []
+    return [nonincreasing_check(traj.times, traj.records["merit_H"], name="merit_H")]
+
+
+def _build_second_order_fb(problem, params, icfg):
+    A, B = _components(problem, "A", "B")
     eta = float(params["eta"])
-    beta = problem.components["B"].cocoercivity_beta
+    beta = B.cocoercivity_beta
     condition = DampingCondition(
         gamma=build_schedule(params["gamma"]), lam=build_schedule(params["lambda"]),
         theta=float(params["theta"]), kind="fb",
         delta=(4.0 * beta - eta) / (2.0 * beta))
-    spec = SecondOrderSpec.fb(A=problem.components["A"], B=problem.components["B"],
-                              eta=eta, condition=condition)
+    spec = SecondOrderSpec.fb(A=A, B=B, eta=eta, condition=condition)
+    report = check_damping_condition(condition, _grid(icfg))
+    if not report["pass"]:
+        raise SpecError("schedule condition fails on the run grid: %r"
+                        % report["conditions"])
     return (second_order_field(spec),
             second_order_probes(spec, xstar=problem.known_solution), spec)
 
 
-def _build_avd(problem, params):
-    _require(problem, "g")
-    spec = SecondOrderSpec.avd(g=problem.components["g"], alpha=float(params["alpha"]))
+def _build_avd(problem, params, icfg):
+    g, = _components(problem, "g")
+    spec = SecondOrderSpec.avd(g=g, alpha=float(params["alpha"]))
+    if icfg.t_start <= 0:
+        raise SpecError("vanishing-damping flows need t_start > 0")
     return second_order_field(spec), second_order_probes(spec, xstar=problem.known_solution), spec
 
 
-def _build_pd(problem, params):
-    _require(problem, "structured")
-    prob = problem.components["structured"]
+def _build_pd(problem, params, icfg):
+    prob, = _components(problem, "structured")
     pd_params = PDParams(c=float(params["c"]), gamma_relax=float(params.get("gamma_relax", 1.0)),
                          tau=build_schedule(params["tau"]))
+    for t in _grid(icfg):
+        _check_tau(prob, pd_params, t)
     return pd_field_special(prob, pd_params), pd_probes(prob, pd_params), pd_params
 
 
-FLOWS = {
-    "km": _build_km,
-    "fb": _build_fb,
-    "fb-tikhonov": _build_fb,
-    "fbf": _build_fbf,
-    "dr-reflected": lambda p, prm: _build_dr(p, prm, "reflected"),
-    "dr-coupled": lambda p, prm: _build_dr(p, prm, "coupled"),
-    "proxgrad": _build_proxgrad,
-    "second-order-fb": _build_second_order_fb,
-    "avd": _build_avd,
-    "pd": _build_pd,
+# The one place to register a flow.  Builders and checks look the public field,
+# probe and diagnostic functions up in this module when they run, so that a
+# wrapper installed on those bindings (the benchmark's tracer) sees every call.
+_FLOW_DEFS = {
+    "km": _FlowDef(_build_km, "fp_residual", _km_checks),
+    "fb": _FlowDef(_build_fb, "fp_residual", _fb_checks),
+    "fb-tikhonov": _FlowDef(_build_fb_tikhonov, "fp_residual", _fb_checks),
+    "fbf": _FlowDef(_build_fbf, "fp_residual"),
+    "dr-reflected": _FlowDef(lambda p, prm, icfg: _build_dr(p, prm, "reflected"),
+                             "fp_residual", lambda traj, p, spec: _fejer(traj, p)),
+    "dr-coupled": _FlowDef(lambda p, prm, icfg: _build_dr(p, prm, "coupled"), "fp_residual"),
+    "proxgrad": _FlowDef(_build_proxgrad, "crit_residual", _proxgrad_checks),
+    "second-order-fb": _FlowDef(_build_second_order_fb),
+    "avd": _FlowDef(_build_avd),
+    "pd": _FlowDef(_build_pd, "feas_norm"),
 }
 
 
 def list_flows():
-    return sorted(FLOWS.keys())
+    return sorted(_FLOW_DEFS)
 
 
 def build_run(cfg: ExperimentConfig):
-    """Resolve a config into (problem, field, probes, x0, v0, integrator, spec)."""
-    problem = get_problem(cfg.problem, seed=cfg.seed)
+    """Resolve a config into (problem, field, probes, x0, v0, integrator, spec).
+
+    Every defect of the config raises SpecError: an unknown name, a missing key,
+    a value out of range or a schedule bound that fails on the run grid.
+    """
+    try:
+        problem = get_problem(cfg.problem, seed=cfg.seed)
+    except KeyError as exc:
+        raise SpecError(exc.args[0]) from None
     name = cfg.flow.get("name")
-    if name not in FLOWS:
+    if name not in _FLOW_DEFS:
         raise SpecError("unknown flow %r; known: %s" % (name, ", ".join(list_flows())))
-    if name == "fb-tikhonov" and "epsilon" not in cfg.flow:
-        raise SpecError("fb-tikhonov needs an 'epsilon' schedule")
-    field, probes, spec = FLOWS[name](problem, cfg.flow)
-    icfg = integrator_from_dict(cfg.integrator)
-    if field.label in ("avd", "yosida-avd") and icfg.t_start <= 0:
-        raise SpecError("vanishing-damping flows need t_start > 0")
+    try:
+        icfg = integrator_from_dict(cfg.integrator)
+        field, probes, spec = _FLOW_DEFS[name].build(problem, cfg.flow, icfg)
+    except KeyError as exc:
+        raise SpecError("config is missing key %s" % exc) from None
     if cfg.probes is not None:
         keep = set(cfg.probes)
         unknown = keep - {pname for pname, _ in probes}
@@ -211,33 +290,7 @@ def build_run(cfg: ExperimentConfig):
     v0 = None
     if field.order == 2:
         v0 = np.asarray(cfg.v0, dtype=float) if cfg.v0 is not None else np.zeros_like(x0)
-
-    _validate_schedule_bounds(problem, spec, icfg)
     return problem, field, probes, x0, v0, icfg, spec
-
-
-def _validate_schedule_bounds(problem, spec, icfg):
-    """Probe schedule-bearing specs over the run grid so bad bounds fail at load."""
-    grid = np.linspace(icfg.t_start, icfg.t_end, 101)
-    if isinstance(spec, (KMFlowSpec, FBFlowSpec)):
-        lam_min = min(spec._lam_at(t) for t in grid)
-        if lam_min <= 1e-12:
-            # inf lam > 0 is the condition a finite horizon can certify; the
-            # integral alternative cannot be checked numerically
-            warnings.warn("relaxation schedule reaches 0 on the run grid; "
-                          "convergence would rest on an integral condition that "
-                          "a finite horizon cannot verify")
-    elif isinstance(spec, SecondOrderSpec) and spec.condition is not None:
-        report = check_damping_condition(spec.condition, grid)
-        if not report["pass"]:
-            raise SpecError("schedule condition fails on the run grid: %r"
-                            % report["conditions"])
-    elif isinstance(spec, PDParams):
-        norm2 = problem.components["structured"].A.norm_estimate ** 2
-        for t in grid:
-            tau = spec.tau(t)
-            if spec.c * tau * norm2 > 1.0 + 1e-9:
-                raise SpecError("step constraint c*tau*||A||^2 <= 1 fails at t=%g" % t)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -277,13 +330,6 @@ def save_config(cfg: ExperimentConfig, path):
 # run orchestration
 
 
-def _main_residual_record(records: dict) -> Optional[str]:
-    for name in ("fp_residual", "crit_residual", "feas_norm"):
-        if name in records:
-            return name
-    return None
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run a validated config; write trajectory CSV, diagnostics JSON, summary line.
 
@@ -307,28 +353,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         raise
 
     write_trajectory_csv(traj, csv_path)
-    diagnostics = {"diverged": False, "checks": []}
-    res_name = _main_residual_record(traj.records)
+    flow = _FLOW_DEFS[cfg.flow["name"]]
+    # a probes filter may have dropped the residual record
+    res_name = flow.residual if flow.residual in traj.records else None
     final_residual = float(traj.records[res_name][-1]) if res_name else np.nan
-
-    # Fejer monotonicity only holds for the unperturbed flows
-    if problem.known_solution is not None and not isinstance(problem.known_solution, PDState):
-        if field.order == 1 and field.label in ("km", "fb", "dr-reflected"):
-            diagnostics["checks"].append(fejer_check(traj, problem.known_solution))
-    if field.label == "km" and "fp_residual" in traj.records:
-        diagnostics["checks"].append(record_monotone_check(traj, "fp_residual"))
-    if field.label == "proxgrad" and "merit_H" in traj.records:
-        diagnostics["checks"].append(
-            nonincreasing_check(traj.times, traj.records["merit_H"], name="merit_H"))
-    if (field.label == "fb" and isinstance(spec, FBFlowSpec)
-            and spec.lam.bounds == (1.0, 1.0)
-            and problem.known_solution is not None
-            and "f" in problem.components and "g" in problem.components):
-        q = spec.gamma * problem.components["g"].grad_lipschitz
-        if q * (3.0 + q) <= 1.0:
-            diagnostics["checks"].append(proxgrad_gap_certificate(
-                traj, problem.components["f"], problem.components["g"], spec.gamma,
-                problem.known_solution))
+    diagnostics = {"diverged": False, "checks": flow.checks(traj, problem, spec)}
 
     fitted = {}
     if res_name is not None:

@@ -131,6 +131,15 @@ class RateFit:
     r2: float
 
 
+def _loglog_fit(lx, ly) -> Tuple[float, float, float]:
+    """Least-squares line ly ~ slope*lx + intercept; returns (slope, intercept, r2 in [0, 1])."""
+    slope, intercept = np.polyfit(lx, ly, 1)
+    pred = slope * lx + intercept
+    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    r2 = 1.0 - float(np.sum((ly - pred) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, float(max(min(r2, 1.0), 0.0))
+
+
 def rate_fit(times, values, model: str = "power") -> RateFit:
     """Least squares in log space for c/t^p (power) or c*exp(-rho*t) (exponential)."""
     times = np.asarray(times, dtype=float)
@@ -148,13 +157,10 @@ def rate_fit(times, values, model: str = "power") -> RateFit:
         lx = times
     else:
         raise ValueError("unknown model %r" % model)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 - float(np.sum((ly - pred) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _loglog_fit(lx, ly)
     return RateFit(model=model, coefficient=float(np.exp(intercept)),
                    exponent=float(-slope), window=(float(times[0]), float(times[-1])),
-                   r2=float(max(min(r2, 1.0), 0.0)))
+                   r2=r2)
 
 
 def envelope_slope(times, values, window: float) -> Tuple[float, float]:
@@ -176,12 +182,8 @@ def envelope_slope(times, values, window: float) -> Tuple[float, float]:
     env_t, env_v = np.array(env_t), np.array(env_v)
     if np.any(env_v <= 0):
         raise FitError("envelope values must be positive")
-    lx, ly = np.log(env_t), np.log(env_v)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 - float(np.sum((ly - pred) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(max(min(r2, 1.0), 0.0))
+    slope, _, r2 = _loglog_fit(np.log(env_t), np.log(env_v))
+    return float(slope), r2
 
 
 def km_residual_rate_check(traj: Trajectory, lam: Schedule,

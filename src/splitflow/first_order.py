@@ -233,50 +233,37 @@ def _norm(v):
     return float(np.linalg.norm(v))
 
 
-def km_probes(spec: KMFlowSpec, ref=None):
-    probes = [("fp_residual", lambda t, x, v: _norm(spec.T(x) - x)),
-              ("field_norm", lambda t, x, v: _norm(v))]
+def _fb_residual(A, B, gamma):
+    """The probe ||J_{gamma A}(x - gamma*B(x)) - x||."""
+    def residual(t, x, v):
+        return _norm(resolvent_eval(A, gamma, x - gamma * B(x)) - x)
+
+    return residual
+
+
+def _fp_probes(residual, ref):
+    """The fixed-point probe set: fp_residual, dist_to_ref (with ref), field_norm."""
+    probes = [("fp_residual", residual), ("field_norm", lambda t, x, v: _norm(v))]
     if ref is not None:
         r = np.asarray(ref, dtype=float)
         probes.insert(1, ("dist_to_ref", lambda t, x, v: _norm(x - r)))
     return probes
+
+
+def km_probes(spec: KMFlowSpec, ref=None):
+    return _fp_probes(lambda t, x, v: _norm(spec.T(x) - x), ref)
 
 
 def fb_probes(spec: FBFlowSpec, ref=None):
-    def residual(t, x, v):
-        y = resolvent_eval(spec.A, spec.gamma, x - spec.gamma * spec.B(x))
-        return _norm(y - x)
-
-    probes = [("fp_residual", residual), ("field_norm", lambda t, x, v: _norm(v))]
-    if ref is not None:
-        r = np.asarray(ref, dtype=float)
-        probes.insert(1, ("dist_to_ref", lambda t, x, v: _norm(x - r)))
-    return probes
+    return _fp_probes(_fb_residual(spec.A, spec.B, spec.gamma), ref)
 
 
 def fbf_probes(spec: FBFFlowSpec, ref=None):
-    def residual(t, x, v):
-        y = resolvent_eval(spec.A, spec.gamma, x - spec.gamma * spec.B(x))
-        return _norm(y - x)
-
-    probes = [("fp_residual", residual), ("field_norm", lambda t, x, v: _norm(v))]
-    if ref is not None:
-        r = np.asarray(ref, dtype=float)
-        probes.insert(1, ("dist_to_ref", lambda t, x, v: _norm(x - r)))
-    return probes
+    return _fp_probes(_fb_residual(spec.A, spec.B, spec.gamma), ref)
 
 
 def dr_probes(spec: DRFlowSpec, ref=None):
-    if spec.form == "reflected":
-        def residual(t, z, v):
-            return _norm(dr_operator(spec.A, spec.B, spec.gamma, z) - z)
-    else:
-        def residual(t, x, v):
-            y = resolvent_eval(spec.A, spec.gamma, x - spec.gamma * spec.B(x))
-            return _norm(y - x)
-
-    probes = [("fp_residual", residual), ("field_norm", lambda t, x, v: _norm(v))]
-    if ref is not None:
-        r = np.asarray(ref, dtype=float)
-        probes.insert(1, ("dist_to_ref", lambda t, x, v: _norm(x - r)))
-    return probes
+    if spec.form == "coupled":
+        return _fp_probes(_fb_residual(spec.A, spec.B, spec.gamma), ref)
+    return _fp_probes(lambda t, z, v: _norm(dr_operator(spec.A, spec.B, spec.gamma, z) - z),
+                      ref)

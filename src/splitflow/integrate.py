@@ -51,25 +51,25 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.method not in ("euler", "rk4"):
-            raise ValueError("unknown method %r (expected 'euler' or 'rk4')" % self.method)
+            raise SpecError("unknown method %r (expected 'euler' or 'rk4')" % self.method)
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise SpecError("dt must be positive")
         if self.t_start < 0:
-            raise ValueError("t_start must be nonnegative")
+            raise SpecError("t_start must be nonnegative")
         if self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
+            raise SpecError("t_end must exceed t_start")
         if self.record_every < 1:
-            raise ValueError("record_every must be a positive integer")
+            raise SpecError("record_every must be a positive integer")
         span = self.t_end - self.t_start
         raw = span / self.dt
         if raw > 1e8:
-            raise ValueError("step count %g exceeds the 1e8 cap" % raw)
+            raise SpecError("step count %g exceeds the 1e8 cap" % raw)
         steps = int(round(raw))
         if abs(steps - raw) > 1e-6:
-            raise ValueError("(t_end - t_start)/dt = %r is not an integer step count" % raw)
+            raise SpecError("(t_end - t_start)/dt = %r is not an integer step count" % raw)
         if steps % self.record_every != 0:
-            raise ValueError("step count %d is not divisible by record_every=%d"
-                             % (steps, self.record_every))
+            raise SpecError("step count %d is not divisible by record_every=%d"
+                            % (steps, self.record_every))
 
     @property
     def n_steps(self) -> int:
@@ -193,14 +193,19 @@ def euler_unit_step(field: FlowField, x, t: float = 0.0) -> Array:
     return x + field.fn(t, x)
 
 
-def write_trajectory_csv(traj: Trajectory, path):
-    """CSV export: header t, x_0.., v_0.., probe names; 17 significant digits."""
-    n = traj.states.shape[1]
+def _write_csv(path, times, states, velocities, records):
+    """The trajectory CSV schema: header t, x_0.., v_0.., record names; 17 significant digits."""
+    n = states.shape[1]
     names = (["t"] + ["x_%d" % i for i in range(n)] + ["v_%d" % i for i in range(n)]
-             + list(traj.records.keys()))
+             + list(records.keys()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        for k in range(len(traj.times)):
-            row = [traj.times[k]] + list(traj.states[k]) + list(traj.velocities[k])
-            row += [traj.records[name][k] for name in traj.records]
+        for k in range(len(times)):
+            row = [times[k]] + list(states[k]) + list(velocities[k])
+            row += [records[name][k] for name in records]
             fh.write(",".join("%.17g" % val for val in row) + "\n")
+
+
+def write_trajectory_csv(traj: Trajectory, path):
+    """CSV export: header t, x_0.., v_0.., probe names; 17 significant digits."""
+    _write_csv(path, traj.times, traj.states, traj.velocities, traj.records)

@@ -14,6 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .diagnostics import _loglog_fit
 from .errors import FitError, SpecError
 from .integrate import FlowField, Trajectory
 from .operators import ProxFunction, SmoothFunction, prox_eval
@@ -136,18 +137,11 @@ def lojasiewicz_fit(traj: Trajectory, p: NonconvexProblem,
     if int(np.sum(mask)) < 10:
         raise FitError("only %d points in the fit window, need at least 10"
                        % int(np.sum(mask)))
-    lx = np.log(gap[mask])
-    ly = np.log(Z[mask])
-    theta, intercept = np.polyfit(lx, ly, 1)
-    pred = theta * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    theta, _, r2 = _loglog_fit(np.log(gap[mask]), np.log(Z[mask]))
     tw = traj.times[mask]
     return KLFitReport(exponent_estimate=float(theta),
                        fit_window=(float(tw[0]), float(tw[-1])),
-                       r2=float(max(min(r2, 1.0), 0.0)),
-                       limit_value=h_inf)
+                       r2=r2, limit_value=h_inf)
 
 
 def power_exponent_from_series(gap: np.ndarray, znorm: np.ndarray) -> Tuple[float, float]:
@@ -156,12 +150,8 @@ def power_exponent_from_series(gap: np.ndarray, znorm: np.ndarray) -> Tuple[floa
     znorm = np.asarray(znorm, dtype=float)
     if np.any(gap <= 0) or np.any(znorm <= 0):
         raise FitError("series must be positive")
-    lx, ly = np.log(gap), np.log(znorm)
-    theta, intercept = np.polyfit(lx, ly, 1)
-    pred = theta * lx + intercept
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 - float(np.sum((ly - pred) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(theta), float(r2)
+    theta, _, r2 = _loglog_fit(np.log(gap), np.log(znorm))
+    return float(theta), r2
 
 
 def brute_force_critical_points(p: NonconvexProblem, lo: float, hi: float,
@@ -198,13 +188,17 @@ def nonconvex_probes(p: NonconvexProblem):
     """Probe set: merit_H, merit_subgrad, crit_residual, speed, arclength.
 
     The arclength probe accumulates trapezoid increments over the recorded
-    grid, so it is stateful and belongs to a single integration run.
+    grid.  A call whose t does not advance past the last recorded time marks
+    the start of a new integration run and restarts the sum at 0, so the
+    probe list can be reused across runs.
     """
     state = {"t": None, "s": None, "acc": 0.0}
 
     def arclength(t, x, v):
         sp = float(np.linalg.norm(v))
-        if state["t"] is not None:
+        if state["t"] is None or t <= state["t"]:
+            state["acc"] = 0.0
+        else:
             state["acc"] += 0.5 * (t - state["t"]) * (sp + state["s"])
         state["t"], state["s"] = t, sp
         return state["acc"]

@@ -118,6 +118,25 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
     raise SolverError("inner prox-quadratic solve stalled", residual=move)
 
 
+def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
+                        M: Optional[LinearMap], w: Array, u0: Array, tol: float) -> Array:
+    """argmin_u f(u) + <Q u, u>/2 - <w + M u0, u> with Q = c*A*A + M, from u0.
+
+    A None stands for the identity; M None for the zero metric.
+    """
+    def q(v):
+        out = c * (A.adjoint(A(v)) if A is not None else v)
+        if M is not None:
+            out = out + M(v)
+        return out
+
+    q_norm = c * (A.norm_estimate ** 2 if A is not None else 1.0)
+    if M is not None:
+        q_norm = q_norm + M.norm_estimate
+        w = w + M(u0)
+    return solve_prox_quadratic(f, q, q_norm, w, u0, tol=tol)
+
+
 def pd_field_general(prob: StructuredProblem, params: PDParams,
                      M1: Optional[Callable[[float], LinearMap]] = None,
                      M2: Optional[Callable[[float], LinearMap]] = None,
@@ -135,32 +154,10 @@ def pd_field_general(prob: StructuredProblem, params: PDParams,
         x, z, y = s.x, s.z, s.y
         m1 = M1(t) if M1 is not None else None
         m2 = M2(t) if M2 is not None else None
-
-        def q1(v):
-            out = c * A.adjoint(A(v))
-            if m1 is not None:
-                out = out + m1(v)
-            return out
-
-        q1_norm = c * A.norm_estimate ** 2 + (m1.norm_estimate if m1 is not None else 0.0)
         w1 = c * A.adjoint(z) - A.adjoint(y) - prob.h.gradient(x)
-        if m1 is not None:
-            w1 = w1 + m1(x)
-        u1 = solve_prox_quadratic(prob.f, q1, q1_norm, w1, x, tol=inner_tol)
-        xdot = u1 - x
-
-        def q2(v):
-            out = c * v
-            if m2 is not None:
-                out = out + m2(v)
-            return out
-
-        q2_norm = c + (m2.norm_estimate if m2 is not None else 0.0)
+        xdot = _metric_block_solve(prob.f, c, A, m1, w1, x, inner_tol) - x
         w2 = c * A(gam * xdot + x) + y
-        if m2 is not None:
-            w2 = w2 + m2(z)
-        u2 = solve_prox_quadratic(prob.g, q2, q2_norm, w2, z, tol=inner_tol)
-        zdot = u2 - z
+        zdot = _metric_block_solve(prob.g, c, None, m2, w2, z, inner_tol) - z
         ydot = c * (A(x + xdot) - (z + zdot))
         return np.concatenate([xdot, zdot, ydot])
 

@@ -7,6 +7,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .errors import SpecError
+
 
 @dataclasses.dataclass(frozen=True)
 class Schedule:
@@ -38,7 +40,7 @@ def constant(value: float) -> Schedule:
 def affine_clamped(intercept: float, slope: float, lo: float, hi: float) -> Schedule:
     """clip(intercept + slope*t, lo, hi) with its breakpoints declared."""
     if lo > hi:
-        raise ValueError("affine_clamped needs lo <= hi")
+        raise SpecError("affine_clamped needs lo <= hi")
     brk = []
     if slope != 0.0:
         for level in (lo, hi):
@@ -64,7 +66,7 @@ def affine_clamped(intercept: float, slope: float, lo: float, hi: float) -> Sche
 def inv_power(p: float, scale: float = 1.0) -> Schedule:
     """scale / (1 + t)^p, nonincreasing for p, scale > 0."""
     if p <= 0 or scale <= 0:
-        raise ValueError("inv_power needs positive p and scale")
+        raise SpecError("inv_power needs positive p and scale")
     return Schedule(
         fn=lambda t: scale / (1.0 + t) ** p,
         dfn=lambda t: -p * scale / (1.0 + t) ** (p + 1.0),
@@ -76,11 +78,11 @@ def inv_power(p: float, scale: float = 1.0) -> Schedule:
 def over_t(alpha: float) -> Schedule:
     """alpha / t for t > 0 (vanishing damping); undefined at t <= 0."""
     if alpha <= 0:
-        raise ValueError("over_t needs positive alpha")
+        raise SpecError("over_t needs positive alpha")
 
     def fn(t):
         if t <= 0:
-            raise ValueError("alpha/t schedule evaluated at t=%g <= 0" % t)
+            raise SpecError("alpha/t schedule evaluated at t=%g <= 0" % t)
         return alpha / t
 
     return Schedule(fn=fn, dfn=lambda t: -alpha / (t * t), monotone="nonincreasing")
@@ -89,7 +91,7 @@ def over_t(alpha: float) -> Schedule:
 def exp_decay(base: float, amplitude: float, rate: float = 1.0) -> Schedule:
     """base + amplitude * exp(-rate * t)."""
     if rate <= 0:
-        raise ValueError("exp_decay needs positive rate")
+        raise SpecError("exp_decay needs positive rate")
     monotone = "nonincreasing" if amplitude >= 0 else "nondecreasing"
     lo = min(base, base + amplitude)
     hi = max(base, base + amplitude)

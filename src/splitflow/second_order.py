@@ -207,32 +207,40 @@ def second_order_field(spec: SecondOrderSpec) -> FlowField:
     if spec.variant == "avd":
         def fn(t, x, v):
             if t <= 0:
-                raise ValueError("vanishing damping alpha/t needs t > 0")
+                raise SpecError("vanishing damping alpha/t needs t > 0")
             return -(spec.alpha / t) * v - spec.g.gradient(x)
 
         return FlowField(order=2, fn=fn, label="avd")
 
     def fn(t, x, v):
         if t <= 0:
-            raise ValueError("vanishing damping alpha/t needs t > 0")
+            raise SpecError("vanishing damping alpha/t needs t > 0")
         return -(spec.alpha / t) * v - yosida_eval(spec.A, spec.lam_schedule(t), x)
 
     return FlowField(order=2, fn=fn, label="yosida-avd")
+
+
+def _lyapunov(spec: SecondOrderSpec, xstar):
+    """The Lyapunov value as a function lyap(t, x, v), for the probe and the series."""
+    ref = np.asarray(xstar, dtype=float)
+    beta = spec.effective_beta
+
+    def lyap(t, x, v):
+        d = x - ref
+        gam, lam = spec.condition.gamma(t), spec.condition.lam(t)
+        return float(d @ v) + gam * 0.5 * float(d @ d) + beta * (gam / lam) * float(v @ v)
+
+    return lyap
 
 
 def second_order_lyapunov(traj: Trajectory, spec: SecondOrderSpec, xstar) -> np.ndarray:
     """V(t) = <x - x*, v> + gamma(t)*||x - x*||^2/2 + beta*(gamma/lam)(t)*||v||^2 on the grid."""
     if spec.condition is None:
         raise SpecError("the Lyapunov functional needs the scheduled variants")
-    xstar = np.asarray(xstar, dtype=float)
-    beta = spec.effective_beta
+    lyap = _lyapunov(spec, xstar)
     out = np.empty(len(traj.times))
     for k, t in enumerate(traj.times):
-        d = traj.states[k] - xstar
-        v = traj.velocities[k]
-        gam = spec.condition.gamma(t)
-        lam = spec.condition.lam(t)
-        out[k] = float(d @ v) + gam * 0.5 * float(d @ d) + beta * (gam / lam) * float(v @ v)
+        out[k] = lyap(t, traj.states[k], traj.velocities[k])
     return out
 
 
@@ -242,14 +250,7 @@ def second_order_probes(spec: SecondOrderSpec, xstar=None):
     if xstar is not None:
         ref = np.asarray(xstar, dtype=float)
         if spec.condition is not None:
-            beta = spec.effective_beta
-
-            def lyap(t, x, v):
-                d = x - ref
-                gam, lam = spec.condition.gamma(t), spec.condition.lam(t)
-                return float(d @ v) + gam * 0.5 * float(d @ d) + beta * (gam / lam) * float(v @ v)
-
-            probes.append(("lyapunov_V", lyap))
+            probes.append(("lyapunov_V", _lyapunov(spec, ref)))
         probes.append(("h", lambda t, x, v: 0.5 * float((x - ref) @ (x - ref))))
         probes.append(("hdot", lambda t, x, v: float((x - ref) @ v)))
     probes.append(("speed", lambda t, x, v: float(np.linalg.norm(v))))

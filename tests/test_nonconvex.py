@@ -176,6 +176,16 @@ class TestTrajectoryProperties:
                 "arclength"} == set(traj.records)
         assert np.all(np.diff(traj.records["arclength"]) >= -1e-15)
 
+    def test_arclength_probe_restarts_when_the_list_is_reused(self):
+        p = get_problem("nonconvex_cos").components["problem"]
+        probes = nonconvex_probes(p)
+        cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=20.0, record_every=10)
+        runs = [integrate(proxgrad_field(p), np.array([2.5]), cfg, probes=probes)
+                for _ in range(2)]
+        assert np.array_equal(runs[0].records["arclength"], runs[1].records["arclength"])
+        for traj in runs:
+            assert np.array_equal(traj.records["arclength"], arclength_series(traj))
+
 
 class TestLojasiewiczFit:
     def test_synthetic_exponential_pair(self):

@@ -6,7 +6,7 @@ import pytest
 from splitflow.cli import main
 from splitflow.config import (ExperimentConfig, build_run, config_from_dict, list_flows,
                               load_config, run_experiment, save_config)
-from splitflow.errors import SpecError
+from splitflow.errors import SolverError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
 from splitflow.primal_dual import PDState
 from splitflow.problems import corpus, get_problem, solution_residual, state_residual
@@ -269,6 +269,68 @@ class TestRunExperiment:
         checks = {c["check"]: c for c in diag["checks"]}
         assert checks["objective-gap-certificate"]["pass"]
 
+    # one short run per registered flow, plus fb with an epsilon schedule (which
+    # builds the Tikhonov field) and a probes filter that drops the residual:
+    # (problem, flow, probes, check names in order, main residual record)
+    FLOW_TABLE = {
+        "km": ("rotation2d", {"name": "km", "lambda": {"family": "constant", "value": 0.7}},
+               None, ["fejer", "fp_residual"], "fp_residual"),
+        "km-filtered": ("rotation2d",
+                        {"name": "km", "lambda": {"family": "constant", "value": 0.7}},
+                        ["dist_to_ref"], ["fejer"], None),
+        "fb": ("lasso1d", {"name": "fb", "gamma": 0.25,
+                           "lambda": {"family": "constant", "value": 1.0}},
+               None, ["fejer", "objective-gap-certificate"], "fp_residual"),
+        "fb-epsilon": ("lasso1d", {"name": "fb", "gamma": 0.25,
+                                   "lambda": {"family": "constant", "value": 1.0},
+                                   "epsilon": {"family": "inv-power", "p": 2.0, "scale": 0.1}},
+                       None, [], "fp_residual"),
+        "fb-tikhonov": ("lasso1d", {"name": "fb-tikhonov", "gamma": 0.25,
+                                    "lambda": {"family": "constant", "value": 1.0},
+                                    "epsilon": {"family": "inv-power", "p": 2.0, "scale": 0.1}},
+                        None, [], "fp_residual"),
+        "fbf": ("bilinear_saddle", {"name": "fbf", "gamma": 0.5, "lambda": 0.5},
+                None, [], "fp_residual"),
+        "dr-reflected": ("two_lines", {"name": "dr-reflected", "gamma": 1.0},
+                         None, ["fejer"], "fp_residual"),
+        "dr-coupled": ("two_lines", {"name": "dr-coupled", "gamma": 1.0},
+                       None, [], "fp_residual"),
+        "proxgrad": ("nonconvex_cos", {"name": "proxgrad"}, None, ["merit_H"], "crit_residual"),
+        "second-order-fb": ("constrained_quadratic",
+                            {"name": "second-order-fb", "eta": 1.0, "theta": 0.5,
+                             "gamma": {"family": "constant", "value": 2.0},
+                             "lambda": {"family": "constant", "value": 1.0}},
+                            None, [], None),
+        "avd": ("lasso1d", {"name": "avd", "alpha": 3.0}, None, [], None),
+        "pd": ("pd_lasso_analysis",
+               {"name": "pd", "c": 1.0, "tau": {"family": "constant", "value": 0.26}},
+               None, [], "feas_norm"),
+    }
+
+    def test_flow_table_covers_every_registered_flow(self):
+        assert {case[1]["name"] for case in self.FLOW_TABLE.values()} == set(list_flows())
+
+    @pytest.mark.parametrize("key", sorted(FLOW_TABLE))
+    def test_checks_and_main_residual_per_flow(self, tmp_path, key):
+        problem, flow, probes, checks, residual = self.FLOW_TABLE[key]
+        integ = {"method": "rk4", "dt": 0.05, "t_end": 5.0, "record_every": 10}
+        if flow["name"] == "avd":
+            integ.update(t_start=1.0, t_end=6.0)
+        raw = {"problem": problem, "flow": flow, "integrator": integ}
+        if probes is not None:
+            raw["probes"] = probes
+        out = tmp_path / "run"
+        run_experiment(config_from_dict(raw), out_dir=str(out))
+        diag = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
+        assert [c["check"] for c in diag["checks"]] == checks
+        lines = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        if residual is None:
+            assert np.isnan(diag["final_residual"])
+        else:
+            last = lines[-1].split(",")
+            assert float(last[header.index(residual)]) == diag["final_residual"]
+
     def test_divergent_run_keeps_partial_outputs(self, tmp_path):
         # relaxed regime flag allows a step far outside the convergent range
         from splitflow.errors import DivergenceError
@@ -336,3 +398,32 @@ class TestCli:
         assert (out_dir / "trajectory.csv").exists()
         diag = json.loads((out_dir / "diagnostics.json").read_text(encoding="utf-8"))
         assert diag["diverged"] is True
+
+    BAD_CONFIGS = {
+        "unknown-problem": {"problem": "not_a_problem"},
+        "fb-without-gamma": {"problem": "lasso10",
+                             "flow": {"name": "fb",
+                                      "lambda": {"family": "constant", "value": 0.75}}},
+        "schedule-without-value": {"flow": {"name": "km", "lambda": {"family": "constant"}}},
+        "integrator-without-dt": {"integrator": {"method": "rk4", "t_end": 5.0}},
+        "dt-off-grid": {"integrator": {"method": "rk4", "dt": 0.3, "t_end": 1.0}},
+        "unknown-method": {"integrator": {"method": "rk5", "dt": 0.01, "t_end": 5.0}},
+    }
+
+    @pytest.mark.parametrize("key", sorted(BAD_CONFIGS))
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, key):
+        path = km_config(tmp_path, **self.BAD_CONFIGS[key])
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "hypothesis error" in err
+        assert "Traceback" not in err
+
+    def test_inner_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def stall(cfg, out_dir=None):
+            raise SolverError("inner prox-quadratic solve stalled", residual=1.5e-3)
+
+        monkeypatch.setattr("splitflow.cli.run_experiment", stall)
+        assert main(["run", str(km_config(tmp_path))]) == 3
+        err = capsys.readouterr().err
+        assert "0.0015" in err
+        assert "Traceback" not in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splitflow.errors import SpecError
 from splitflow.schedules import (affine_clamped, check_schedule, constant, exp_decay,
                                  inv_power, over_t)
 
@@ -36,7 +37,7 @@ def test_over_t_derivative_and_domain():
     s = over_t(3.0)
     report = check_schedule(s, np.linspace(1.0, 10.0, 20))
     assert report["derivative_ok"]
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         s(0.0)
 
 

@@ -75,7 +75,7 @@ class TestSecondOrderField:
         field = second_order_field(SecondOrderSpec.avd(g, alpha=3.0))
         acc = field.fn(2.0, np.array([1.0]), np.array([0.0]))
         assert acc[0] == -1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             field.fn(0.0, np.array([1.0]), np.array([0.0]))
 
     def test_fb_variant_equilibrium(self):
