@@ -12,31 +12,24 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .first_order import fb_increment, fbf_increment, km_increment
+from .first_order import check_relaxation, fb_increment, fbf_increment, km_increment
 from .integrate import _write_csv
 from .operators import (MonotoneMap, ProxFunction, SingleValuedMap, SmoothFunction,
-                        fb_delta, prox_eval, resolvent_eval)
+                        check_fb_step, fb_delta, prox_eval, resolvent_eval)
 from .primal_dual import PDParams, PDState, StructuredProblem, _metric_block_solve
 
 Array = np.ndarray
 
 
 def km_step(T: SingleValuedMap, lam: float, x) -> Array:
-    """x + lam*(T(x) - x), the classical relaxed fixed-point iteration."""
-    if not 0.0 <= lam <= 1.0 + 1e-12:
-        raise ValueError("relaxation lam=%g outside [0, 1]" % lam)
-    return x + km_increment(T, lam, x)
+    """x + lam*(T(x) - x), the classical relaxed fixed-point iteration, lam in [0, 1]."""
+    return x + km_increment(T, check_relaxation(lam, 1.0), x)
 
 
 def fb_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x) -> Array:
-    """x + lam*(J_{gamma A}(x - gamma*B(x)) - x)."""
-    beta = B.cocoercivity_beta
-    if beta is None:
-        raise ValueError("fb_step needs a cocoercive B")
-    delta = fb_delta(beta, gamma)
-    if not 0.0 <= lam <= delta + 1e-12:
-        raise ValueError("relaxation lam=%g outside [0, delta=%g]" % (lam, delta))
-    return x + fb_increment(A, B, gamma, lam, x)
+    """x + lam*(J_{gamma A}(x - gamma*B(x)) - x) for any step gamma > 0, lam in [0, delta]."""
+    delta = fb_delta(check_fb_step(B, gamma, relaxed=True), gamma)
+    return x + fb_increment(A, B, gamma, check_relaxation(lam, delta), x)
 
 
 def tseng_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x) -> Array:

@@ -24,6 +24,7 @@ from .first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec, dr_fi
                           km_field, km_probes)
 from .integrate import IntegratorConfig, integrate, write_trajectory_csv
 from .nonconvex import nonconvex_probes, proxgrad_field
+from .operators import as_vector, check_fb_step, fb_delta
 from .primal_dual import PDParams, PDState, _check_tau, pd_field_special, pd_probes
 from .problems import ProblemDef, get_problem
 from .schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power,
@@ -33,23 +34,41 @@ from .second_order import (DampingCondition, SecondOrderSpec, check_damping_cond
 
 SCHEDULE_FAMILIES = ("constant", "affine-clamped", "inv-power", "over-t", "exp-decay")
 
+_REQUIRED = object()
+
+
+def _read(section: dict, key: str, kind: Callable = float, default=_REQUIRED):
+    """section[key] converted by kind, or default when absent or null; a missing
+    required key or a value kind rejects raises SpecError naming the key."""
+    value = section.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise SpecError("config is missing key %r" % key)
+        return default
+    try:
+        return kind(value)
+    except SpecError:
+        raise
+    except (TypeError, ValueError):
+        raise SpecError("config key %r has a malformed value %r" % (key, value)) from None
+
 
 def build_schedule(spec: dict) -> Schedule:
     if not isinstance(spec, dict) or "family" not in spec:
         raise SpecError("schedule spec must be a dict with a 'family' key, got %r" % (spec,))
     family = spec["family"]
     if family == "constant":
-        return constant(float(spec["value"]))
+        return constant(_read(spec, "value"))
     if family == "affine-clamped":
-        return affine_clamped(float(spec["intercept"]), float(spec["slope"]),
-                              float(spec["lo"]), float(spec["hi"]))
+        return affine_clamped(_read(spec, "intercept"), _read(spec, "slope"),
+                              _read(spec, "lo"), _read(spec, "hi"))
     if family == "inv-power":
-        return inv_power(float(spec["p"]), float(spec.get("scale", 1.0)))
+        return inv_power(_read(spec, "p"), _read(spec, "scale", default=1.0))
     if family == "over-t":
-        return over_t(float(spec["alpha"]))
+        return over_t(_read(spec, "alpha"))
     if family == "exp-decay":
-        return exp_decay(float(spec["base"]), float(spec["amp"]),
-                         float(spec.get("rate", 1.0)))
+        return exp_decay(_read(spec, "base"), _read(spec, "amp"),
+                         _read(spec, "rate", default=1.0))
     raise SpecError("unknown schedule family %r; known: %s"
                     % (family, ", ".join(SCHEDULE_FAMILIES)))
 
@@ -77,9 +96,9 @@ class ExperimentConfig:
 
 
 def integrator_from_dict(d: dict) -> IntegratorConfig:
-    return IntegratorConfig(method=d.get("method", "rk4"), dt=float(d["dt"]),
-                            t_start=float(d.get("t_start", 0.0)), t_end=float(d["t_end"]),
-                            record_every=int(d.get("record_every", 1)))
+    return IntegratorConfig(method=_read(d, "method", str, "rk4"), dt=_read(d, "dt"),
+                            t_start=_read(d, "t_start", default=0.0), t_end=_read(d, "t_end"),
+                            record_every=_read(d, "record_every", int, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +150,8 @@ def _fejer(traj, problem):
 
 def _build_km(problem, params, icfg):
     T, = _components(problem, "T")
-    spec = KMFlowSpec(T=T, lam=build_schedule(params["lambda"]),
-                      averaged_alpha=params.get("averaged_alpha"))
+    spec = KMFlowSpec(T=T, lam=_read(params, "lambda", build_schedule),
+                      averaged_alpha=_read(params, "averaged_alpha", default=None))
     _warn_if_relaxation_vanishes(spec, icfg)
     return km_field(spec), km_probes(spec, ref=problem.known_solution), spec
 
@@ -146,11 +165,10 @@ def _km_checks(traj, problem, spec):
 
 def _build_fb(problem, params, icfg):
     A, B = _components(problem, "A", "B")
-    eps = params.get("epsilon")
-    spec = FBFlowSpec(A=A, B=B, gamma=float(params["gamma"]),
-                      lam=build_schedule(params["lambda"]),
-                      epsilon=build_schedule(eps) if eps is not None else None,
-                      tikhonov_sign=float(params.get("tikhonov_sign", 1.0)))
+    spec = FBFlowSpec(A=A, B=B, gamma=_read(params, "gamma"),
+                      lam=_read(params, "lambda", build_schedule),
+                      epsilon=_read(params, "epsilon", build_schedule, None),
+                      tikhonov_sign=_read(params, "tikhonov_sign", default=1.0))
     _warn_if_relaxation_vanishes(spec, icfg)
     return fb_field(spec), fb_probes(spec, ref=problem.known_solution), spec
 
@@ -178,13 +196,13 @@ def _fb_checks(traj, problem, spec):
 
 def _build_fbf(problem, params, icfg):
     A, B = _components(problem, "A", "B")
-    spec = FBFFlowSpec(A=A, B=B, gamma=float(params["gamma"]), lam=float(params["lambda"]))
+    spec = FBFFlowSpec(A=A, B=B, gamma=_read(params, "gamma"), lam=_read(params, "lambda"))
     return fbf_field(spec), fbf_probes(spec, ref=problem.known_solution), spec
 
 
 def _build_dr(problem, params, form):
     A, B = _components(problem, "A", "B_mono" if form == "reflected" else "B")
-    spec = DRFlowSpec(A=A, B=B, gamma=float(params["gamma"]), form=form)
+    spec = DRFlowSpec(A=A, B=B, gamma=_read(params, "gamma"), form=form)
     ref = problem.known_solution if form == "coupled" else None
     return dr_field(spec), dr_probes(spec, ref=ref), spec
 
@@ -202,12 +220,10 @@ def _proxgrad_checks(traj, problem, spec):
 
 def _build_second_order_fb(problem, params, icfg):
     A, B = _components(problem, "A", "B")
-    eta = float(params["eta"])
-    beta = B.cocoercivity_beta
+    eta = _read(params, "eta")
     condition = DampingCondition(
-        gamma=build_schedule(params["gamma"]), lam=build_schedule(params["lambda"]),
-        theta=float(params["theta"]), kind="fb",
-        delta=(4.0 * beta - eta) / (2.0 * beta))
+        gamma=_read(params, "gamma", build_schedule), lam=_read(params, "lambda", build_schedule),
+        theta=_read(params, "theta"), kind="fb", delta=fb_delta(check_fb_step(B, eta), eta))
     spec = SecondOrderSpec.fb(A=A, B=B, eta=eta, condition=condition)
     report = check_damping_condition(condition, _grid(icfg))
     if not report["pass"]:
@@ -219,7 +235,7 @@ def _build_second_order_fb(problem, params, icfg):
 
 def _build_avd(problem, params, icfg):
     g, = _components(problem, "g")
-    spec = SecondOrderSpec.avd(g=g, alpha=float(params["alpha"]))
+    spec = SecondOrderSpec.avd(g=g, alpha=_read(params, "alpha"))
     if icfg.t_start <= 0:
         raise SpecError("vanishing-damping flows need t_start > 0")
     return second_order_field(spec), second_order_probes(spec, xstar=problem.known_solution), spec
@@ -227,8 +243,8 @@ def _build_avd(problem, params, icfg):
 
 def _build_pd(problem, params, icfg):
     prob, = _components(problem, "structured")
-    pd_params = PDParams(c=float(params["c"]), gamma_relax=float(params.get("gamma_relax", 1.0)),
-                         tau=build_schedule(params["tau"]))
+    pd_params = PDParams(c=_read(params, "c"), tau=_read(params, "tau", build_schedule),
+                         gamma_relax=_read(params, "gamma_relax", default=1.0))
     for t in _grid(icfg):
         _check_tau(prob, pd_params, t)
     return pd_field_special(prob, pd_params), pd_probes(prob, pd_params), pd_params
@@ -259,37 +275,34 @@ def list_flows():
 def build_run(cfg: ExperimentConfig):
     """Resolve a config into (problem, field, probes, x0, v0, integrator, spec).
 
-    Every defect of the config raises SpecError: an unknown name, a missing key,
-    a value out of range or a schedule bound that fails on the run grid.
+    Every defect of the config raises SpecError: an unknown name, a missing or malformed
+    key, a value out of range, a wrong-size start or a schedule bound failing on the grid.
     """
+    if cfg.seed < 0:
+        raise SpecError("seed must be nonnegative, got %d" % cfg.seed)
     try:
         problem = get_problem(cfg.problem, seed=cfg.seed)
     except KeyError as exc:
         raise SpecError(exc.args[0]) from None
-    name = cfg.flow.get("name")
+    name = _read(cfg.flow, "name", str)
     if name not in _FLOW_DEFS:
         raise SpecError("unknown flow %r; known: %s" % (name, ", ".join(list_flows())))
-    try:
-        icfg = integrator_from_dict(cfg.integrator)
-        field, probes, spec = _FLOW_DEFS[name].build(problem, cfg.flow, icfg)
-    except KeyError as exc:
-        raise SpecError("config is missing key %s" % exc) from None
+    icfg = integrator_from_dict(cfg.integrator)
+    field, probes, spec = _FLOW_DEFS[name].build(problem, cfg.flow, icfg)
     if cfg.probes is not None:
-        keep = set(cfg.probes)
+        keep = set(map(str, cfg.probes))
         unknown = keep - {pname for pname, _ in probes}
         if unknown:
-            raise SpecError("unknown probes %s for flow %r"
-                            % (sorted(unknown), name))
+            raise SpecError("unknown probes %s for flow %r" % (sorted(unknown), name))
         probes = [pr for pr in probes if pr[0] in keep]
 
-    if cfg.x0 is not None:
-        x0 = np.asarray(cfg.x0, dtype=float)
-    else:
-        start = problem.default_start
-        x0 = start.to_vector() if isinstance(start, PDState) else np.asarray(start, dtype=float)
-    v0 = None
-    if field.order == 2:
-        v0 = np.asarray(cfg.v0, dtype=float) if cfg.v0 is not None else np.zeros_like(x0)
+    start = problem.default_start
+    start = start.to_vector() if isinstance(start, PDState) else np.asarray(start, dtype=float)
+    x0 = _read(vars(cfg), "x0", as_vector, start)
+    v0 = _read(vars(cfg), "v0", as_vector, np.zeros_like(x0)) if field.order == 2 else None
+    for key, vec in (("x0", x0), ("v0", v0)):
+        if vec is not None and vec.shape != start.shape:
+            raise SpecError("%s has shape %s, the start %s" % (key, vec.shape, start.shape))
     return problem, field, probes, x0, v0, icfg, spec
 
 
@@ -304,18 +317,28 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+# config key -> (JSON type, required); x0, v0 and seed are converted where read
+_SECTIONS = {"problem": (str, True), "flow": (dict, True), "integrator": (dict, True),
+             "probes": (list, False), "out": (str, False)}
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    known = {"problem", "flow", "integrator", "probes", "x0", "v0", "out", "seed"}
-    unknown = set(raw) - known
+    if not isinstance(raw, dict):
+        raise SpecError("config must be a JSON object, got %r" % (raw,))
+    unknown = set(raw) - set(_SECTIONS) - {"x0", "v0", "seed"}
     if unknown:
         raise SpecError("unknown config keys: %s" % sorted(unknown))
-    for key in ("problem", "flow", "integrator"):
-        if key not in raw:
-            raise SpecError("config is missing the %r section" % key)
+    for key, (kind, required) in _SECTIONS.items():
+        if raw.get(key) is None:
+            if required:
+                raise SpecError("config is missing the %r section" % key)
+        elif not isinstance(raw[key], kind):
+            raise SpecError("config section %r must be a %s, got %r"
+                            % (key, kind.__name__, raw[key]))
     cfg = ExperimentConfig(problem=raw["problem"], flow=raw["flow"],
                            integrator=raw["integrator"], probes=raw.get("probes"),
                            x0=raw.get("x0"), v0=raw.get("v0"), out=raw.get("out"),
-                           seed=int(raw.get("seed", 0)))
+                           seed=_read(raw, "seed", int, 0))
     build_run(cfg)  # full validation
     return cfg
 

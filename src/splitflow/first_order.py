@@ -16,11 +16,23 @@ import numpy as np
 
 from .errors import SpecError
 from .integrate import FlowField
-from .operators import (MonotoneMap, SingleValuedMap, fb_delta, reflected_resolvent,
-                        resolvent_eval)
+from .operators import (MonotoneMap, SingleValuedMap, check_fb_step, fb_delta,
+                        reflected_resolvent, resolvent_eval)
 from .schedules import Schedule
 
 _BOUND_TOL = 1e-12
+
+
+def check_relaxation(lam: float, cap: float, t: Optional[float] = None) -> float:
+    """The relaxation hypothesis lam in [0, cap] (to 1e-12), else SpecError; returns lam.
+
+    cap is 1/alpha for KM (1 when T is merely nonexpansive), delta for forward-
+    backward, inf in its relaxed regime; t is the time a scheduled lam was read at.
+    """
+    if lam < -_BOUND_TOL or lam > cap + _BOUND_TOL:
+        at = "" if t is None else "(%g)" % t
+        raise SpecError("relaxation lam%s=%g outside [0, %g]" % (at, lam, cap))
+    return lam
 
 
 def km_increment(T: SingleValuedMap, lam: float, x):
@@ -60,22 +72,15 @@ class KMFlowSpec:
         L = self.T.lipschitz_L
         if L is not None and L > 1.0 + 1e-10:
             raise SpecError("KM flow needs a nonexpansive T, got Lipschitz bound %g" % L)
-        cap = self.lambda_cap
-        if self.lam.bounds is not None:
-            lo, hi = self.lam.bounds
-            if lo < -_BOUND_TOL or hi > cap + _BOUND_TOL:
-                raise SpecError("relaxation schedule range [%g, %g] outside [0, %g]"
-                                % (lo, hi, cap))
+        for lam in self.lam.bounds or ():
+            check_relaxation(lam, self.lambda_cap)
 
     @property
     def lambda_cap(self) -> float:
         return 1.0 / self.averaged_alpha if self.averaged_alpha is not None else 1.0
 
     def _lam_at(self, t: float) -> float:
-        lam = self.lam(t)
-        if lam < -_BOUND_TOL or lam > self.lambda_cap + _BOUND_TOL:
-            raise SpecError("relaxation lam(%g)=%g outside [0, %g]" % (t, lam, self.lambda_cap))
-        return lam
+        return check_relaxation(self.lam(t), self.lambda_cap, t)
 
 
 def km_field(spec: KMFlowSpec) -> FlowField:
@@ -102,30 +107,20 @@ class FBFlowSpec:
     allow_relaxed: bool = False
 
     def __post_init__(self):
-        beta = self.B.cocoercivity_beta
-        if beta is None:
-            raise SpecError("forward-backward flow needs a cocoercive B")
-        if self.gamma <= 0:
-            raise SpecError("step gamma must be positive")
-        if not self.allow_relaxed and self.gamma >= 2.0 * beta:
-            raise SpecError("step gamma=%g outside (0, 2*beta)=(0, %g)"
-                            % (self.gamma, 2.0 * beta))
-        if self.lam.bounds is not None and not self.allow_relaxed:
-            lo, hi = self.lam.bounds
-            if lo < -_BOUND_TOL or hi > self.delta + _BOUND_TOL:
-                raise SpecError("relaxation range [%g, %g] outside [0, delta=%g]"
-                                % (lo, hi, self.delta))
+        check_fb_step(self.B, self.gamma, relaxed=self.allow_relaxed)
+        for lam in self.lam.bounds or ():
+            check_relaxation(lam, self.lambda_cap)
 
     @property
     def delta(self) -> float:
         return fb_delta(self.B.cocoercivity_beta, self.gamma)
 
+    @property
+    def lambda_cap(self) -> float:
+        return np.inf if self.allow_relaxed else self.delta
+
     def _lam_at(self, t: float) -> float:
-        lam = self.lam(t)
-        if lam < -_BOUND_TOL or (not self.allow_relaxed and lam > self.delta + _BOUND_TOL):
-            raise SpecError("relaxation lam(%g)=%g outside [0, delta=%g]"
-                            % (t, lam, self.delta))
-        return lam
+        return check_relaxation(self.lam(t), self.lambda_cap, t)
 
 
 def fb_field(spec: FBFlowSpec) -> FlowField:

@@ -33,13 +33,6 @@ class FlowField:
     dim: Optional[int] = None
     breakpoints: Tuple[float, ...] = ()
 
-    def __call__(self, t, x, v=None):
-        if self.order == 1:
-            return self.fn(t, x)
-        if v is None:
-            raise ValueError("order-2 field needs a velocity argument")
-        return self.fn(t, x, v)
-
 
 @dataclasses.dataclass(frozen=True)
 class IntegratorConfig:
@@ -52,11 +45,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("euler", "rk4"):
             raise SpecError("unknown method %r (expected 'euler' or 'rk4')" % self.method)
-        if self.dt <= 0:
+        if not self.dt > 0:  # also rejects NaN, as the t_end check below does
             raise SpecError("dt must be positive")
         if self.t_start < 0:
             raise SpecError("t_start must be nonnegative")
-        if self.t_end <= self.t_start:
+        if not self.t_end > self.t_start:
             raise SpecError("t_end must exceed t_start")
         if self.record_every < 1:
             raise SpecError("record_every must be a positive integer")
@@ -186,7 +179,7 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
 
 
 def euler_unit_step(field: FlowField, x, t: float = 0.0) -> Array:
-    """One explicit Euler step of size 1: x + field(t, x).  Order-1 fields only."""
+    """One explicit Euler step of size 1: x + field.fn(t, x).  Order-1 fields only."""
     if field.order != 1:
         raise ValueError("euler_unit_step applies to order-1 fields")
     x = np.asarray(x, dtype=float)

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, SpecError
 
 Array = np.ndarray
 
@@ -128,23 +128,26 @@ def fb_delta(beta: float, gamma: float) -> float:
     return (4.0 * beta - gamma) / (2.0 * beta)
 
 
+def check_fb_step(B: SingleValuedMap, gamma: float, relaxed: bool = False) -> float:
+    """The forward-backward step hypothesis: B cocoercive and 0 < gamma < 2*beta, the
+    upper bound dropped in a relaxed regime.  Returns beta; raises SpecError otherwise."""
+    beta = B.cocoercivity_beta
+    if beta is None:
+        raise SpecError("forward-backward step needs a cocoercive B")
+    if not (gamma > 0 and (relaxed or gamma < 2.0 * beta)):
+        raise SpecError("forward-backward step gamma=%g outside (0, %g)"
+                        % (gamma, np.inf if relaxed else 2.0 * beta))
+    return beta
+
+
 def fb_map(A: MonotoneMap, B: SingleValuedMap, gamma: float, x: Array,
            allow_relaxed: bool = False) -> Array:
     """One forward-backward pass J_{gamma A}(x - gamma*B(x)).
 
-    Requires B.cocoercivity_beta set and 0 < gamma < 2*beta; the map is then
-    1/delta-averaged with delta = fb_delta(beta, gamma).  allow_relaxed skips
-    the upper range check for callers working in a relaxed step regime.
+    check_fb_step(B, gamma, relaxed=allow_relaxed) must hold; with 0 < gamma
+    < 2*beta the map is 1/delta-averaged with delta = fb_delta(beta, gamma).
     """
-    beta = B.cocoercivity_beta
-    if beta is None:
-        raise ValueError("fb_map needs a cocoercive B (cocoercivity_beta is unset)")
-    if gamma <= 0:
-        raise ValueError("fb_map step gamma must be positive")
-    if not allow_relaxed and gamma >= 2.0 * beta:
-        raise ValueError(
-            "fb_map step gamma=%g outside (0, 2*beta)=(0, %g); pass allow_relaxed=True "
-            "to accept a relaxed regime" % (gamma, 2.0 * beta))
+    check_fb_step(B, gamma, relaxed=allow_relaxed)
     x = np.asarray(x, dtype=float)
     return resolvent_eval(A, gamma, x - gamma * B(x))
 

@@ -1,22 +1,24 @@
 """Damped second-order flows and the schedule condition that certifies them.
 
-The general flow is xdd + gamma(t)*xd + lam(t)*B(x) = 0 for a cocoercive B;
-the nonexpansive, averaged and forward-backward variants are the special
-cases B = Id - T.  The vanishing-damping variants (avd, yosida) replace
-gamma(t) by alpha/t and carry no schedule condition.
+Every flow is xdd + damping(t)*xd + drive(t, x) = 0.  The scheduled variants
+damp with gamma(t), drive with lam(t)*B(x) and carry a schedule condition that
+involves the cocoercivity beta of B: B itself (cocoercive), B = Id - T for a
+nonexpansive T (nonexpansive), or the forward-backward residual (fb).  The
+vanishing-damping variants damp with alpha/t and drive with grad g (avd) or
+the Yosida regularization A_{lam(t)} (yosida); they have no beta or condition.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import SpecError
 from .integrate import FlowField, Trajectory
-from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, fb_delta,
-                        resolvent_eval, yosida_eval)
+from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, check_fb_step,
+                        fb_delta, resolvent_eval, yosida_eval)
 from .schedules import Schedule
 
 _KINDS = ("cocoercive", "nonexpansive", "averaged", "fb", "opt-relaxed")
@@ -120,104 +122,94 @@ def check_damping_condition(spec: DampingCondition, grid) -> dict:
 
 @dataclasses.dataclass(frozen=True)
 class SecondOrderSpec:
-    """One of the damped second-order flows; build with the classmethods."""
+    """One damped second-order flow; build it with a classmethod.
+
+    A classmethod sets drive(t, x), beta (None for avd and yosida) and the
+    damping: gamma(t) of condition, or alpha/t when condition is None.
+    operator is the driving operator B(x) where it does not depend on t.
+    """
 
     variant: str  # "cocoercive" | "nonexpansive" | "fb" | "avd" | "yosida"
+    label: str
+    drive: Callable
+    operator: Optional[Callable] = None
+    beta: Optional[float] = None
     condition: Optional[DampingCondition] = None
-    B: Optional[SingleValuedMap] = None
-    T: Optional[SingleValuedMap] = None
-    A: Optional[MonotoneMap] = None
-    eta: Optional[float] = None
-    g: Optional[SmoothFunction] = None
     alpha: Optional[float] = None
-    lam_schedule: Optional[Schedule] = None
+    g: Optional[SmoothFunction] = None
+
+    @classmethod
+    def _scheduled(cls, variant, operator, beta, condition):
+        lam = condition.lam
+        return cls(variant=variant, label="second-order-" + variant, operator=operator,
+                   drive=lambda t, x: lam(t) * operator(x), beta=beta, condition=condition)
 
     @classmethod
     def cocoercive(cls, B: SingleValuedMap, condition: DampingCondition):
         if B.cocoercivity_beta is None:
             raise SpecError("cocoercive variant needs B.cocoercivity_beta")
-        return cls(variant="cocoercive", B=B, condition=condition)
+        return cls._scheduled("cocoercive", B, B.cocoercivity_beta, condition)
 
     @classmethod
     def nonexpansive(cls, T: SingleValuedMap, condition: DampingCondition):
         if T.lipschitz_L is not None and T.lipschitz_L > 1.0 + 1e-10:
             raise SpecError("nonexpansive variant needs a nonexpansive T")
-        return cls(variant="nonexpansive", T=T, condition=condition)
+        return cls._scheduled("nonexpansive", lambda x: x - T(x), 0.5, condition)
 
     @classmethod
     def fb(cls, A: MonotoneMap, B: SingleValuedMap, eta: float, condition: DampingCondition):
-        beta = B.cocoercivity_beta
-        if beta is None:
-            raise SpecError("fb variant needs a cocoercive B")
-        if not 0 < eta < 2 * beta:
-            raise SpecError("fb variant needs eta in (0, 2*beta)")
-        return cls(variant="fb", A=A, B=B, eta=eta, condition=condition)
+        beta = check_fb_step(B, eta)
+        return cls._scheduled("fb", lambda x: x - resolvent_eval(A, eta, x - eta * B(x)),
+                              fb_delta(beta, eta) / 2.0, condition)
 
     @classmethod
     def avd(cls, g: SmoothFunction, alpha: float):
         if alpha <= 0:
             raise SpecError("avd variant needs alpha > 0")
-        return cls(variant="avd", g=g, alpha=alpha)
+        return cls(variant="avd", label="avd", operator=g.gradient,
+                   drive=lambda t, x: g.gradient(x), alpha=alpha, g=g)
 
     @classmethod
     def yosida(cls, A: MonotoneMap, lam_schedule: Schedule, alpha: float):
         if alpha <= 0:
             raise SpecError("yosida variant needs alpha > 0")
-        return cls(variant="yosida", A=A, lam_schedule=lam_schedule, alpha=alpha)
-
-    @property
-    def fb_averagedness_delta(self) -> float:
-        return fb_delta(self.B.cocoercivity_beta, self.eta)
+        return cls(variant="yosida", label="yosida-avd", alpha=alpha,
+                   drive=lambda t, x: yosida_eval(A, lam_schedule(t), x))
 
     @property
     def effective_beta(self) -> float:
         """Cocoercivity of the driving operator (the B of the general flow)."""
-        if self.variant == "cocoercive":
-            return self.B.cocoercivity_beta
-        if self.variant == "nonexpansive":
-            return 0.5
-        if self.variant == "fb":
-            return self.fb_averagedness_delta / 2.0
-        raise SpecError("effective_beta is undefined for variant %r" % self.variant)
+        if self.beta is None:
+            raise SpecError("effective_beta is undefined for variant %r" % self.variant)
+        return self.beta
 
     def driving_operator(self, x):
         """The operator whose zero set the flow targets, evaluated at x."""
-        if self.variant == "cocoercive":
-            return self.B(x)
-        if self.variant == "nonexpansive":
-            return x - self.T(x)
-        if self.variant == "fb":
-            return x - resolvent_eval(self.A, self.eta, x - self.eta * self.B(x))
-        if self.variant == "avd":
-            return self.g.gradient(x)
-        raise SpecError("driving_operator is schedule-dependent for variant %r" % self.variant)
+        if self.operator is None:
+            raise SpecError("driving_operator depends on t for variant %r" % self.variant)
+        return self.operator(x)
 
 
 def second_order_field(spec: SecondOrderSpec) -> FlowField:
-    if spec.variant in ("cocoercive", "nonexpansive", "fb"):
+    """xdd = -damping(t)*xd - drive(t, x), damped by gamma(t) or by alpha/t."""
+    drive = spec.drive
+    if spec.condition is not None:
         gam, lam = spec.condition.gamma, spec.condition.lam
 
         def fn(t, x, v):
-            return -gam(t) * v - lam(t) * spec.driving_operator(x)
+            return -gam(t) * v - drive(t, x)
 
         brk = tuple(sorted(set(gam.breakpoints) | set(lam.breakpoints)))
-        return FlowField(order=2, fn=fn, label="second-order-" + spec.variant,
-                         breakpoints=brk)
+        return FlowField(order=2, fn=fn, label=spec.label, breakpoints=brk)
 
-    if spec.variant == "avd":
-        def fn(t, x, v):
-            if t <= 0:
-                raise SpecError("vanishing damping alpha/t needs t > 0")
-            return -(spec.alpha / t) * v - spec.g.gradient(x)
-
-        return FlowField(order=2, fn=fn, label="avd")
+    alpha = spec.alpha
 
     def fn(t, x, v):
         if t <= 0:
             raise SpecError("vanishing damping alpha/t needs t > 0")
-        return -(spec.alpha / t) * v - yosida_eval(spec.A, spec.lam_schedule(t), x)
+        return -(alpha / t) * v - drive(t, x)
 
-    return FlowField(order=2, fn=fn, label="yosida-avd")
+    return FlowField(order=2, fn=fn, label=spec.label)
 
 
 def _lyapunov(spec: SecondOrderSpec, xstar):
@@ -256,6 +248,6 @@ def second_order_probes(spec: SecondOrderSpec, xstar=None):
     probes.append(("speed", lambda t, x, v: float(np.linalg.norm(v))))
     field = second_order_field(spec)
     probes.append(("accel", lambda t, x, v: float(np.linalg.norm(field.fn(t, x, v)))))
-    if spec.variant == "avd":
+    if spec.g is not None:
         probes.append(("objective", lambda t, x, v: float(spec.g.value(x))))
     return probes

@@ -6,6 +6,7 @@ from splitflow.algorithms import (IterateSequence, fb_step, frb_step, inertial_f
                                   tseng_step, write_sequence_csv)
 from splitflow.first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec,
                                    dr_field, dr_operator, fb_field, fbf_field, km_field)
+from splitflow.errors import SpecError
 from splitflow.integrate import FlowField, euler_unit_step
 from splitflow.operators import (SingleValuedMap, box_prox, gradient_map, l1_prox,
                                  least_squares_fn, matrix_operator, prox_eval,
@@ -61,6 +62,35 @@ class TestFBStep:
         p = get_problem("lasso1d")
         with pytest.raises(ValueError):
             fb_step(p.components["A"], p.components["B"], 0.5, 2.0, np.ones(1))
+
+
+class TestStepsShareTheFlowHypotheses:
+    """km_step and fb_step accept exactly the lam and gamma their flows accept."""
+
+    def test_relaxation_tolerance(self):
+        p = get_problem("lasso1d")
+        A, B = p.components["A"], p.components["B"]
+        x = np.array([0.3])
+        KMFlowSpec(T=neg_id(), lam=constant(-1e-13))
+        FBFlowSpec(A=A, B=B, gamma=0.5, lam=constant(-1e-13))
+        km_step(neg_id(), -1e-13, x)
+        fb_step(A, B, 0.5, -1e-13, x)
+        for reject in (lambda: KMFlowSpec(T=neg_id(), lam=constant(-1e-11)),
+                       lambda: FBFlowSpec(A=A, B=B, gamma=0.5, lam=constant(-1e-11)),
+                       lambda: km_step(neg_id(), -1e-11, x),
+                       lambda: fb_step(A, B, 0.5, -1e-11, x)):
+            with pytest.raises(SpecError):
+                reject()
+
+    def test_fb_step_takes_any_positive_step(self):
+        p = get_problem("lasso1d")  # beta = 1
+        A, B = p.components["A"], p.components["B"]
+        fb_step(A, B, 3.0, 0.5, np.array([0.3]))  # relaxed regime: delta = 0.5
+        for gamma in (0.0, -1.0):
+            with pytest.raises(SpecError):
+                fb_step(A, B, gamma, 0.5, np.array([0.3]))
+        with pytest.raises(SpecError):
+            fb_step(A, SingleValuedMap(fn=lambda x: x), 0.5, 0.5, np.array([0.3]))
 
 
 class TestTsengStep:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from splitflow.errors import SolverError
-from splitflow.operators import (affine_prox, as_vector, ball_prox, box_prox, fb_delta,
-                                 fb_map, gradient_map, halfspace_prox, identity_operator,
-                                 l1_prox, l1_quadratic_prox, least_squares_fn,
-                                 linear_monotone_map, matrix_linear_map, matrix_operator,
-                                 moreau_conjugate_prox, one_minus_cos_fn, prox_eval,
-                                 prox_numeric, quadratic_fn, reflected_resolvent,
+from splitflow.errors import SolverError, SpecError
+from splitflow.operators import (SingleValuedMap, affine_prox, as_vector, ball_prox,
+                                 box_prox, fb_delta, fb_map, gradient_map, halfspace_prox,
+                                 identity_operator, l1_prox, l1_quadratic_prox,
+                                 least_squares_fn, linear_monotone_map, matrix_linear_map,
+                                 matrix_operator, moreau_conjugate_prox, one_minus_cos_fn,
+                                 prox_eval, prox_numeric, quadratic_fn, reflected_resolvent,
                                  resolvent_eval, rotation_map, soft_threshold,
                                  squared_l2_prox, subdifferential_map, yosida_eval,
                                  zero_operator, zero_prox)
@@ -142,7 +142,6 @@ class TestReflectedAndYosida:
 
 class TestFbMap:
     def test_trivial_identity(self):
-        from splitflow.operators import SingleValuedMap
         zero = SingleValuedMap(fn=lambda x: np.zeros_like(x), cocoercivity_beta=1e9,
                                lipschitz_L=0.0)
         x = np.array([1.5, -0.5])
@@ -159,9 +158,13 @@ class TestFbMap:
     def test_gamma_range_enforced_with_override(self):
         A = zero_operator()
         B = gradient_map(least_squares_fn(np.eye(1), np.zeros(1)))  # beta = 1
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             fb_map(A, B, 2.0, np.array([1.0]))
         fb_map(A, B, 2.0, np.array([1.0]), allow_relaxed=True)
+        with pytest.raises(SpecError):
+            fb_map(A, B, 0.0, np.array([1.0]), allow_relaxed=True)
+        with pytest.raises(SpecError):
+            fb_map(A, SingleValuedMap(fn=lambda x: x), 1.0, np.array([1.0]))  # no beta
 
     def test_averagedness_of_fb_map(self):
         # with S = delta*FB - (delta-1)*Id, S must be nonexpansive

@@ -408,15 +408,42 @@ class TestCli:
         "integrator-without-dt": {"integrator": {"method": "rk4", "t_end": 5.0}},
         "dt-off-grid": {"integrator": {"method": "rk4", "dt": 0.3, "t_end": 1.0}},
         "unknown-method": {"integrator": {"method": "rk5", "dt": 0.01, "t_end": 5.0}},
+        "schedule-value-not-a-number": {"flow": {"name": "km",
+                                                 "lambda": {"family": "constant",
+                                                            "value": "x"}}},
+        "gamma-not-a-number": {"problem": "lasso10",
+                               "flow": {"name": "fb", "gamma": "x",
+                                        "lambda": {"family": "constant", "value": 0.75}}},
+        "flow-not-an-object": {"flow": "km"},
+        "integrator-not-an-object": {"integrator": "x"},
+        "x0-not-numeric": {"x0": [1, "a"]},
+        "probe-name-not-a-string": {"probes": [[1]]},
+        "negative-seed": {"seed": -1},
+        "dt-not-a-number": {"integrator": {"method": "rk4", "dt": "nan", "t_end": 5.0}},
+        "seed-not-an-integer": {"seed": "q"},
+        "x0-wrong-size": {"x0": [1, 2, 3]},  # rotation2d is 2-D
+        "second-order-fb-without-cocoercive-B": {
+            "problem": "bilinear_saddle",
+            "flow": {"name": "second-order-fb", "eta": 0.5, "theta": 0.5,
+                     "gamma": {"family": "constant", "value": 2.0},
+                     "lambda": {"family": "constant", "value": 1.0}}},
+        "v0-wrong-size": {"problem": "lasso1d", "flow": {"name": "avd", "alpha": 3.0},
+                          "integrator": {"method": "rk4", "dt": 0.05, "t_start": 1.0,
+                                         "t_end": 5.0},
+                          "v0": [0, 0]},
     }
 
     @pytest.mark.parametrize("key", sorted(BAD_CONFIGS))
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, key):
+        # rejected at load, so `run` integrates nothing and writes no trajectory
         path = km_config(tmp_path, **self.BAD_CONFIGS[key])
-        assert main(["check", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "hypothesis error" in err
-        assert "Traceback" not in err
+        out_dir = tmp_path / "out"
+        for argv in (["check", str(path)], ["run", str(path), "--out-dir", str(out_dir)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "hypothesis error" in err
+            assert "Traceback" not in err
+        assert not (out_dir / "trajectory.csv").exists()
 
     def test_inner_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def stall(cfg, out_dir=None):

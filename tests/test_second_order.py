@@ -6,8 +6,8 @@ from splitflow.errors import SpecError
 from splitflow.first_order import FBFlowSpec, fb_field
 from splitflow.integrate import IntegratorConfig, integrate
 from splitflow.operators import (SingleValuedMap, gradient_map, l1_prox,
-                                 least_squares_fn, quadratic_fn, subdifferential_map,
-                                 zero_operator)
+                                 least_squares_fn, quadratic_fn, rotation_map,
+                                 subdifferential_map, zero_operator)
 from splitflow.problems import get_problem
 from splitflow.schedules import constant, exp_decay
 from splitflow.second_order import (DampingCondition, SecondOrderSpec, check_damping_condition,
@@ -96,6 +96,68 @@ class TestSecondOrderField:
         x, v = np.array([3.0]), np.array([1.0])
         want = -(3.0 / 2.0) * v - yosida_eval(A, 2.0, x)
         assert np.allclose(field.fn(2.0, x, v), want)
+
+
+def _pinned_variants():
+    """One spec per constructor on 2-D data; B = grad of a quadratic, beta = 1/L."""
+    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    g = quadratic_fn(Q)
+    B = gradient_map(g)
+    A = subdifferential_map(l1_prox(0.5))
+
+    def cond(kind, **kw):
+        return DampingCondition(exp_decay(3.0, 1.0), exp_decay(1.0, -0.5), 0.1, kind, **kw)
+
+    return {
+        "cocoercive": SecondOrderSpec.cocoercive(B, cond("cocoercive",
+                                                         beta=B.cocoercivity_beta)),
+        "nonexpansive": SecondOrderSpec.nonexpansive(rotation_map(0.5), cond("nonexpansive")),
+        "fb": SecondOrderSpec.fb(A, B, 0.4, cond("fb", delta=1.5)),
+        "avd": SecondOrderSpec.avd(g, alpha=3.0),
+        "yosida": SecondOrderSpec.yosida(A, constant(0.5), alpha=3.0),
+    }
+
+
+SCHEDULED_PROBES = ["lyapunov_V", "h", "hdot", "speed", "accel"]
+
+# variant -> (label, field.fn, effective_beta, driving_operator, probes with xstar,
+# probes without), at t = 2, x = (1, -2), v = (0.5, 0.25); None stands for SpecError
+VARIANT_PINS = {
+    "cocoercive": ("second-order-cocoercive", [-2.5, 0.6146647167633871], 0.4530818393219729,
+                   [1.0, -1.5], SCHEDULED_PROBES, ["speed", "accel"]),
+    "nonexpansive": ("second-order-nonexpansive", [-0.7878334942475597, -0.10858240017429532],
+                     0.5, [-0.8364336390987788, -0.7242604148234575], SCHEDULED_PROBES,
+                     ["speed", "accel"]),
+    "fb": ("second-order-fb", [-2.1270670566473227, -0.037967934103798284],
+           0.7792893218813454, [0.6000000000000001, -0.8], SCHEDULED_PROBES,
+           ["speed", "accel"]),
+    "avd": ("avd", [-1.75, 1.125], None, [1.0, -1.5],
+            ["h", "hdot", "speed", "accel", "objective"], ["speed", "accel", "objective"]),
+    "yosida": ("yosida-avd", [-1.25, 0.125], None, None, ["h", "hdot", "speed", "accel"],
+               ["speed", "accel"]),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_PINS))
+def test_variant_pins(variant):
+    label, acc, beta, drive, probes_ref, probes = VARIANT_PINS[variant]
+    spec = _pinned_variants()[variant]
+    x = np.array([1.0, -2.0])
+    field = second_order_field(spec)
+    assert field.label == label
+    assert field.fn(2.0, x, np.array([0.5, 0.25])).tolist() == acc
+    if beta is None:
+        with pytest.raises(SpecError):
+            spec.effective_beta
+    else:
+        assert spec.effective_beta == beta
+    if drive is None:
+        with pytest.raises(SpecError):
+            spec.driving_operator(x)
+    else:
+        assert spec.driving_operator(x).tolist() == drive
+    assert [name for name, _ in second_order_probes(spec, np.zeros(2))] == probes_ref
+    assert [name for name, _ in second_order_probes(spec)] == probes
 
 
 class TestLyapunov:
