@@ -39,12 +39,16 @@ _REQUIRED = object()
 
 def _read(section: dict, key: str, kind: Callable = float, default=_REQUIRED):
     """section[key] converted by kind, or default when absent or null; a missing
-    required key or a value kind rejects raises SpecError naming the key."""
+    required key, a value kind rejects, or a boolean or non-integral number
+    read as int raises SpecError naming the key."""
     value = section.get(key)
     if value is None:
         if default is _REQUIRED:
             raise SpecError("config is missing key %r" % key)
         return default
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise SpecError("config key %r must be an integer, got %r" % (key, value))
     try:
         return kind(value)
     except SpecError:

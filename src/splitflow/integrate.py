@@ -170,7 +170,7 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
             k4 = deriv(t + dt, u + dt * k3)
             u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = cfg.t_start + (k + 1) * dt
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > DIVERGENCE_THRESHOLD:
+        if not (np.abs(u).max() <= DIVERGENCE_THRESHOLD):  # NaN propagates through max
             raise DivergenceError("trajectory diverged at t=%g" % t,
                                   last_finite_t=t - dt, trajectory=partial())
         if (k + 1) % cfg.record_every == 0:

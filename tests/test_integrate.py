@@ -81,6 +81,26 @@ class TestIntegrate:
         assert err.value.trajectory is not None
         assert len(err.value.trajectory.times) >= 1
 
+    # the field turns bad from t = 1.5, which euler's step from t = 1.5 and the
+    # last rk4 stage of the step from t = 1.0 carry into u; t = 0 and 1.0 are recorded
+    @pytest.mark.parametrize("method, last_finite_t", [("euler", 1.5), ("rk4", 1.0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.4e13])
+    def test_divergence_on_nan_inf_and_large_states(self, method, last_finite_t, bad):
+        field = FlowField(order=1, fn=lambda t, x: np.array([0.0, bad if t >= 1.5 else 0.0]))
+        cfg = IntegratorConfig(method=method, dt=0.5, t_end=5.0, record_every=2)
+        with pytest.raises(DivergenceError) as err:
+            integrate(field, np.array([1.0, 1.0]), cfg)
+        assert err.value.last_finite_t == last_finite_t
+        assert list(err.value.trajectory.times) == [0.0, 1.0]
+        assert np.all(np.isfinite(err.value.trajectory.states))
+
+    def test_divergence_threshold_is_inclusive(self):
+        # one euler step of 2e12 * 0.5 lands exactly on the 1e12 threshold
+        field = FlowField(order=1, fn=lambda t, x: np.array([2e12 if t == 0.0 else 0.0]))
+        cfg = IntegratorConfig(method="euler", dt=0.5, t_end=1.0)
+        traj = integrate(field, np.array([0.0]), cfg)
+        assert traj.final_state[0] == 1e12
+
     def test_breakpoint_alignment_enforced(self):
         field = FlowField(order=1, fn=lambda t, x: -x, breakpoints=(0.25,))
         cfg = IntegratorConfig(method="rk4", dt=0.2, t_end=1.0)

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from splitflow.errors import SpecError
+from splitflow.errors import SolverError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
-from splitflow.operators import (LinearMap, l1_prox, least_squares_fn,
-                                 matrix_linear_map, quadratic_fn, squared_l2_prox,
-                                 zero_fn, zero_prox)
+from splitflow.operators import (LinearMap, ProxFunction, l1_prox, least_squares_fn,
+                                 matrix_linear_map, quadratic_fn, soft_threshold,
+                                 squared_l2_prox, zero_fn, zero_prox)
 from splitflow.primal_dual import (PDParams, PDState, StructuredProblem,
                                    lagrangian_eval, pd_field_general, pd_field_special,
                                    pd_probes, psd_probe, saddle_residuals,
-                                   special_metric)
+                                   solve_prox_quadratic, special_metric)
 from splitflow.problems import get_problem
 from splitflow.schedules import constant
 
@@ -110,6 +110,69 @@ class TestGeneralField:
         t_general = integrate(pd_field_general(prob, params, M1, M2), u0, cfg)
         sup = np.max(np.linalg.norm(t_special.states - t_general.states, axis=1))
         assert sup < 1e-6
+
+    def test_specialization_matches_special_field_to_rounding(self):
+        # with M1 = I/tau - c A*A the x-line has Q = I/tau, which the spectral
+        # step finds exactly, so both fields agree to rounding, not to inner_tol
+        p = get_problem("pd_lasso_analysis")
+        prob = p.components["structured"]
+        params = PDParams(c=1.0, gamma_relax=1.0,
+                          tau=constant(0.9 / prob.A.norm_estimate ** 2))
+        M1, M2 = special_metric(prob, params)
+        special = pd_field_special(prob, params)
+        general = pd_field_general(prob, params, M1, M2)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            u = rng.standard_normal(prob.n + 2 * prob.m) * 2
+            assert np.max(np.abs(general.fn(0.0, u) - special.fn(0.0, u))) < 1e-12
+
+
+class TestSolveProxQuadratic:
+    # f = ||u||_1 and Q = diag(1, 10, 1000) separate: u_i = soft(w_i, 1)/q_i
+    q = np.array([1.0, 10.0, 1000.0])
+    w = np.array([3.0, -25.0, 700.0])
+
+    def solve(self, max_iter=20000):
+        """The solve, with every q_apply point and every (step, prox input) logged."""
+        points, prox_calls = [], []
+        l1 = l1_prox(1.0)
+
+        def prox(s, v):
+            prox_calls.append((s, v.copy()))
+            return l1.prox(s, v)
+
+        def q_apply(v):
+            points.append(v.copy())
+            return self.q * v
+
+        u = solve_prox_quadratic(ProxFunction(value=l1.value, prox=prox), q_apply,
+                                 float(self.q.max()), self.w, np.zeros(3),
+                                 max_iter=max_iter)
+        return u, points, prox_calls
+
+    def test_diagonal_l1_matches_separable_closed_form(self):
+        u, _, _ = self.solve()
+        assert np.max(np.abs(u - soft_threshold(self.w, 1.0) / self.q)) < 1e-9
+
+    def test_rejected_trial_step_is_redone_at_the_safe_step(self):
+        _, points, prox_calls = self.solve()
+        s_safe = 1.0 / self.q.max()
+        # one q_apply at the start and one per prox evaluation
+        assert len(points) == len(prox_calls) + 1
+        # the iterate prox step i starts from: the latest of the q_apply points
+        # 0..i it reproduces (near the solution several points may)
+        bases = [max(j for j, p in enumerate(points[:i + 1])
+                     if np.array_equal(v, p - s * (self.q * p - self.w)))
+                 for i, (s, v) in enumerate(prox_calls)]
+        redone = [i for i in range(1, len(bases)) if bases[i] == bases[i - 1]]
+        assert redone, "no trial step was rejected"
+        for i in redone:
+            assert prox_calls[i - 1][0] > s_safe and prox_calls[i][0] == s_safe
+
+    def test_budget_exhausted_raises_with_finite_residual(self):
+        with pytest.raises(SolverError) as err:
+            self.solve(max_iter=2)
+        assert np.isfinite(err.value.residual) and err.value.residual > 0
 
 
 class TestLagrangian:

@@ -421,6 +421,10 @@ class TestCli:
         "negative-seed": {"seed": -1},
         "dt-not-a-number": {"integrator": {"method": "rk4", "dt": "nan", "t_end": 5.0}},
         "seed-not-an-integer": {"seed": "q"},
+        "seed-not-integral": {"seed": 1.5},
+        "seed-boolean": {"seed": True},
+        "record-every-not-integral": {"integrator": {"method": "rk4", "dt": 0.01,
+                                                     "t_end": 5.0, "record_every": 2.5}},
         "x0-wrong-size": {"x0": [1, 2, 3]},  # rotation2d is 2-D
         "second-order-fb-without-cocoercive-B": {
             "problem": "bilinear_saddle",
