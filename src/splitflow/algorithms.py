@@ -12,7 +12,8 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .first_order import check_relaxation, fb_increment, fbf_increment, km_increment
+from .first_order import (check_relaxation, check_tseng_step, fb_increment, fbf_increment,
+                          km_increment)
 from .integrate import _write_csv
 from .operators import (MonotoneMap, ProxFunction, SingleValuedMap, SmoothFunction,
                         check_fb_step, fb_delta, prox_eval, resolvent_eval)
@@ -34,9 +35,7 @@ def fb_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x) -> 
 
 def tseng_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x) -> Array:
     """Forward-backward-forward update y + lam*(B(x) - B(y)), y = J_{gamma A}(x - gamma*B(x))."""
-    L = B.lipschitz_L
-    if L is None or gamma <= 0 or gamma * L >= 1.0:
-        raise ValueError("tseng_step needs gamma*L < 1 with a known Lipschitz bound")
+    check_tseng_step(B, gamma)
     return x + fbf_increment(A, B, gamma, lam, x)
 
 
@@ -104,15 +103,10 @@ def prox_admm_step(prob: StructuredProblem, params: PDParams, M1, M2,
 
 @dataclasses.dataclass
 class IterateSequence:
-    """Iterates of a discrete scheme on the Trajectory record format (integer time).
-
-    params holds per-step parameter series (relaxation, damping, ...) when the
-    driver varies them.
-    """
+    """Iterates of a discrete scheme on the Trajectory record format (integer time)."""
 
     iterates: Array           # (k+1) x n, including the start point
     records: Dict[str, Array]
-    params: Dict[str, Array] = dataclasses.field(default_factory=dict)
     label: str = ""
 
     @property
@@ -125,31 +119,24 @@ class IterateSequence:
 
 
 def run_sequence(update: Callable[[int, Array, Optional[Array]], Array], x0,
-                 n_steps: int, x_prev0=None, probes=(), params=None,
-                 label: str = "") -> IterateSequence:
+                 n_steps: int, x_prev0=None, probes=(), label: str = "") -> IterateSequence:
     """Drive update(n, x, x_prev) -> x_next for n = 1..n_steps.
 
     probes is a sequence of (name, fn) with fn(n, x) -> float, evaluated at
-    every iterate including the start point.  params, when given, maps a name
-    to fn(n) -> float and is recorded per step.
+    every iterate including the start point.
     """
     x = np.asarray(x0, dtype=float).copy()
     x_prev = None if x_prev0 is None else np.asarray(x_prev0, dtype=float).copy()
     out = [x.copy()]
     rec = {name: [float(fn(0, x))] for name, fn in probes}
-    par = {name: [] for name in (params or {})}
     for n in range(1, n_steps + 1):
         x_next = np.asarray(update(n, x, x_prev), dtype=float)
         x_prev, x = x, x_next
         out.append(x.copy())
         for name, fn in probes:
             rec[name].append(float(fn(n, x)))
-        for name, fn in (params or {}).items():
-            par[name].append(float(fn(n)))
     return IterateSequence(iterates=np.array(out),
-                           records={k: np.array(v) for k, v in rec.items()},
-                           params={k: np.array(v) for k, v in par.items()},
-                           label=label)
+                           records={k: np.array(v) for k, v in rec.items()}, label=label)
 
 
 def write_sequence_csv(seq: IterateSequence, path):

@@ -35,6 +35,15 @@ def check_relaxation(lam: float, cap: float, t: Optional[float] = None) -> float
     return lam
 
 
+def check_tseng_step(B: SingleValuedMap, gamma: float):
+    """Tseng's step hypothesis: B has a known Lipschitz bound L and 0 < gamma*L < 1."""
+    L = B.lipschitz_L
+    if L is None:
+        raise SpecError("forward-backward-forward step needs a Lipschitz bound on B")
+    if not (gamma > 0 and gamma * L < 1.0):
+        raise SpecError("need 0 < gamma with gamma*L < 1, got gamma*L=%g" % (gamma * L))
+
+
 def km_increment(T: SingleValuedMap, lam: float, x):
     return lam * (T(x) - x)
 
@@ -148,12 +157,7 @@ class FBFFlowSpec:
     lam: float
 
     def __post_init__(self):
-        L = self.B.lipschitz_L
-        if L is None:
-            raise SpecError("forward-backward-forward flow needs a Lipschitz bound on B")
-        if self.gamma <= 0 or self.gamma * L >= 1.0:
-            raise SpecError("need 0 < gamma with gamma*L < 1, got gamma*L=%g"
-                            % (self.gamma * L))
+        check_tseng_step(self.B, self.gamma)
         if self.lam <= 0:
             raise SpecError("lam must be positive")
 

@@ -37,7 +37,6 @@ class ProxFunction:
 
     value: Callable[[Array], float]
     prox: Callable[[float, Array], Array]
-    kind: str = "analytic"  # "analytic" | "numeric-fallback"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,15 +247,6 @@ def prox_numeric(value_fn: Callable[[Array], float], gamma: float, x: Array,
     raise SolverError("prox_numeric exhausted its evaluation budget", residual=residual)
 
 
-def numeric_prox_function(value_fn: Callable[[Array], float], tol: float = 1e-10) -> ProxFunction:
-    """Wrap a convex value oracle as a numeric-fallback ProxFunction."""
-    return ProxFunction(
-        value=value_fn,
-        prox=lambda gamma, x: prox_numeric(value_fn, gamma, x, tol=tol),
-        kind="numeric-fallback",
-    )
-
-
 # ---------------------------------------------------------------------------
 # analytic prox catalog
 
@@ -452,12 +442,6 @@ def rotation_map(angle: float) -> SingleValuedMap:
                   [np.sin(angle), np.cos(angle)]])
     return SingleValuedMap(fn=lambda x: R @ np.asarray(x, dtype=float),
                            cocoercivity_beta=None, lipschitz_L=1.0)
-
-
-def scaled_identity_map(scale: float) -> SingleValuedMap:
-    beta = (1.0 / scale) if scale > 0 else None
-    return SingleValuedMap(fn=lambda x: scale * np.asarray(x, dtype=float),
-                           cocoercivity_beta=beta, lipschitz_L=abs(scale))
 
 
 def gradient_map(g: SmoothFunction) -> SingleValuedMap:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SolverError
 from .nonconvex import NonconvexProblem, critical_residual
-from .operators import (MonotoneMap, SingleValuedMap, affine_prox, box_prox,
+from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, affine_prox, box_prox,
                         difference_matrix, gradient_map, l1_prox, least_squares_fn,
                         matrix_linear_map, matrix_operator, one_minus_cos_fn,
                         quadratic_fn, resolvent_eval, rotation_map, soft_threshold,
@@ -298,7 +298,6 @@ def _banana_box_problem() -> ProblemDef:
     corner = np.array([[2.0 - 4.0 * c * lo + 12.0 * c * hi ** 2, -4.0 * c * hi],
                        [-4.0 * c * hi, 2.0 * c]])
     beta = float(np.linalg.norm(corner, 2))
-    from .operators import SmoothFunction
     g = SmoothFunction(value=val, gradient=grad, grad_lipschitz=beta, convex=False)
     eta = 0.25 / beta  # eta*beta*(3 + eta*beta) = 0.8125
     return ProblemDef(

@@ -1,11 +1,12 @@
 """Damped second-order flows and the schedule condition that certifies them.
 
-Every flow is xdd + damping(t)*xd + drive(t, x) = 0.  The scheduled variants
-damp with gamma(t), drive with lam(t)*B(x) and carry a schedule condition that
-involves the cocoercivity beta of B: B itself (cocoercive), B = Id - T for a
-nonexpansive T (nonexpansive), or the forward-backward residual (fb).  The
-vanishing-damping variants damp with alpha/t and drive with grad g (avd) or
-the Yosida regularization A_{lam(t)} (yosida); they have no beta or condition.
+Every flow is xdd + damping(t)*xd + drive(t, x) = 0, with damping a Schedule.
+The scheduled variants damp with gamma(t), drive with lam(t)*B(x) and are
+certified by a DampingCondition that involves the cocoercivity beta of B: B
+itself (cocoercive), B = Id - T for a nonexpansive T (nonexpansive), or the
+forward-backward residual (fb).  The vanishing-damping variants damp with
+over_t(alpha) and drive with grad g (avd) or the Yosida regularization
+A_{lam(t)} (yosida); they have no beta and no condition.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import SpecError
 from .integrate import FlowField, Trajectory
 from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, check_fb_step,
                         fb_delta, resolvent_eval, yosida_eval)
-from .schedules import Schedule
+from .schedules import Schedule, over_t
 
 _KINDS = ("cocoercive", "nonexpansive", "averaged", "fb", "opt-relaxed")
 
@@ -124,25 +125,34 @@ def check_damping_condition(spec: DampingCondition, grid) -> dict:
 class SecondOrderSpec:
     """One damped second-order flow; build it with a classmethod.
 
-    A classmethod sets drive(t, x), beta (None for avd and yosida) and the
-    damping: gamma(t) of condition, or alpha/t when condition is None.
-    operator is the driving operator B(x) where it does not depend on t.
+    A classmethod sets drive(t, x), the damping schedule, the relaxation
+    schedule the drive reads (None for avd) and beta, the cocoercivity of the
+    driving operator (None for avd and yosida).  A scheduled variant takes its
+    damping gamma(t) and relaxation lam(t) from its DampingCondition, which
+    only certifies the flow: the field never reads it.  operator is the
+    driving operator B(x) where it does not depend on t.
     """
 
     variant: str  # "cocoercive" | "nonexpansive" | "fb" | "avd" | "yosida"
     label: str
     drive: Callable
+    damping: Schedule
+    relaxation: Optional[Schedule] = None
     operator: Optional[Callable] = None
     beta: Optional[float] = None
-    condition: Optional[DampingCondition] = None
-    alpha: Optional[float] = None
     g: Optional[SmoothFunction] = None
 
     @classmethod
     def _scheduled(cls, variant, operator, beta, condition):
+        # 1e-12 absorbs the rounding of 1/(2/delta) against delta/2
+        if condition.kind != "opt-relaxed" and condition.effective_beta > beta * (1.0 + 1e-12):
+            raise SpecError("%s condition certifies beta=%g, but the %s drive is only "
+                            "%g-cocoercive" % (condition.kind, condition.effective_beta,
+                                               variant, beta))
         lam = condition.lam
         return cls(variant=variant, label="second-order-" + variant, operator=operator,
-                   drive=lambda t, x: lam(t) * operator(x), beta=beta, condition=condition)
+                   drive=lambda t, x: lam(t) * operator(x), damping=condition.gamma,
+                   relaxation=lam, beta=beta)
 
     @classmethod
     def cocoercive(cls, B: SingleValuedMap, condition: DampingCondition):
@@ -164,16 +174,13 @@ class SecondOrderSpec:
 
     @classmethod
     def avd(cls, g: SmoothFunction, alpha: float):
-        if alpha <= 0:
-            raise SpecError("avd variant needs alpha > 0")
-        return cls(variant="avd", label="avd", operator=g.gradient,
-                   drive=lambda t, x: g.gradient(x), alpha=alpha, g=g)
+        return cls(variant="avd", label="avd", operator=g.gradient, damping=over_t(alpha),
+                   drive=lambda t, x: g.gradient(x), g=g)
 
     @classmethod
     def yosida(cls, A: MonotoneMap, lam_schedule: Schedule, alpha: float):
-        if alpha <= 0:
-            raise SpecError("yosida variant needs alpha > 0")
-        return cls(variant="yosida", label="yosida-avd", alpha=alpha,
+        return cls(variant="yosida", label="yosida-avd", damping=over_t(alpha),
+                   relaxation=lam_schedule,
                    drive=lambda t, x: yosida_eval(A, lam_schedule(t), x))
 
     @property
@@ -191,25 +198,12 @@ class SecondOrderSpec:
 
 
 def second_order_field(spec: SecondOrderSpec) -> FlowField:
-    """xdd = -damping(t)*xd - drive(t, x), damped by gamma(t) or by alpha/t."""
-    drive = spec.drive
-    if spec.condition is not None:
-        gam, lam = spec.condition.gamma, spec.condition.lam
-
-        def fn(t, x, v):
-            return -gam(t) * v - drive(t, x)
-
-        brk = tuple(sorted(set(gam.breakpoints) | set(lam.breakpoints)))
-        return FlowField(order=2, fn=fn, label=spec.label, breakpoints=brk)
-
-    alpha = spec.alpha
-
-    def fn(t, x, v):
-        if t <= 0:
-            raise SpecError("vanishing damping alpha/t needs t > 0")
-        return -(alpha / t) * v - drive(t, x)
-
-    return FlowField(order=2, fn=fn, label=spec.label)
+    """xdd = -damping(t)*xd - drive(t, x); breakpoints of damping and relaxation."""
+    damping, drive = spec.damping, spec.drive
+    relax = spec.relaxation.breakpoints if spec.relaxation is not None else ()
+    return FlowField(order=2, fn=lambda t, x, v: -damping(t) * v - drive(t, x),
+                     label=spec.label,
+                     breakpoints=tuple(sorted(set(damping.breakpoints) | set(relax))))
 
 
 def _lyapunov(spec: SecondOrderSpec, xstar):
@@ -219,7 +213,7 @@ def _lyapunov(spec: SecondOrderSpec, xstar):
 
     def lyap(t, x, v):
         d = x - ref
-        gam, lam = spec.condition.gamma(t), spec.condition.lam(t)
+        gam, lam = spec.damping(t), spec.relaxation(t)
         return float(d @ v) + gam * 0.5 * float(d @ d) + beta * (gam / lam) * float(v @ v)
 
     return lyap
@@ -227,8 +221,6 @@ def _lyapunov(spec: SecondOrderSpec, xstar):
 
 def second_order_lyapunov(traj: Trajectory, spec: SecondOrderSpec, xstar) -> np.ndarray:
     """V(t) = <x - x*, v> + gamma(t)*||x - x*||^2/2 + beta*(gamma/lam)(t)*||v||^2 on the grid."""
-    if spec.condition is None:
-        raise SpecError("the Lyapunov functional needs the scheduled variants")
     lyap = _lyapunov(spec, xstar)
     out = np.empty(len(traj.times))
     for k, t in enumerate(traj.times):
@@ -241,7 +233,7 @@ def second_order_probes(spec: SecondOrderSpec, xstar=None):
     probes = []
     if xstar is not None:
         ref = np.asarray(xstar, dtype=float)
-        if spec.condition is not None:
+        if spec.beta is not None:
             probes.append(("lyapunov_V", _lyapunov(spec, ref)))
         probes.append(("h", lambda t, x, v: 0.5 * float((x - ref) @ (x - ref))))
         probes.append(("hdot", lambda t, x, v: float((x - ref) @ v)))

@@ -118,8 +118,10 @@ class TestTsengStep:
         assert np.allclose(got, [0.75, 0.5])
 
     def test_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             tseng_step(zero_operator(), matrix_operator(np.eye(2)), 1.0, 0.5, np.ones(2))
+        with pytest.raises(SpecError):  # no Lipschitz bound
+            tseng_step(zero_operator(), SingleValuedMap(fn=lambda x: x), 0.5, 0.5, np.ones(2))
 
 
 class TestFRBStep:

@@ -5,11 +5,11 @@ from splitflow.diagnostics import envelope_slope, nonincreasing_check
 from splitflow.errors import SpecError
 from splitflow.first_order import FBFlowSpec, fb_field
 from splitflow.integrate import IntegratorConfig, integrate
-from splitflow.operators import (SingleValuedMap, gradient_map, l1_prox,
-                                 least_squares_fn, quadratic_fn, rotation_map,
-                                 subdifferential_map, zero_operator)
+from splitflow.operators import (SingleValuedMap, gradient_map, identity_operator, l1_prox,
+                                 least_squares_fn, matrix_operator, quadratic_fn,
+                                 rotation_map, subdifferential_map, zero_operator)
 from splitflow.problems import get_problem
-from splitflow.schedules import constant, exp_decay
+from splitflow.schedules import affine_clamped, constant, exp_decay
 from splitflow.second_order import (DampingCondition, SecondOrderSpec, check_damping_condition,
                                     second_order_field, second_order_lyapunov,
                                     second_order_probes)
@@ -89,13 +89,53 @@ class TestSecondOrderField:
         assert np.allclose(acc, 0.0, atol=1e-15)
 
     def test_yosida_field_uses_schedule(self):
-        from splitflow.operators import identity_operator, yosida_eval
+        from splitflow.operators import yosida_eval
         A = identity_operator()
         spec = SecondOrderSpec.yosida(A, constant(2.0), alpha=3.0)
         field = second_order_field(spec)
         x, v = np.array([3.0]), np.array([1.0])
         want = -(3.0 / 2.0) * v - yosida_eval(A, 2.0, x)
         assert np.allclose(field.fn(2.0, x, v), want)
+
+    def test_yosida_declares_schedule_breakpoints(self):
+        # the relaxation kinks at t = 0.55, which a dt = 0.1 grid misses
+        spec = SecondOrderSpec.yosida(identity_operator(), affine_clamped(0.5, 1.0, 0.5, 1.05),
+                                      alpha=3.0)
+        assert second_order_field(spec).breakpoints == (0.55,)
+        cfg = IntegratorConfig(method="rk4", dt=0.1, t_start=0.1, t_end=3.0)
+        with pytest.raises(SpecError, match="breakpoint"):
+            integrate(second_order_field(spec), np.array([1.0]), cfg, v0=np.zeros(1))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_vanishing_damping_needs_positive_alpha(self, alpha):
+        with pytest.raises(SpecError):
+            SecondOrderSpec.avd(quadratic_fn(np.eye(1)), alpha=alpha)
+        with pytest.raises(SpecError):
+            SecondOrderSpec.yosida(identity_operator(), constant(1.0), alpha=alpha)
+
+
+class TestConditionMatchesDrive:
+    # The conservative conditions (the pinned fb variant, criterion 9 and
+    # TestGradientConstantOnArgmin) stay accepted; these claim too much.
+    @pytest.mark.parametrize("build, kind, kw", [
+        # certifies beta = 2 (K = 0.5); the drive 10*I is only 0.1-cocoercive,
+        # so the theorem needs K = 10, and V rises from t ~ 0.23 on
+        (lambda c: SecondOrderSpec.cocoercive(matrix_operator(10.0 * np.eye(2)), c),
+         "cocoercive", {"beta": 2.0}),
+        # certifies beta = 2 for Id - T, which is 1/2-cocoercive for a merely nonexpansive T
+        (lambda c: SecondOrderSpec.nonexpansive(rotation_map(0.5), c),
+         "averaged", {"alpha": 0.25}),
+    ])
+    def test_condition_beyond_the_drive_beta_rejected(self, build, kind, kw):
+        condition = DampingCondition(constant(1.0), constant(1.0), 0.1, kind, **kw)
+        assert check_damping_condition(condition, np.linspace(0, 5, 10))["pass"]
+        with pytest.raises(SpecError, match="cocoercive"):
+            build(condition)
+
+    def test_opt_relaxed_has_no_threshold_to_compare(self):
+        opt = DampingCondition(constant(2.0), constant(1.0), 0.1, "opt-relaxed", beta=5.0,
+                               eta=1.5)
+        assert SecondOrderSpec.nonexpansive(rotation_map(0.5), opt).effective_beta == 0.5
 
 
 def _pinned_variants():
