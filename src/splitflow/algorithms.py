@@ -12,6 +12,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from .errors import SpecError
 from .first_order import (check_relaxation, check_tseng_step, fb_increment, fbf_increment,
                           km_increment)
 from .integrate import _write_csv
@@ -42,8 +43,8 @@ def tseng_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x) 
 def frb_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, x_curr, x_prev) -> Array:
     """Reflected-gradient style step with a single forward evaluation per iteration."""
     L = B.lipschitz_L
-    if L is None or gamma <= 0 or gamma * L >= 0.5:
-        raise ValueError("frb_step needs gamma*L < 1/2 with a known Lipschitz bound")
+    if L is None or not (0.0 < gamma and gamma * L < 0.5):
+        raise SpecError("frb_step needs 0 < gamma*L < 1/2 with a known Lipschitz bound")
     Bc = B(x_curr)
     return resolvent_eval(A, gamma, x_curr - gamma * Bc) - gamma * (Bc - B(x_prev))
 
@@ -56,10 +57,10 @@ def inertial_fb_step(f: ProxFunction, g: SmoothFunction, eta: float,
     w = lam_n/(1 + gamma_n).
     """
     L = g.grad_lipschitz
-    if L > 0 and not 0.0 < eta < 2.0 / L:
-        raise ValueError("eta=%g outside (0, 2*beta) with beta=1/L=%g" % (eta, 1.0 / L))
-    if lam_n <= 0 or gamma_n <= 0:
-        raise ValueError("lam_n and gamma_n must be positive")
+    if not (0.0 < eta and eta * L < 2.0):
+        raise SpecError("eta=%g outside (0, 2/L) with L=%g" % (eta, L))
+    if not (0.0 < lam_n and 0.0 < gamma_n):
+        raise SpecError("lam_n and gamma_n must be positive")
     w = lam_n / (1.0 + gamma_n)
     p = prox_eval(f, eta, x_curr - eta * g.gradient(x_curr))
     return (1.0 - w) * x_curr + w * p + w * (x_curr - x_prev)
@@ -69,15 +70,15 @@ def nesterov_step(g: SmoothFunction, gamma: float, alpha: float, n: int,
                   x_curr, x_prev) -> Array:
     """y = x + (n-1)/(n+alpha-1)*(x - x_prev); return y - gamma*grad g(y).
 
-    gamma must stay within the gradient step range gamma*L <= 1 (L the
-    Lipschitz constant of grad g, i.e. gamma <= beta in the cocoercivity
-    convention).
+    gamma must be positive and stay within the gradient step range
+    gamma*L <= 1 (L the Lipschitz constant of grad g, i.e. gamma <= beta in
+    the cocoercivity convention).
     """
     if n < 1:
-        raise ValueError("iteration counter n starts at 1")
+        raise SpecError("iteration counter n starts at 1")
     L = g.grad_lipschitz
-    if L > 0 and gamma * L > 1.0 + 1e-12:
-        raise ValueError("step gamma=%g exceeds the gradient range 1/L=%g" % (gamma, 1.0 / L))
+    if not (0.0 < gamma and gamma * L <= 1.0 + 1e-12):
+        raise SpecError("step gamma=%g outside the gradient range (0, 1/L], L=%g" % (gamma, L))
     coef = (n - 1.0) / (n + alpha - 1.0)
     y = x_curr + coef * (x_curr - x_prev)
     return y - gamma * g.gradient(y)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import warnings
 from typing import Callable, Optional
@@ -24,7 +25,7 @@ from .first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec, dr_fi
                           km_field, km_probes)
 from .integrate import IntegratorConfig, integrate, write_trajectory_csv
 from .nonconvex import nonconvex_probes, proxgrad_field
-from .operators import as_vector, check_fb_step, fb_delta
+from .operators import SingleValuedMap, as_vector
 from .primal_dual import PDParams, PDState, _check_tau, pd_field_special, pd_probes
 from .problems import ProblemDef, get_problem
 from .schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power,
@@ -39,8 +40,9 @@ _REQUIRED = object()
 
 def _read(section: dict, key: str, kind: Callable = float, default=_REQUIRED):
     """section[key] converted by kind, or default when absent or null; a missing
-    required key, a value kind rejects, or a boolean or non-integral number
-    read as int raises SpecError naming the key."""
+    required key, a value kind rejects, a boolean or non-integral number read
+    as int, or a NaN or infinite number read as float raises SpecError naming
+    the key."""
     value = section.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -50,11 +52,14 @@ def _read(section: dict, key: str, kind: Callable = float, default=_REQUIRED):
                         or isinstance(value, float) and not value.is_integer()):
         raise SpecError("config key %r must be an integer, got %r" % (key, value))
     try:
-        return kind(value)
+        out = kind(value)
     except SpecError:
         raise
     except (TypeError, ValueError):
         raise SpecError("config key %r has a malformed value %r" % (key, value)) from None
+    if kind is float and not math.isfinite(out):
+        raise SpecError("config key %r must be finite, got %r" % (key, value))
+    return out
 
 
 def build_schedule(spec: dict) -> Schedule:
@@ -211,6 +216,16 @@ def _build_dr(problem, params, form):
     return dr_field(spec), dr_probes(spec, ref=ref), spec
 
 
+def _dr_reflected_checks(traj, problem, spec):
+    """Fejer monotonicity of z toward the fixed point z* = x* + gamma*B(x*) of the
+    reflected flow, with the problem's single-valued B; none without one."""
+    B = problem.components.get("B")
+    if problem.known_solution is None or not isinstance(B, SingleValuedMap):
+        return []
+    xstar = np.asarray(problem.known_solution, dtype=float)
+    return [fejer_check(traj, xstar + spec.gamma * B(xstar))]
+
+
 def _build_proxgrad(problem, params, icfg):
     p, = _components(problem, "problem")
     return proxgrad_field(p), nonconvex_probes(p), p
@@ -227,9 +242,9 @@ def _build_second_order_fb(problem, params, icfg):
     eta = _read(params, "eta")
     condition = DampingCondition(
         gamma=_read(params, "gamma", build_schedule), lam=_read(params, "lambda", build_schedule),
-        theta=_read(params, "theta"), kind="fb", delta=fb_delta(check_fb_step(B, eta), eta))
+        theta=_read(params, "theta"))
     spec = SecondOrderSpec.fb(A=A, B=B, eta=eta, condition=condition)
-    report = check_damping_condition(condition, _grid(icfg))
+    report = check_damping_condition(condition, spec.beta, _grid(icfg))
     if not report["pass"]:
         raise SpecError("schedule condition fails on the run grid: %r"
                         % report["conditions"])
@@ -263,7 +278,7 @@ _FLOW_DEFS = {
     "fb-tikhonov": _FlowDef(_build_fb_tikhonov, "fp_residual", _fb_checks),
     "fbf": _FlowDef(_build_fbf, "fp_residual"),
     "dr-reflected": _FlowDef(lambda p, prm, icfg: _build_dr(p, prm, "reflected"),
-                             "fp_residual", lambda traj, p, spec: _fejer(traj, p)),
+                             "fp_residual", _dr_reflected_checks),
     "dr-coupled": _FlowDef(lambda p, prm, icfg: _build_dr(p, prm, "coupled"), "fp_residual"),
     "proxgrad": _FlowDef(_build_proxgrad, "crit_residual", _proxgrad_checks),
     "second-order-fb": _FlowDef(_build_second_order_fb),

@@ -1,12 +1,15 @@
 """Damped second-order flows and the schedule condition that certifies them.
 
 Every flow is xdd + damping(t)*xd + drive(t, x) = 0, with damping a Schedule.
-The scheduled variants damp with gamma(t), drive with lam(t)*B(x) and are
-certified by a DampingCondition that involves the cocoercivity beta of B: B
-itself (cocoercive), B = Id - T for a nonexpansive T (nonexpansive), or the
-forward-backward residual (fb).  The vanishing-damping variants damp with
-over_t(alpha) and drive with grad g (avd) or the Yosida regularization
-A_{lam(t)} (yosida); they have no beta and no condition.
+The scheduled variants damp with gamma(t) and drive with lam(t)*B(x), where B
+is beta-cocoercive: B itself (cocoercive), B = Id - T for a nonexpansive T
+(nonexpansive, beta = 1/2), or the forward-backward residual (fb, beta =
+delta/2).  They are certified by gamma^2/lam >= (1+theta)/beta with gamma
+nonincreasing and lam nondecreasing (Bot & Csetnek 2016, SIAM J. Control
+Optim. 54); check_damping_condition probes it with the spec's own beta.  The
+vanishing-damping variants damp with over_t(alpha) and drive with grad g (avd)
+or the Yosida regularization A_{lam(t)} (yosida); they have no beta and no
+condition.
 """
 
 from __future__ import annotations
@@ -22,103 +25,50 @@ from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, check_fb_s
                         fb_delta, resolvent_eval, yosida_eval)
 from .schedules import Schedule, over_t
 
-_KINDS = ("cocoercive", "nonexpansive", "averaged", "fb", "opt-relaxed")
-
 
 @dataclasses.dataclass(frozen=True)
 class DampingCondition:
-    """Damping/relaxation schedules plus the margin theta of the certifying condition.
-
-    kind selects the threshold K in gamma^2/lam >= K*(1+theta):
-    "cocoercive" K=1/beta, "nonexpansive" K=2, "averaged" K=2*alpha,
-    "fb" K=2/delta.  kind="opt-relaxed" instead checks constant schedules with
-    gamma^2 > eta/beta + 1.
-    """
+    """Damping gamma(t), relaxation lam(t) and the margin theta > 0 of the condition."""
 
     gamma: Schedule
     lam: Schedule
     theta: float
-    kind: str
-    beta: Optional[float] = None
-    alpha: Optional[float] = None
-    delta: Optional[float] = None
-    eta: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise SpecError("unknown condition kind %r" % self.kind)
-        if self.theta <= 0 and self.kind != "opt-relaxed":
-            raise SpecError("theta must be positive")
-        if self.kind == "cocoercive" and (self.beta is None or self.beta <= 0):
-            raise SpecError("cocoercive kind needs beta > 0")
-        if self.kind == "averaged" and (self.alpha is None or not 0 < self.alpha < 1):
-            raise SpecError("averaged kind needs alpha in (0,1)")
-        if self.kind == "fb" and (self.delta is None or self.delta <= 0):
-            raise SpecError("fb kind needs delta > 0")
-        if self.kind == "opt-relaxed" and (self.beta is None or self.eta is None):
-            raise SpecError("opt-relaxed kind needs beta and eta")
-
-    @property
-    def threshold(self) -> float:
-        if self.kind == "cocoercive":
-            return 1.0 / self.beta
-        if self.kind == "nonexpansive":
-            return 2.0
-        if self.kind == "averaged":
-            return 2.0 * self.alpha
-        if self.kind == "fb":
-            return 2.0 / self.delta
-        raise SpecError("threshold is undefined for the opt-relaxed kind")
-
-    @property
-    def effective_beta(self) -> float:
-        """Cocoercivity constant of the operator the flow actually drives."""
-        return 1.0 / self.threshold
+        if not self.theta > 0:
+            raise SpecError("theta must be positive, got %r" % (self.theta,))
 
 
-def check_damping_condition(spec: DampingCondition, grid) -> dict:
-    """Probe the schedule condition on a grid; report per-condition pass/fail and bounds."""
+def check_damping_condition(condition: DampingCondition, beta: float, grid) -> dict:
+    """Probe gamma, lam > 0, their monotonicity and gamma^2/lam >= (1+theta)/beta on a
+    grid, beta the cocoercivity of the drive; report per-condition pass/fail and bounds."""
+    if beta is None or not beta > 0:
+        raise SpecError("the damping condition needs the drive's beta > 0, got %r" % (beta,))
     grid = np.asarray(grid, dtype=float)
-    gam = np.array([spec.gamma(t) for t in grid])
-    lam = np.array([spec.lam(t) for t in grid])
-    dgam = np.array([spec.gamma.derivative(t) for t in grid])
-    dlam = np.array([spec.lam.derivative(t) for t in grid])
-    report = {
-        "kind": spec.kind,
-        "bounds": {"lam_lo": float(np.min(lam)), "lam_hi": float(np.max(lam)),
-                   "gamma_lo": float(np.min(gam)), "gamma_hi": float(np.max(gam))},
-        "conditions": {},
-    }
+    gam = np.array([condition.gamma(t) for t in grid])
+    lam = np.array([condition.lam(t) for t in grid])
+    dgam = np.array([condition.gamma.derivative(t) for t in grid])
+    dlam = np.array([condition.lam.derivative(t) for t in grid])
 
     def first_bad(mask):
         idx = np.nonzero(mask)[0]
         return float(grid[idx[0]]) if idx.size else None
 
     tol = 1e-12
-    if spec.kind == "opt-relaxed":
-        const = (np.max(np.abs(dgam)) <= tol) and (np.max(np.abs(dlam)) <= tol)
-        bound = spec.eta / spec.beta + 1.0
-        ok = bool(np.all(gam ** 2 > bound))
-        report["conditions"]["schedules_constant"] = {"pass": const, "first_violation_t": None}
-        report["conditions"]["gamma_sq_margin"] = {
-            "pass": ok, "first_violation_t": first_bad(gam ** 2 <= bound)}
-        report["pass"] = const and ok
-        return report
-
     pos = (gam > 0) & (lam > 0)
     mono = (dgam <= tol) & (dlam >= -tol)
-    bound = spec.threshold * (1.0 + spec.theta)
+    bound = (1.0 / beta) * (1.0 + condition.theta)
     ratio_ok = gam ** 2 / lam >= bound - 1e-12
-    report["conditions"]["positivity"] = {"pass": bool(np.all(pos)),
-                                          "first_violation_t": first_bad(~pos)}
-    report["conditions"]["monotonicity"] = {"pass": bool(np.all(mono)),
-                                            "first_violation_t": first_bad(~mono)}
-    report["conditions"]["ratio"] = {"pass": bool(np.all(ratio_ok)),
-                                     "first_violation_t": first_bad(~ratio_ok),
-                                     "min_value": float(np.min(gam ** 2 / lam)),
-                                     "required": bound}
-    report["pass"] = all(c["pass"] for c in report["conditions"].values())
-    return report
+    conditions = {
+        "positivity": {"pass": bool(np.all(pos)), "first_violation_t": first_bad(~pos)},
+        "monotonicity": {"pass": bool(np.all(mono)), "first_violation_t": first_bad(~mono)},
+        "ratio": {"pass": bool(np.all(ratio_ok)), "first_violation_t": first_bad(~ratio_ok),
+                  "min_value": float(np.min(gam ** 2 / lam)), "required": bound},
+    }
+    return {"bounds": {"lam_lo": float(np.min(lam)), "lam_hi": float(np.max(lam)),
+                       "gamma_lo": float(np.min(gam)), "gamma_hi": float(np.max(gam))},
+            "conditions": conditions,
+            "pass": all(c["pass"] for c in conditions.values())}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,9 +78,10 @@ class SecondOrderSpec:
     A classmethod sets drive(t, x), the damping schedule, the relaxation
     schedule the drive reads (None for avd) and beta, the cocoercivity of the
     driving operator (None for avd and yosida).  A scheduled variant takes its
-    damping gamma(t) and relaxation lam(t) from its DampingCondition, which
-    only certifies the flow: the field never reads it.  operator is the
-    driving operator B(x) where it does not depend on t.
+    damping gamma(t) and relaxation lam(t) from its DampingCondition; the
+    field never reads the condition, and check_damping_condition(condition,
+    spec.beta, grid) certifies the flow against the drive's own beta.
+    operator is the driving operator B(x) where it does not depend on t.
     """
 
     variant: str  # "cocoercive" | "nonexpansive" | "fb" | "avd" | "yosida"
@@ -144,11 +95,6 @@ class SecondOrderSpec:
 
     @classmethod
     def _scheduled(cls, variant, operator, beta, condition):
-        # 1e-12 absorbs the rounding of 1/(2/delta) against delta/2
-        if condition.kind != "opt-relaxed" and condition.effective_beta > beta * (1.0 + 1e-12):
-            raise SpecError("%s condition certifies beta=%g, but the %s drive is only "
-                            "%g-cocoercive" % (condition.kind, condition.effective_beta,
-                                               variant, beta))
         lam = condition.lam
         return cls(variant=variant, label="second-order-" + variant, operator=operator,
                    drive=lambda t, x: lam(t) * operator(x), damping=condition.gamma,

@@ -167,11 +167,10 @@ def test_criterion_08_dr_coupled_reflected_equivalence():
 
 def test_criterion_09_second_order_lyapunov():
     p = get_problem("constrained_quadratic")
-    condition = DampingCondition(gamma=exp_decay(2.0, 1.0), lam=exp_decay(1.0, -0.5), theta=0.1,
-                kind="fb", delta=1.5)
+    condition = DampingCondition(gamma=exp_decay(2.0, 1.0), lam=exp_decay(1.0, -0.5), theta=0.1)
     spec = SecondOrderSpec.fb(A=p.components["A"], B=p.components["B"], eta=1.0, condition=condition)
     cfg = IntegratorConfig(method="rk4", dt=0.005, t_end=100.0, record_every=20)
-    cond_report = check_damping_condition(condition, np.linspace(0.0, 100.0, 501))
+    cond_report = check_damping_condition(condition, spec.beta, np.linspace(0.0, 100.0, 501))
     traj = integrate(second_order_field(spec), np.array([-1.0, 3.0]), cfg,
                      v0=np.zeros(2), probes=second_order_probes(spec, p.known_solution))
     V = second_order_lyapunov(traj, spec, p.known_solution)

@@ -157,8 +157,9 @@ class TestFRBStep:
 
     def test_range_enforced(self):
         p = get_problem("bilinear_saddle")
-        with pytest.raises(ValueError):
-            frb_step(p.components["A"], p.components["B"], 0.6, np.ones(2), np.ones(2))
+        for gamma in (0.6, np.nan):
+            with pytest.raises(SpecError):
+                frb_step(p.components["A"], p.components["B"], gamma, np.ones(2), np.ones(2))
 
 
 class TestInertialFBStep:
@@ -191,6 +192,13 @@ class TestInertialFBStep:
             got = inertial_fb_step(f, g, eta, gamma_n, lam_n, x, x_prev)
             x_prev, x = x, got
             assert np.allclose(x, xo, atol=1e-15)
+
+    @pytest.mark.parametrize("eta, lam_n", [(2.5, 1.0), (0.5, 0.0), (0.5, np.nan)])
+    def test_range_enforced(self, eta, lam_n):
+        p = get_problem("lasso1d")  # L = 1
+        with pytest.raises(SpecError):
+            inertial_fb_step(p.components["f"], p.components["g"], eta, gamma_n=2.0,
+                             lam_n=lam_n, x_curr=np.ones(1), x_prev=np.ones(1))
 
 
 class TestNesterovStep:
@@ -226,8 +234,9 @@ class TestNesterovStep:
 
     def test_step_range_enforced(self):
         g = quadratic_fn(2.0 * np.eye(1))  # L = 2
-        with pytest.raises(ValueError):
-            nesterov_step(g, 0.6, 3.0, 1, np.zeros(1), np.zeros(1))
+        for gamma in (0.6, np.nan):
+            with pytest.raises(SpecError):
+                nesterov_step(g, gamma, 3.0, 1, np.zeros(1), np.zeros(1))
 
 
 class TestProxADMMStep:

@@ -8,8 +8,10 @@ from splitflow.config import (ExperimentConfig, build_run, config_from_dict, lis
                               load_config, run_experiment, save_config)
 from splitflow.errors import SolverError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
+from splitflow.operators import SingleValuedMap, l1_prox, subdifferential_map
 from splitflow.primal_dual import PDState
-from splitflow.problems import corpus, get_problem, solution_residual, state_residual
+from splitflow.problems import (ProblemDef, affine_monotone_map, corpus, get_problem,
+                                solution_residual, state_residual)
 
 
 class TestCorpus:
@@ -331,6 +333,34 @@ class TestRunExperiment:
             last = lines[-1].split(",")
             assert float(last[header.index(residual)]) == diag["final_residual"]
 
+    @staticmethod
+    def _dr_reflected_checks(tmp_path, monkeypatch, components):
+        """dr-reflected checks on a 1-D inclusion 0 in d(0.4|x|) + x - 1, x* = 0.6."""
+        problem = ProblemDef(name="shifted_l1", kind="inclusion",
+                             components=dict(A=subdifferential_map(l1_prox(0.4)), **components),
+                             known_solution=np.array([0.6]), default_start=np.array([5.0]),
+                             horizon=20.0)
+        monkeypatch.setattr("splitflow.config.get_problem", lambda name, seed=0: problem)
+        raw = {"problem": "shifted_l1", "flow": {"name": "dr-reflected", "gamma": 1.0},
+               "integrator": {"method": "rk4", "dt": 0.01, "t_end": 20.0, "record_every": 10}}
+        run_experiment(config_from_dict(raw), out_dir=str(tmp_path))
+        return json.loads((tmp_path / "diagnostics.json").read_text(encoding="utf-8"))["checks"]
+
+    def test_dr_reflected_fejer_toward_the_fixed_point(self, tmp_path, monkeypatch):
+        # z runs from 5 to z* = x* + gamma*B(x*) = 0.2, passing x* = 0.6 near t = 5
+        B = SingleValuedMap(fn=lambda x: x - 1.0, cocoercivity_beta=1.0, lipschitz_L=1.0)
+        checks = self._dr_reflected_checks(
+            tmp_path, monkeypatch, {"B": B, "B_mono": affine_monotone_map(np.eye(1), [-1.0])})
+        assert [c["check"] for c in checks] == ["fejer"]
+        assert checks[0]["pass"]
+        assert checks[0]["final_value"] < 1e-3  # from z*, not x*
+
+    def test_dr_reflected_without_single_valued_B_has_no_fejer_check(self, tmp_path,
+                                                                       monkeypatch):
+        checks = self._dr_reflected_checks(
+            tmp_path, monkeypatch, {"B_mono": affine_monotone_map(np.eye(1), [-1.0])})
+        assert checks == []
+
     def test_divergent_run_keeps_partial_outputs(self, tmp_path):
         # relaxed regime flag allows a step far outside the convergent range
         from splitflow.errors import DivergenceError
@@ -435,6 +465,36 @@ class TestCli:
                           "integrator": {"method": "rk4", "dt": 0.05, "t_start": 1.0,
                                          "t_end": 5.0},
                           "v0": [0, 0]},
+        # a NaN or infinite number is rejected where it is read, not left to diverge
+        "fbf-lambda-nan": {"problem": "bilinear_saddle",
+                           "flow": {"name": "fbf", "gamma": 0.5, "lambda": "nan"}},
+        "dr-reflected-gamma-nan": {"problem": "two_lines",
+                                   "flow": {"name": "dr-reflected", "gamma": "nan"}},
+        "dr-reflected-gamma-inf": {"problem": "two_lines",
+                                   "flow": {"name": "dr-reflected", "gamma": "inf"}},
+        "dr-coupled-gamma-nan": {"problem": "two_lines",
+                                 "flow": {"name": "dr-coupled", "gamma": "nan"}},
+        "dr-coupled-gamma-inf": {"problem": "two_lines",
+                                 "flow": {"name": "dr-coupled", "gamma": "inf"}},
+        "avd-alpha-nan": {"problem": "lasso1d", "flow": {"name": "avd", "alpha": "nan"},
+                          "integrator": {"method": "rk4", "dt": 0.05, "t_start": 1.0,
+                                         "t_end": 5.0}},
+        "pd-c-nan": {"problem": "pd_lasso_analysis",
+                     "flow": {"name": "pd", "c": "nan",
+                              "tau": {"family": "constant", "value": 0.26}}},
+        "pd-tau-value-nan": {"problem": "pd_lasso_analysis",
+                             "flow": {"name": "pd", "c": 1.0,
+                                      "tau": {"family": "constant", "value": "nan"}}},
+        "km-lambda-value-nan": {"flow": {"name": "km",
+                                         "lambda": {"family": "constant", "value": "nan"}}},
+        "fb-lambda-value-nan": {"problem": "lasso1d",
+                                "flow": {"name": "fb", "gamma": 0.25,
+                                         "lambda": {"family": "constant", "value": "nan"}}},
+        "inv-power-p-nan": {"problem": "lasso1d",
+                            "flow": {"name": "fb", "gamma": 0.25,
+                                     "lambda": {"family": "constant", "value": 1.0},
+                                     "epsilon": {"family": "inv-power", "p": "nan",
+                                                 "scale": 0.1}}},
     }
 
     @pytest.mark.parametrize("key", sorted(BAD_CONFIGS))

@@ -5,8 +5,8 @@ from splitflow.diagnostics import envelope_slope, nonincreasing_check
 from splitflow.errors import SpecError
 from splitflow.first_order import FBFlowSpec, fb_field
 from splitflow.integrate import IntegratorConfig, integrate
-from splitflow.operators import (SingleValuedMap, gradient_map, identity_operator, l1_prox,
-                                 least_squares_fn, matrix_operator, quadratic_fn,
+from splitflow.operators import (SingleValuedMap, fb_delta, gradient_map, identity_operator,
+                                 l1_prox, least_squares_fn, matrix_operator, quadratic_fn,
                                  rotation_map, subdifferential_map, zero_operator)
 from splitflow.problems import get_problem
 from splitflow.schedules import affine_clamped, constant, exp_decay
@@ -17,55 +17,60 @@ from splitflow.second_order import (DampingCondition, SecondOrderSpec, check_dam
 
 class TestCheckA1:
     def test_constant_pass(self):
-        spec = DampingCondition(gamma=constant(3.0), lam=constant(1.0), theta=0.5,
-                      kind="nonexpansive")
-        report = check_damping_condition(spec, np.linspace(0, 10, 50))
+        spec = DampingCondition(gamma=constant(3.0), lam=constant(1.0), theta=0.5)
+        report = check_damping_condition(spec, 0.5, np.linspace(0, 10, 50))
         assert report["pass"]  # 9 >= 2 * 1.5
 
     def test_constant_fail_reports_first_time(self):
-        spec = DampingCondition(gamma=constant(1.0), lam=constant(1.0), theta=0.5,
-                      kind="nonexpansive")
-        report = check_damping_condition(spec, np.linspace(0, 10, 50))
+        spec = DampingCondition(gamma=constant(1.0), lam=constant(1.0), theta=0.5)
+        report = check_damping_condition(spec, 0.5, np.linspace(0, 10, 50))
         assert not report["pass"]
         assert report["conditions"]["ratio"]["first_violation_t"] == 0.0
 
     def test_exponential_schedules_cocoercive(self):
-        spec = DampingCondition(gamma=exp_decay(2.0, 1.0), lam=exp_decay(1.0, -0.5), theta=0.1,
-                      kind="cocoercive", beta=1.0)
-        report = check_damping_condition(spec, np.linspace(0, 20, 200))
+        spec = DampingCondition(gamma=exp_decay(2.0, 1.0), lam=exp_decay(1.0, -0.5), theta=0.1)
+        report = check_damping_condition(spec, 1.0, np.linspace(0, 20, 200))
         assert report["pass"]
         assert report["conditions"]["ratio"]["min_value"] >= 1.1
         assert report["bounds"]["gamma_lo"] >= 2.0
         assert report["bounds"]["lam_hi"] <= 1.0
 
     def test_wrong_monotonicity_fails(self):
-        spec = DampingCondition(gamma=exp_decay(2.0, -1.0), lam=constant(1.0), theta=0.1,
-                      kind="nonexpansive")  # increasing damping
-        report = check_damping_condition(spec, np.linspace(0, 5, 20))
+        spec = DampingCondition(gamma=exp_decay(2.0, -1.0), lam=constant(1.0),
+                                theta=0.1)  # increasing damping
+        report = check_damping_condition(spec, 0.5, np.linspace(0, 5, 20))
         assert not report["conditions"]["monotonicity"]["pass"]
 
-    def test_thresholds_by_kind(self):
-        gam, lam = constant(3.0), constant(1.0)
-        assert DampingCondition(gam, lam, 0.1, "cocoercive", beta=2.0).threshold == 0.5
-        assert DampingCondition(gam, lam, 0.1, "nonexpansive").threshold == 2.0
-        assert DampingCondition(gam, lam, 0.1, "averaged", alpha=0.25).threshold == 0.5
-        assert DampingCondition(gam, lam, 0.1, "fb", delta=1.5).threshold == pytest.approx(4 / 3)
+    @pytest.mark.parametrize("theta", [0.0, -0.1, np.nan])
+    def test_theta_must_be_positive(self, theta):
+        with pytest.raises(SpecError):
+            DampingCondition(constant(3.0), constant(1.0), theta)
 
-    def test_opt_relaxed_kind(self):
-        spec = DampingCondition(gamma=constant(2.0), lam=constant(1.0), theta=0.1,
-                      kind="opt-relaxed", beta=1.0, eta=1.5)
-        report = check_damping_condition(spec, np.linspace(0, 5, 10))
-        assert report["pass"]  # 4 > 1.5 + 1
-        bad = DampingCondition(gamma=constant(1.5), lam=constant(1.0), theta=0.1,
-                     kind="opt-relaxed", beta=1.0, eta=1.5)
-        assert not check_damping_condition(bad, np.linspace(0, 5, 10))["pass"]
+    @pytest.mark.parametrize("beta", [None, 0.0, np.nan])
+    def test_beta_must_be_positive(self, beta):
+        with pytest.raises(SpecError):
+            check_damping_condition(DampingCondition(constant(3.0), constant(1.0), 0.1), beta,
+                                    np.linspace(0, 5, 10))
+
+    def test_required_bound_per_variant(self):
+        # (1/spec.beta)*(1+theta) equals the former per-kind bound
+        # (1+theta)*{1/beta, 2, 2/delta} bit for bit
+        B = gradient_map(quadratic_fn(np.array([[2.0, 0.5], [0.5, 1.0]])))
+        A = subdifferential_map(l1_prox(0.5))
+        condition = DampingCondition(exp_decay(3.0, 1.0), exp_decay(1.0, -0.5), 0.1)
+        beta, delta = B.cocoercivity_beta, fb_delta(B.cocoercivity_beta, 0.4)
+        for spec, threshold in [
+                (SecondOrderSpec.cocoercive(B, condition), 1.0 / beta),
+                (SecondOrderSpec.nonexpansive(rotation_map(0.5), condition), 2.0),
+                (SecondOrderSpec.fb(A, B, 0.4, condition), 2.0 / delta)]:
+            report = check_damping_condition(condition, spec.beta, np.linspace(0, 5, 10))
+            assert report["conditions"]["ratio"]["required"] == (1.0 + 0.1) * threshold
 
 
 class TestSecondOrderField:
     def test_pure_damping_when_B_vanishes(self):
         zero = SingleValuedMap(fn=lambda x: np.zeros_like(x), cocoercivity_beta=1e9)
-        condition = DampingCondition(gamma=constant(2.0), lam=constant(1.0), theta=0.1,
-                    kind="cocoercive", beta=1e9)
+        condition = DampingCondition(gamma=constant(2.0), lam=constant(1.0), theta=0.1)
         field = second_order_field(SecondOrderSpec.cocoercive(zero, condition))
         acc = field.fn(1.0, np.array([5.0]), np.array([2.0]))
         assert acc[0] == -4.0
@@ -80,8 +85,7 @@ class TestSecondOrderField:
 
     def test_fb_variant_equilibrium(self):
         p = get_problem("constrained_quadratic")
-        condition = DampingCondition(gamma=constant(3.0), lam=constant(1.0), theta=0.1, kind="fb",
-                    delta=1.5)
+        condition = DampingCondition(gamma=constant(3.0), lam=constant(1.0), theta=0.1)
         spec = SecondOrderSpec.fb(A=p.components["A"], B=p.components["B"], eta=1.0,
                                   condition=condition)
         field = second_order_field(spec)
@@ -115,27 +119,22 @@ class TestSecondOrderField:
 
 
 class TestConditionMatchesDrive:
-    # The conservative conditions (the pinned fb variant, criterion 9 and
-    # TestGradientConstantOnArgmin) stay accepted; these claim too much.
-    @pytest.mark.parametrize("build, kind, kw", [
-        # certifies beta = 2 (K = 0.5); the drive 10*I is only 0.1-cocoercive,
-        # so the theorem needs K = 10, and V rises from t ~ 0.23 on
-        (lambda c: SecondOrderSpec.cocoercive(matrix_operator(10.0 * np.eye(2)), c),
-         "cocoercive", {"beta": 2.0}),
-        # certifies beta = 2 for Id - T, which is 1/2-cocoercive for a merely nonexpansive T
-        (lambda c: SecondOrderSpec.nonexpansive(rotation_map(0.5), c),
-         "averaged", {"alpha": 0.25}),
+    # Each schedule passes against beta = 2 but not against the drive's own beta.
+    @pytest.mark.parametrize("build", [
+        # gamma^2/lam = 1 suffices for beta = 2, but the drive 10*I is only
+        # 0.1-cocoercive, so the theorem needs 11, and V rises from t ~ 0.23 on
+        lambda c: SecondOrderSpec.cocoercive(matrix_operator(10.0 * np.eye(2)), c),
+        # Id - T is only 1/2-cocoercive for a merely nonexpansive T: it needs 2.2
+        lambda c: SecondOrderSpec.nonexpansive(rotation_map(0.5), c),
     ])
-    def test_condition_beyond_the_drive_beta_rejected(self, build, kind, kw):
-        condition = DampingCondition(constant(1.0), constant(1.0), 0.1, kind, **kw)
-        assert check_damping_condition(condition, np.linspace(0, 5, 10))["pass"]
-        with pytest.raises(SpecError, match="cocoercive"):
-            build(condition)
-
-    def test_opt_relaxed_has_no_threshold_to_compare(self):
-        opt = DampingCondition(constant(2.0), constant(1.0), 0.1, "opt-relaxed", beta=5.0,
-                               eta=1.5)
-        assert SecondOrderSpec.nonexpansive(rotation_map(0.5), opt).effective_beta == 0.5
+    def test_condition_beyond_the_drive_beta_rejected(self, build):
+        condition = DampingCondition(constant(1.0), constant(1.0), 0.1)
+        grid = np.linspace(0, 5, 10)
+        assert check_damping_condition(condition, 2.0, grid)["pass"]
+        spec = build(condition)
+        report = check_damping_condition(condition, spec.beta, grid)
+        assert not report["pass"]
+        assert report["conditions"]["ratio"]["first_violation_t"] == 0.0
 
 
 def _pinned_variants():
@@ -145,14 +144,11 @@ def _pinned_variants():
     B = gradient_map(g)
     A = subdifferential_map(l1_prox(0.5))
 
-    def cond(kind, **kw):
-        return DampingCondition(exp_decay(3.0, 1.0), exp_decay(1.0, -0.5), 0.1, kind, **kw)
-
+    cond = DampingCondition(exp_decay(3.0, 1.0), exp_decay(1.0, -0.5), 0.1)
     return {
-        "cocoercive": SecondOrderSpec.cocoercive(B, cond("cocoercive",
-                                                         beta=B.cocoercivity_beta)),
-        "nonexpansive": SecondOrderSpec.nonexpansive(rotation_map(0.5), cond("nonexpansive")),
-        "fb": SecondOrderSpec.fb(A, B, 0.4, cond("fb", delta=1.5)),
+        "cocoercive": SecondOrderSpec.cocoercive(B, cond),
+        "nonexpansive": SecondOrderSpec.nonexpansive(rotation_map(0.5), cond),
+        "fb": SecondOrderSpec.fb(A, B, 0.4, cond),
         "avd": SecondOrderSpec.avd(g, alpha=3.0),
         "yosida": SecondOrderSpec.yosida(A, constant(0.5), alpha=3.0),
     }
@@ -203,8 +199,7 @@ def test_variant_pins(variant):
 class TestLyapunov:
     def test_zero_at_rest_at_solution(self):
         zero = SingleValuedMap(fn=lambda x: np.zeros_like(x), cocoercivity_beta=1.0)
-        condition = DampingCondition(gamma=constant(2.0), lam=constant(1.0), theta=0.1,
-                    kind="cocoercive", beta=1.0)
+        condition = DampingCondition(gamma=constant(2.0), lam=constant(1.0), theta=0.1)
         spec = SecondOrderSpec.cocoercive(zero, condition)
         from splitflow.integrate import Trajectory
         traj = Trajectory(times=np.array([0.0]), states=np.array([[1.0]]),
@@ -215,8 +210,7 @@ class TestLyapunov:
     def test_plug_in_arithmetic(self):
         # gamma=2, lam=1, beta=1, x - x* = 1, xd = -1: V = -1 + 1 + 2 = 2
         zero = SingleValuedMap(fn=lambda x: np.zeros_like(x), cocoercivity_beta=1.0)
-        condition = DampingCondition(gamma=constant(2.0), lam=constant(1.0), theta=0.1,
-                    kind="cocoercive", beta=1.0)
+        condition = DampingCondition(gamma=constant(2.0), lam=constant(1.0), theta=0.1)
         spec = SecondOrderSpec.cocoercive(zero, condition)
         from splitflow.integrate import Trajectory
         traj = Trajectory(times=np.array([0.0]), states=np.array([[1.0]]),
@@ -229,8 +223,7 @@ class TestLyapunov:
 def fb_second_order_run():
     """Criterion-9 style run: B is the forward-backward residual operator."""
     p = get_problem("constrained_quadratic")
-    condition = DampingCondition(gamma=exp_decay(2.0, 1.0), lam=exp_decay(1.0, -0.5), theta=0.1,
-                kind="fb", delta=1.5)
+    condition = DampingCondition(gamma=exp_decay(2.0, 1.0), lam=exp_decay(1.0, -0.5), theta=0.1)
     spec = SecondOrderSpec.fb(A=p.components["A"], B=p.components["B"], eta=1.0, condition=condition)
     cfg = IntegratorConfig(method="rk4", dt=0.005, t_end=100.0, record_every=20)
     probes = second_order_probes(spec, xstar=p.known_solution)
@@ -241,8 +234,8 @@ def fb_second_order_run():
 
 class TestSecondOrderTrajectory:
     def test_a1_passes_on_run_grid(self, fb_second_order_run):
-        _, _, condition, traj = fb_second_order_run
-        assert check_damping_condition(condition, traj.times)["pass"]
+        _, spec, condition, traj = fb_second_order_run
+        assert check_damping_condition(condition, spec.beta, traj.times)["pass"]
 
     def test_lyapunov_nonincreasing(self, fb_second_order_run):
         p, spec, _, traj = fb_second_order_run
@@ -281,8 +274,7 @@ class TestGradientConstantOnArgmin:
         g = least_squares_fn(A_mat, np.array([2.0]))
         f = l1_prox(0.5)
         A, B = subdifferential_map(f), gradient_map(g)
-        condition = DampingCondition(gamma=constant(3.0), lam=constant(1.0), theta=0.1, kind="fb",
-                    delta=(4 * 0.5 - 0.4) / (2 * 0.5))
+        condition = DampingCondition(gamma=constant(3.0), lam=constant(1.0), theta=0.1)
         spec = SecondOrderSpec.fb(A=A, B=B, eta=0.4, condition=condition)
         cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=80.0, record_every=100)
         limits = []
