@@ -85,19 +85,18 @@ def nesterov_step(g: SmoothFunction, gamma: float, alpha: float, n: int,
 
 
 def prox_admm_step(prob: StructuredProblem, params: PDParams, M1, M2,
-                   state: PDState, inner_tol: float = 1e-10) -> PDState:
+                   state: PDState) -> PDState:
     """One three-block proximal ADMM / linearized method-of-multipliers step.
 
     M1, M2 are positive-semidefinite LinearMaps (or None for zero).  The two
-    block subproblems are solved by the inner proximal-gradient loop to
-    inner_tol.
+    block subproblems are solved by solve_prox_quadratic.
     """
     c, gam, A = params.c, params.gamma_relax, prob.A
     x, z, y = state.x, state.z, state.y
     w1 = -prob.h.gradient(x) + c * A.adjoint(z - y / c)
-    x_next = _metric_block_solve(prob.f, c, A, M1, w1, x, inner_tol)
+    x_next = _metric_block_solve(prob.f, c, A, M1, w1, x)
     w2 = c * (A(gam * x_next + (1.0 - gam) * x) + y / c)
-    z_next = _metric_block_solve(prob.g, c, None, M2, w2, z, inner_tol)
+    z_next = _metric_block_solve(prob.g, c, None, M2, w2, z)
     y_next = y + c * (A(x_next) - z_next)
     return PDState(x=x_next, z=z_next, y=y_next)
 
@@ -111,23 +110,19 @@ class IterateSequence:
     label: str = ""
 
     @property
-    def steps(self) -> Array:
-        return np.arange(self.iterates.shape[0])
-
-    @property
     def final(self) -> Array:
         return self.iterates[-1]
 
 
 def run_sequence(update: Callable[[int, Array, Optional[Array]], Array], x0,
-                 n_steps: int, x_prev0=None, probes=(), label: str = "") -> IterateSequence:
-    """Drive update(n, x, x_prev) -> x_next for n = 1..n_steps.
+                 n_steps: int, probes=(), label: str = "") -> IterateSequence:
+    """Drive update(n, x, x_prev) -> x_next for n = 1..n_steps; x_prev is None at n = 1.
 
     probes is a sequence of (name, fn) with fn(n, x) -> float, evaluated at
     every iterate including the start point.
     """
     x = np.asarray(x0, dtype=float).copy()
-    x_prev = None if x_prev0 is None else np.asarray(x_prev0, dtype=float).copy()
+    x_prev = None
     out = [x.copy()]
     rec = {name: [float(fn(0, x))] for name, fn in probes}
     for n in range(1, n_steps + 1):

@@ -33,9 +33,27 @@ from .schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power
 from .second_order import (DampingCondition, SecondOrderSpec, check_damping_condition,
                            second_order_field, second_order_probes)
 
-SCHEDULE_FAMILIES = ("constant", "affine-clamped", "inv-power", "over-t", "exp-decay")
-
 _REQUIRED = object()
+
+
+class _Section(dict):
+    """A copy of one config section that records the keys its reader looks up;
+    done(value) returns value once no other key is left, so that a section
+    accepts exactly the keys its reader reads and a misspelling is an error."""
+
+    def __init__(self, raw: dict, what: str):
+        super().__init__(raw)
+        self.what, self.looked_up = what, set()
+
+    def get(self, key, default=None):
+        self.looked_up.add(key)
+        return super().get(key, default)
+
+    def done(self, value):
+        unknown = sorted(set(self) - self.looked_up)
+        if unknown:
+            raise SpecError("unknown %s keys: %s" % (self.what, unknown))
+        return value
 
 
 def _read(section: dict, key: str, kind: Callable = float, default=_REQUIRED):
@@ -62,24 +80,26 @@ def _read(section: dict, key: str, kind: Callable = float, default=_REQUIRED):
     return out
 
 
+_SCHEDULES = {
+    "constant": lambda s: constant(_read(s, "value")),
+    "affine-clamped": lambda s: affine_clamped(_read(s, "intercept"), _read(s, "slope"),
+                                               _read(s, "lo"), _read(s, "hi")),
+    "inv-power": lambda s: inv_power(_read(s, "p"), _read(s, "scale", default=1.0)),
+    "over-t": lambda s: over_t(_read(s, "alpha")),
+    "exp-decay": lambda s: exp_decay(_read(s, "base"), _read(s, "amp"),
+                                     _read(s, "rate", default=1.0)),
+}
+
+
 def build_schedule(spec: dict) -> Schedule:
     if not isinstance(spec, dict) or "family" not in spec:
         raise SpecError("schedule spec must be a dict with a 'family' key, got %r" % (spec,))
-    family = spec["family"]
-    if family == "constant":
-        return constant(_read(spec, "value"))
-    if family == "affine-clamped":
-        return affine_clamped(_read(spec, "intercept"), _read(spec, "slope"),
-                              _read(spec, "lo"), _read(spec, "hi"))
-    if family == "inv-power":
-        return inv_power(_read(spec, "p"), _read(spec, "scale", default=1.0))
-    if family == "over-t":
-        return over_t(_read(spec, "alpha"))
-    if family == "exp-decay":
-        return exp_decay(_read(spec, "base"), _read(spec, "amp"),
-                         _read(spec, "rate", default=1.0))
-    raise SpecError("unknown schedule family %r; known: %s"
-                    % (family, ", ".join(SCHEDULE_FAMILIES)))
+    section = _Section(spec, "schedule")
+    family = _read(section, "family", str)
+    if family not in _SCHEDULES:
+        raise SpecError("unknown schedule family %r; known: %s"
+                        % (family, ", ".join(_SCHEDULES)))
+    return section.done(_SCHEDULES[family](section))
 
 
 @dataclasses.dataclass
@@ -105,9 +125,11 @@ class ExperimentConfig:
 
 
 def integrator_from_dict(d: dict) -> IntegratorConfig:
-    return IntegratorConfig(method=_read(d, "method", str, "rk4"), dt=_read(d, "dt"),
-                            t_start=_read(d, "t_start", default=0.0), t_end=_read(d, "t_end"),
-                            record_every=_read(d, "record_every", int, 1))
+    s = _Section(d, "integrator")
+    return s.done(IntegratorConfig(method=_read(s, "method", str, "rk4"), dt=_read(s, "dt"),
+                                   t_start=_read(s, "t_start", default=0.0),
+                                   t_end=_read(s, "t_end"),
+                                   record_every=_read(s, "record_every", int, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +325,12 @@ def build_run(cfg: ExperimentConfig):
         problem = get_problem(cfg.problem, seed=cfg.seed)
     except KeyError as exc:
         raise SpecError(exc.args[0]) from None
-    name = _read(cfg.flow, "name", str)
+    flow = _Section(cfg.flow, "flow")
+    name = _read(flow, "name", str)
     if name not in _FLOW_DEFS:
         raise SpecError("unknown flow %r; known: %s" % (name, ", ".join(list_flows())))
     icfg = integrator_from_dict(cfg.integrator)
-    field, probes, spec = _FLOW_DEFS[name].build(problem, cfg.flow, icfg)
+    field, probes, spec = flow.done(_FLOW_DEFS[name].build(problem, flow, icfg))
     if cfg.probes is not None:
         keep = set(map(str, cfg.probes))
         unknown = keep - {pname for pname, _ in probes}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -18,17 +18,15 @@ from .integrate import Trajectory
 from .operators import ProxFunction, SmoothFunction
 from .schedules import Schedule
 
-ABS_SLACK = 1e-9
-REL_SLACK = 1e-12
-
 
 def nonincreasing_check(times, values, name: str = "nonincreasing",
-                        abs_slack: float = ABS_SLACK, rel_slack: float = REL_SLACK) -> dict:
-    """Verify a sampled series never increases beyond slack; report the first violation."""
+                        abs_slack: float = 1e-9) -> dict:
+    """Verify a sampled series never rises by more than abs_slack plus 1e-12 times the
+    larger magnitude of the pair; report the first violation."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     rises = np.diff(values)
-    allowed = abs_slack + rel_slack * np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
+    allowed = abs_slack + 1e-12 * np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
     bad = rises > allowed
     first = None
     if np.any(bad):
@@ -47,10 +45,11 @@ def fejer_check(traj: Trajectory, ref) -> dict:
     return out
 
 
-def record_monotone_check(traj: Trajectory, record: str, name: Optional[str] = None) -> dict:
+def record_monotone_check(traj: Trajectory, record: str) -> dict:
+    """nonincreasing_check of a stored record, reported under the record's name."""
     if record not in traj.records:
         raise KeyError("trajectory has no record %r" % record)
-    return nonincreasing_check(traj.times, traj.records[record], name=name or record)
+    return nonincreasing_check(traj.times, traj.records[record], name=record)
 
 
 def energy_E(x, g: SmoothFunction, gamma: float, xstar) -> float:
@@ -67,12 +66,8 @@ def objective_gap_series(traj: Trajectory, f: ProxFunction, g: SmoothFunction,
     """gap(T) = (f+g)(xd(T)+x(T)) - (f+g)(x*) + ||xd(T)||^2/(2*gamma) on the grid."""
     xstar = np.asarray(xstar, dtype=float)
     opt = f.value(xstar) + g.value(xstar)
-    out = np.empty(len(traj.times))
-    for k in range(len(traj.times)):
-        u = traj.states[k] + traj.velocities[k]
-        v = traj.velocities[k]
-        out[k] = (f.value(u) + g.value(u) - opt + float(v @ v) / (2.0 * gamma))
-    return out
+    return np.array([f.value(x + v) + g.value(x + v) - opt + float(v @ v) / (2.0 * gamma)
+                     for x, v in zip(traj.states, traj.velocities)])
 
 
 def objective_gap_check(times, gaps, d0_sq_over_2gamma: float, tol: float = 1e-6) -> dict:
@@ -84,27 +79,20 @@ def objective_gap_check(times, gaps, d0_sq_over_2gamma: float, tol: float = 1e-6
     times = np.asarray(times, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     lower_slack = 1e-12 * (1.0 + abs(d0_sq_over_2gamma))
-    first = None
-    ok = True
-    margin = -np.inf
-    for t, gap in zip(times, gaps):
-        if t <= 0:
-            continue
-        upper = d0_sq_over_2gamma / t * (1.0 + tol)
-        viol = max(-gap - lower_slack, gap - upper)
-        margin = max(margin, viol)
-        if viol > 0 and ok:
-            ok = False
-            first = float(t)
+    pos = times > 0
+    t, gap = times[pos], gaps[pos]
+    viol = np.maximum(-gap - lower_slack, gap - d0_sq_over_2gamma / t * (1.0 + tol))
+    bad = t[viol > 0]
     mono = nonincreasing_check(times, gaps, name="gap-nonincreasing")
-    return {"check": "objective-gap-certificate", "pass": ok and mono["pass"],
-            "first_violation_t": first if not ok else mono["first_violation_t"],
-            "margin": float(margin), "monotone": mono["pass"]}
+    return {"check": "objective-gap-certificate", "pass": not bad.size and mono["pass"],
+            "first_violation_t": float(bad[0]) if bad.size else mono["first_violation_t"],
+            "margin": float(np.max(viol, initial=-np.inf)), "monotone": mono["pass"]}
 
 
 def proxgrad_gap_certificate(traj: Trajectory, f: ProxFunction, g: SmoothFunction,
-                          gamma: float, xstar, x0=None, tol: float = 1e-6) -> dict:
-    """Certify the objective-gap bound of the unrelaxed proximal-gradient flow.
+                          gamma: float, xstar, tol: float = 1e-6) -> dict:
+    """Certify the objective-gap bound of the unrelaxed proximal-gradient flow from the
+    run's first state x0: gap(T) <= ||x0 - x*||^2/(2*gamma*T).
 
     Hypothesis: with L the Lipschitz constant of grad g, gamma*L*(3 + gamma*L)
     must not exceed 1 (the flow must also run with relaxation 1, which the
@@ -114,9 +102,8 @@ def proxgrad_gap_certificate(traj: Trajectory, f: ProxFunction, g: SmoothFunctio
     if q * (3.0 + q) > 1.0 + 1e-12:
         raise HypothesisError("step hypothesis violated: gamma*L*(3+gamma*L) = %g > 1"
                               % (q * (3.0 + q)))
-    x0 = traj.states[0] if x0 is None else np.asarray(x0, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
-    d0 = x0 - xstar
+    d0 = traj.states[0] - xstar
     bound = float(d0 @ d0) / (2.0 * gamma)
     gaps = objective_gap_series(traj, f, g, gamma, xstar)
     return objective_gap_check(traj.times, gaps, bound, tol=tol)
@@ -186,20 +173,17 @@ def envelope_slope(times, values, window: float) -> Tuple[float, float]:
     return float(slope), r2
 
 
-def km_residual_rate_check(traj: Trajectory, lam: Schedule,
-                           residual_record: str = "fp_residual",
-                           slack_scale: float = 1e-6) -> dict:
+def km_residual_rate_check(traj: Trajectory, lam: Schedule) -> dict:
     """Check t*r(t)^2 <= (2/tau_lo) * int_{t/2}^t lam(1-lam)*r^2 ds at every grid t >= 2dt.
 
-    r is the stored fixed-point residual; the integral uses trapezoid
+    r is the stored fp_residual record; the integral uses trapezoid
     quadrature on the stored grid with a linearly interpolated lower endpoint;
-    slack is slack_scale*(1 + rhs).  Requires 0 < inf lam <= sup lam < 1 on
-    the grid.
+    slack is 1e-6*(1 + rhs).  Requires 0 < inf lam <= sup lam < 1 on the grid.
     """
     times = np.asarray(traj.times, dtype=float)
-    if residual_record not in traj.records:
-        raise KeyError("trajectory has no record %r" % residual_record)
-    r = np.asarray(traj.records[residual_record], dtype=float)
+    if "fp_residual" not in traj.records:
+        raise KeyError("trajectory has no record 'fp_residual'")
+    r = np.asarray(traj.records["fp_residual"], dtype=float)
     lam_vals = np.array([lam(t) for t in times])
     if np.min(lam_vals) <= 0.0 or np.max(lam_vals) >= 1.0:
         raise HypothesisError("need 0 < inf lam <= sup lam < 1 on the grid, got range [%g, %g]"
@@ -209,23 +193,15 @@ def km_residual_rate_check(traj: Trajectory, lam: Schedule,
     cum = np.zeros_like(times)
     cum[1:] = np.cumsum(0.5 * np.diff(times) * (integrand[1:] + integrand[:-1]))
     dt = times[1] - times[0]
-    first = None
-    ok = True
-    margin = -np.inf
-    for k, t in enumerate(times):
-        if t < 2.0 * dt - 1e-12 or t <= times[0]:
-            continue
-        lo = max(t / 2.0, times[0])
-        cum_lo = float(np.interp(lo, times, cum))
-        rhs = (2.0 / tau_lo) * (cum[k] - cum_lo)
-        lhs = t * r[k] ** 2
-        viol = lhs - rhs - slack_scale * (1.0 + rhs)
-        margin = max(margin, viol)
-        if viol > 0 and ok:
-            ok = False
-            first = float(t)
-    return {"check": "km-rate-inequality", "pass": ok,
-            "first_violation_t": first, "margin": float(margin)}
+    k = (times >= 2.0 * dt - 1e-12) & (times > times[0])
+    t = times[k]
+    cum_lo = np.interp(np.maximum(t / 2.0, times[0]), times, cum)
+    rhs = (2.0 / tau_lo) * (cum[k] - cum_lo)
+    viol = t * r[k] ** 2 - rhs - 1e-6 * (1.0 + rhs)
+    bad = t[viol > 0]
+    return {"check": "km-rate-inequality", "pass": not bad.size,
+            "first_violation_t": float(bad[0]) if bad.size else None,
+            "margin": float(np.max(viol, initial=-np.inf))}
 
 
 def report_to_json(report: dict) -> str:

@@ -29,7 +29,7 @@ def check_relaxation(lam: float, cap: float, t: Optional[float] = None) -> float
     cap is 1/alpha for KM (1 when T is merely nonexpansive), delta for forward-
     backward, inf in its relaxed regime; t is the time a scheduled lam was read at.
     """
-    if lam < -_BOUND_TOL or lam > cap + _BOUND_TOL:
+    if not -_BOUND_TOL <= lam <= cap + _BOUND_TOL:
         at = "" if t is None else "(%g)" % t
         raise SpecError("relaxation lam%s=%g outside [0, %g]" % (at, lam, cap))
     return lam
@@ -158,7 +158,7 @@ class FBFFlowSpec:
 
     def __post_init__(self):
         check_tseng_step(self.B, self.gamma)
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise SpecError("lam must be positive")
 
 
@@ -183,7 +183,7 @@ class DRFlowSpec:
     form: str = "reflected"
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise SpecError("gamma must be positive")
         if self.form not in ("reflected", "coupled"):
             raise SpecError("form must be 'reflected' or 'coupled'")

@@ -118,22 +118,21 @@ class KLFitReport:
     limit_value: float
 
 
-def lojasiewicz_fit(traj: Trajectory, p: NonconvexProblem,
-                    gap_lo: float = 1e-10, gap_hi: float = 1e-2,
-                    residual_tol: float = 1e-4) -> KLFitReport:
+def lojasiewicz_fit(traj: Trajectory, p: NonconvexProblem) -> KLFitReport:
     """Estimate the power-form exponent from a converged trajectory.
 
     Regresses log||z(t)|| on log(H(t) - H_inf) over the window where the merit
-    gap lies in [gap_lo, gap_hi]; H_inf is taken as the final merit value.
+    gap lies in [1e-10, 1e-2]; H_inf is taken as the final merit value.  The
+    final state must have a critical residual of at most 1e-4.
     """
-    if critical_residual(p, traj.final_state) > residual_tol:
-        raise FitError("trajectory tail has not converged (residual %g > %g)"
-                       % (critical_residual(p, traj.final_state), residual_tol))
+    residual = critical_residual(p, traj.final_state)
+    if residual > 1e-4:
+        raise FitError("trajectory tail has not converged (residual %g > 0.0001)" % residual)
     H = merit_series(p, traj)
     Z = subgradient_norm_series(p, traj)
     h_inf = float(H[-1])
     gap = H - h_inf
-    mask = (gap >= gap_lo) & (gap <= gap_hi) & (Z > 0)
+    mask = (gap >= 1e-10) & (gap <= 1e-2) & (Z > 0)
     if int(np.sum(mask)) < 10:
         raise FitError("only %d points in the fit window, need at least 10"
                        % int(np.sum(mask)))
@@ -155,14 +154,15 @@ def power_exponent_from_series(gap: np.ndarray, znorm: np.ndarray) -> Tuple[floa
 
 
 def brute_force_critical_points(p: NonconvexProblem, lo: float, hi: float,
-                                step: float = 1e-3, coarse_tol: float = 5e-3) -> np.ndarray:
-    """1-D grid search on the prox-residual, refined by golden-section on each basin."""
+                                step: float = 1e-3) -> np.ndarray:
+    """1-D grid search on the prox-residual, refined by golden-section on each basin
+    whose grid minimum lies below 5e-3."""
     xs = np.arange(lo, hi + step, step)
     res = np.array([critical_residual(p, np.array([x])) for x in xs])
     hits = []
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     for i in range(1, len(xs) - 1):
-        if res[i] <= res[i - 1] and res[i] <= res[i + 1] and res[i] < coarse_tol:
+        if res[i] <= res[i - 1] and res[i] <= res[i + 1] and res[i] < 5e-3:
             a, b = xs[i - 1], xs[i + 1]
             c = b - invphi * (b - a)
             d = a + invphi * (b - a)

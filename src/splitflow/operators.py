@@ -43,12 +43,11 @@ class ProxFunction:
 class MonotoneMap:
     """A maximally monotone operator, visible only through its resolvent.
 
-    resolvent(gamma, x) = (Id + gamma*A)^{-1}(x).  modulus is the strong
-    monotonicity constant when known (0 means plain monotone).
+    resolvent(gamma, x) = (Id + gamma*A)^{-1}(x).  No strong monotonicity
+    constant is stored: every flow here uses plain monotonicity alone.
     """
 
     resolvent: Callable[[float, Array], Array]
-    modulus: float = 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,10 +154,13 @@ def prox_numeric(value_fn: Callable[[Array], float], gamma: float, x: Array,
                  tol: float = 1e-10, max_evals: int = 10 ** 5) -> Array:
     """Numeric fallback prox: minimize f(y) + ||y-x||^2/(2*gamma) by value queries only.
 
+    Hypothesis: f is separable, or separable plus a differentiable convex part.
     Cyclic coordinate minimization; each coordinate is bracketed then shrunk by
     golden-section search.  The optimality residual is the displacement of one
     full extra sweep started from the candidate; exceeding tol after the
-    evaluation budget raises SolverError carrying the best residual.
+    evaluation budget raises SolverError carrying the best residual.  A sweep
+    that does not move shows only that no coordinate alone can improve: for
+    f(y) = 10|y0 - y1| at x = (1, -1), gamma = 1 it stops at (-1, -1), not 0.
     """
     if gamma <= 0:
         raise ValueError("prox parameter gamma must be positive, got %r" % gamma)
@@ -398,14 +400,12 @@ def identity_operator(scale: float = 1.0) -> MonotoneMap:
     if scale < 0:
         raise ValueError("identity_operator scale must be nonnegative")
     return MonotoneMap(
-        resolvent=lambda gamma, x: np.asarray(x, dtype=float) / (1.0 + gamma * scale),
-        modulus=scale,
-    )
+        resolvent=lambda gamma, x: np.asarray(x, dtype=float) / (1.0 + gamma * scale))
 
 
-def subdifferential_map(f: ProxFunction, modulus: float = 0.0) -> MonotoneMap:
+def subdifferential_map(f: ProxFunction) -> MonotoneMap:
     """The subdifferential of a proximable convex function; resolvent = prox."""
-    return MonotoneMap(resolvent=lambda gamma, x: prox_eval(f, gamma, x), modulus=modulus)
+    return MonotoneMap(resolvent=lambda gamma, x: prox_eval(f, gamma, x))
 
 
 def linear_monotone_map(M) -> MonotoneMap:
@@ -420,7 +420,7 @@ def linear_monotone_map(M) -> MonotoneMap:
     def res(gamma, x):
         return np.linalg.solve(eye + gamma * M, np.asarray(x, dtype=float))
 
-    return MonotoneMap(resolvent=res, modulus=max(eigmin, 0.0))
+    return MonotoneMap(resolvent=res)
 
 
 def matrix_operator(M) -> SingleValuedMap:
@@ -510,8 +510,4 @@ def matrix_linear_map(M) -> LinearMap:
 
 def difference_matrix(n: int) -> Array:
     """(n-1) x n forward-difference matrix."""
-    D = np.zeros((n - 1, n))
-    for i in range(n - 1):
-        D[i, i] = -1.0
-        D[i, i + 1] = 1.0
-    return D
+    return np.eye(n - 1, n, 1) - np.eye(n - 1, n)

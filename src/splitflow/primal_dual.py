@@ -45,7 +45,7 @@ class PDParams:
     tau: Schedule
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:
             raise SpecError("penalty c must be positive")
         if not 0.0 <= self.gamma_relax <= 1.0:
             raise SpecError("relaxation parameter must lie in [0, 1]")
@@ -68,7 +68,7 @@ class PDState:
 
 def _check_tau(prob: StructuredProblem, params: PDParams, t: float) -> float:
     tau = params.tau(t)
-    if tau <= 0:
+    if not tau > 0:
         raise SpecError("tau(%g)=%g must be positive" % (t, tau))
     if params.c * tau * prob.A.norm_estimate ** 2 > 1.0 + 1e-9:
         raise SpecError("step constraint violated at t=%g: c*tau*||A||^2 = %g > 1"
@@ -104,7 +104,7 @@ def pd_field_special(prob: StructuredProblem, params: PDParams) -> FlowField:
 
 def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
                          q_norm: float, w: Array, u0: Array,
-                         tol: float = 1e-10, max_iter: int = 20000) -> Array:
+                         max_iter: int = 20000) -> Array:
     """Minimize F(u) = f(u) + <Q u, u>/2 - <w, u> by proximal gradient with
     spectral steps, for a symmetric PSD Q with ||Q|| <= q_norm.
 
@@ -118,9 +118,9 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
     F(u+) <= F(u) - 1e-4*||d||^2/(2 s); otherwise the iteration is redone at
     s_safe, where the descent lemma guarantees decrease.
 
-    Stopping: return u+ once ||d||/s_safe <= tol.  Since ||u - T_s(u)|| is
+    Stopping: return u+ once ||d||/s_safe <= 1e-10.  Since ||u - T_s(u)|| is
     nondecreasing in s (T_s the prox-gradient map), the safe step from the
-    same u would also have moved at most tol*s_safe: the test is at least as
+    same u would also have moved at most 1e-10*s_safe: the test is at least as
     strict as plain proximal gradient at 1/q_norm.  max_iter bounds the
     number of prox evaluations; SolverError carries the last accepted move.
     """
@@ -144,7 +144,7 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
                 s = s_safe
                 continue
         move = math.sqrt(dd) / s_safe
-        if move <= tol:
+        if move <= 1e-10:
             return u_next
         u, qu = u_next, qu_next
         s = max(s_safe, dd / dqd) if dqd > 0 else s_safe
@@ -152,7 +152,7 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
 
 
 def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
-                        M: Optional[LinearMap], w: Array, u0: Array, tol: float) -> Array:
+                        M: Optional[LinearMap], w: Array, u0: Array) -> Array:
     """argmin_u f(u) + <Q u, u>/2 - <w + M u0, u> with Q = c*A*A + M, from u0.
 
     A None stands for the identity; M None for the zero metric.
@@ -167,17 +167,17 @@ def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
     if M is not None:
         q_norm = q_norm + M.norm_estimate
         w = w + M(u0)
-    return solve_prox_quadratic(f, q, q_norm, w, u0, tol=tol)
+    return solve_prox_quadratic(f, q, q_norm, w, u0)
 
 
 def pd_field_general(prob: StructuredProblem, params: PDParams,
                      M1: Optional[Callable[[float], LinearMap]] = None,
-                     M2: Optional[Callable[[float], LinearMap]] = None,
-                     inner_tol: float = 1e-10) -> FlowField:
+                     M2: Optional[Callable[[float], LinearMap]] = None) -> FlowField:
     """The metric-scheduled field; M1(t), M2(t) are positive-semidefinite LinearMaps.
 
-    Each evaluation solves the two strongly convex resolvent lines to
-    inner_tol, then closes the dual line yd = c*A(x + xd) - c*(z + zd).
+    Each evaluation solves the two strongly convex resolvent lines with
+    solve_prox_quadratic (to its fixed 1e-10 stopping test), then closes the
+    dual line yd = c*A(x + xd) - c*(z + zd).
     """
     n, m = prob.n, prob.m
     c, gam, A = params.c, params.gamma_relax, prob.A
@@ -188,9 +188,9 @@ def pd_field_general(prob: StructuredProblem, params: PDParams,
         m1 = M1(t) if M1 is not None else None
         m2 = M2(t) if M2 is not None else None
         w1 = c * A.adjoint(z) - A.adjoint(y) - prob.h.gradient(x)
-        xdot = _metric_block_solve(prob.f, c, A, m1, w1, x, inner_tol) - x
+        xdot = _metric_block_solve(prob.f, c, A, m1, w1, x) - x
         w2 = c * A(gam * xdot + x) + y
-        zdot = _metric_block_solve(prob.g, c, None, m2, w2, z, inner_tol) - z
+        zdot = _metric_block_solve(prob.g, c, None, m2, w2, z) - z
         ydot = c * (A(x + xdot) - (z + zdot))
         return np.concatenate([xdot, zdot, ydot])
 
@@ -231,10 +231,10 @@ def saddle_residuals(prob: StructuredProblem, state: PDState) -> dict:
     return {"x": float(rx), "z": float(rz), "y": float(ry)}
 
 
-def psd_probe(M: LinearMap, dim: int, n_samples: int = 64, seed: int = 0) -> bool:
-    """Random-vector quadratic forms: <Mv, v> >= -1e-12 on unit samples."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
+def psd_probe(M: LinearMap, dim: int) -> bool:
+    """Random-vector quadratic forms: <Mv, v> >= -1e-12 on 64 unit samples (seed 0)."""
+    rng = np.random.default_rng(0)
+    for _ in range(64):
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         if float(M(v) @ v) < -1e-12:

@@ -41,13 +41,13 @@ class ProblemDef:
 # oracle solvers (independent of the flow machinery)
 
 
-def _fista_l1_quadratic(Q: Array, b: Array, mu: float, iters: int) -> Array:
+def _fista_l1_quadratic(Q: Array, b: Array, mu: float) -> Array:
     L = float(np.linalg.norm(Q, 2))
     step = 1.0 / L
     x = np.zeros(len(b))
     z = x.copy()
     t_acc = 1.0
-    for _ in range(iters):
+    for _ in range(4000):
         x_next = soft_threshold(z - step * (Q @ z - b), step * mu)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2))
         z = x_next + ((t_acc - 1.0) / t_next) * (x_next - x)
@@ -55,17 +55,17 @@ def _fista_l1_quadratic(Q: Array, b: Array, mu: float, iters: int) -> Array:
     return x
 
 
-def solve_l1_quadratic(Q: Array, b: Array, mu: float, iters: int = 4000,
-                       pattern_tol: float = 1e-7) -> Array:
+def solve_l1_quadratic(Q: Array, b: Array, mu: float) -> Array:
     """argmin x^T Q x / 2 - b^T x + mu*||x||_1 to machine precision.
 
-    FISTA locates the active pattern, then the KKT system on the support is
-    solved exactly and the complementary inclusions are verified.
+    4000 FISTA iterations locate the active pattern (entries above 1e-7), then
+    the KKT system on the support is solved exactly and the complementary
+    inclusions are verified.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     b = np.asarray(b, dtype=float)
-    x = _fista_l1_quadratic(Q, b, mu, iters)
-    support = np.nonzero(np.abs(x) > pattern_tol)[0]
+    x = _fista_l1_quadratic(Q, b, mu)
+    support = np.nonzero(np.abs(x) > 1e-7)[0]
     signs = np.sign(x[support])
     x_exact = np.zeros_like(x)
     if support.size:
@@ -82,12 +82,12 @@ def solve_l1_quadratic(Q: Array, b: Array, mu: float, iters: int = 4000,
     return x_exact
 
 
-def solve_pd_saddle(prob: StructuredProblem, mu: float, nu: float,
-                    iters: int = 20000, pattern_tol: float = 1e-6) -> PDState:
+def solve_pd_saddle(prob: StructuredProblem, mu: float, nu: float) -> PDState:
     """Saddle point of f + h + g(A.) for f = mu*||.||_1, h = ||x-b||^2/2, g = nu*||.||_1.
 
-    Runs Condat-Vu to locate the active pattern, then solves the KKT system
-    exactly on that pattern.  b is read off grad h at the origin.
+    Runs 20000 Condat-Vu iterations to locate the active pattern (entries of
+    x and Ax beyond 1e-6), then solves the KKT system exactly on that
+    pattern.  b is read off grad h at the origin.
     """
     n, m = prob.n, prob.m
     A = np.array([prob.A(e) for e in np.eye(n)]).T
@@ -96,15 +96,15 @@ def solve_pd_saddle(prob: StructuredProblem, mu: float, nu: float,
     tau = 1.0 / (sigma * prob.A.norm_estimate ** 2 + 0.5 * prob.h.grad_lipschitz + 0.1)
     x = np.zeros(n)
     y = np.zeros(m)
-    for _ in range(iters):
+    for _ in range(20000):
         x_next = soft_threshold(x - tau * ((x - b) + A.T @ y), tau * mu)
         w = y + sigma * (A @ (2.0 * x_next - x))
         y = np.clip(w, -nu, nu)
         x = x_next
     z = A @ x
-    support = np.nonzero(np.abs(x) > pattern_tol)[0]
+    support = np.nonzero(np.abs(x) > 1e-6)[0]
     sx = np.sign(x[support])
-    free = np.nonzero(np.abs(z) <= pattern_tol)[0]       # rows with z_j = 0
+    free = np.nonzero(np.abs(z) <= 1e-6)[0]       # rows with z_j = 0
     active = np.setdiff1d(np.arange(m), free)
     sz = np.sign(z[active])
 
@@ -141,15 +141,14 @@ def _seeded_orthogonal(rng, n: int) -> Array:
     return Q
 
 
-def affine_monotone_map(M: Array, q: Array, modulus: float = 0.0) -> MonotoneMap:
+def affine_monotone_map(M: Array, q: Array) -> MonotoneMap:
     """A(x) = Mx + q with M + M^T PSD; resolvent solves (I + gamma*M)p = x - gamma*q."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     q = np.asarray(q, dtype=float)
     eye = np.eye(M.shape[0])
     return MonotoneMap(
         resolvent=lambda gamma, x: np.linalg.solve(eye + gamma * M,
-                                                   np.asarray(x, dtype=float) - gamma * q),
-        modulus=modulus)
+                                                   np.asarray(x, dtype=float) - gamma * q))
 
 
 def _lasso_problem(name: str, A_mat: Array, b: Array, mu: float, horizon: float,
@@ -160,7 +159,7 @@ def _lasso_problem(name: str, A_mat: Array, b: Array, mu: float, horizon: float,
     return ProblemDef(
         name=name, kind="convex-composite",
         components={"f": f, "g": g, "A": subdifferential_map(f), "B": gradient_map(g),
-                    "beta": 1.0 / g.grad_lipschitz, "mu": mu},
+                    "beta": 1.0 / g.grad_lipschitz},
         known_solution=xstar,
         default_start=np.ones(A_mat.shape[1]),
         horizon=horizon, note=note)
@@ -203,7 +202,7 @@ def corpus(seed: int = 0):
     problems.append(ProblemDef(
         name="constrained_quadratic", kind="convex-composite",
         components={"f": f_box, "g": g_box, "A": subdifferential_map(f_box),
-                    "B": gradient_map(g_box), "beta": 1.0, "mu": 0.0},
+                    "B": gradient_map(g_box), "beta": 1.0},
         known_solution=np.clip(c_box, 0.0, 2.0),
         default_start=np.array([1.0, 1.0]),
         horizon=60.0, note="projection of the unconstrained minimizer onto the box"))
@@ -217,14 +216,14 @@ def corpus(seed: int = 0):
     problems.append(ProblemDef(
         name="strongcvx_l1", kind="convex-composite",
         components={"f": f5, "g": g5, "A": subdifferential_map(f5),
-                    "B": gradient_map(g5), "beta": 1.0 / g5.grad_lipschitz, "mu": 0.5},
+                    "B": gradient_map(g5), "beta": 1.0 / g5.grad_lipschitz},
         known_solution=x5, default_start=np.ones(5),
         horizon=120.0, note="strongly convex quadratic + l1; exponential flow regime"))
 
     K = np.array([[0.0, 1.0], [-1.0, 0.0]])
     problems.append(ProblemDef(
         name="bilinear_saddle", kind="saddle",
-        components={"A": zero_operator(), "B": matrix_operator(K), "K": K},
+        components={"A": zero_operator(), "B": matrix_operator(K)},
         known_solution=np.zeros(2), default_start=np.array([1.0, 0.0]),
         horizon=200.0,
         note="monotone Lipschitz saddle operator; not cocoercive, norms are conserved "
@@ -248,7 +247,7 @@ def corpus(seed: int = 0):
         A=matrix_linear_map(D), n=n_pd, m=n_pd - 1)
     problems.append(ProblemDef(
         name="pd_lasso_analysis", kind="structured-pd",
-        components={"structured": structured, "mu": mu_pd, "nu": nu_pd},
+        components={"structured": structured},
         known_solution=solve_pd_saddle(structured, mu_pd, nu_pd),
         default_start=PDState(x=np.zeros(n_pd), z=np.zeros(n_pd - 1), y=np.zeros(n_pd - 1)),
         horizon=500.0, note="difference-analysis lasso; saddle point oracle-polished"))

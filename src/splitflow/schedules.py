@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -33,13 +34,15 @@ class Schedule:
 
 
 def constant(value: float) -> Schedule:
+    if math.isnan(value):
+        raise SpecError("constant schedule needs a number, got nan")
     return Schedule(fn=lambda t: value, dfn=lambda t: 0.0,
                     monotone="none", bounds=(value, value))
 
 
 def affine_clamped(intercept: float, slope: float, lo: float, hi: float) -> Schedule:
     """clip(intercept + slope*t, lo, hi) with its breakpoints declared."""
-    if lo > hi:
+    if not lo <= hi:
         raise SpecError("affine_clamped needs lo <= hi")
     brk = []
     if slope != 0.0:
@@ -65,7 +68,7 @@ def affine_clamped(intercept: float, slope: float, lo: float, hi: float) -> Sche
 
 def inv_power(p: float, scale: float = 1.0) -> Schedule:
     """scale / (1 + t)^p, nonincreasing for p, scale > 0."""
-    if p <= 0 or scale <= 0:
+    if not (p > 0 and scale > 0):
         raise SpecError("inv_power needs positive p and scale")
     return Schedule(
         fn=lambda t: scale / (1.0 + t) ** p,
@@ -77,7 +80,7 @@ def inv_power(p: float, scale: float = 1.0) -> Schedule:
 
 def over_t(alpha: float) -> Schedule:
     """alpha / t for t > 0 (vanishing damping); undefined at t <= 0."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise SpecError("over_t needs positive alpha")
 
     def fn(t):
@@ -90,7 +93,7 @@ def over_t(alpha: float) -> Schedule:
 
 def exp_decay(base: float, amplitude: float, rate: float = 1.0) -> Schedule:
     """base + amplitude * exp(-rate * t)."""
-    if rate <= 0:
+    if not rate > 0:
         raise SpecError("exp_decay needs positive rate")
     monotone = "nonincreasing" if amplitude >= 0 else "nondecreasing"
     lo = min(base, base + amplitude)

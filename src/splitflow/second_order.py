@@ -84,7 +84,6 @@ class SecondOrderSpec:
     operator is the driving operator B(x) where it does not depend on t.
     """
 
-    variant: str  # "cocoercive" | "nonexpansive" | "fb" | "avd" | "yosida"
     label: str
     drive: Callable
     damping: Schedule
@@ -96,7 +95,7 @@ class SecondOrderSpec:
     @classmethod
     def _scheduled(cls, variant, operator, beta, condition):
         lam = condition.lam
-        return cls(variant=variant, label="second-order-" + variant, operator=operator,
+        return cls(label="second-order-" + variant, operator=operator,
                    drive=lambda t, x: lam(t) * operator(x), damping=condition.gamma,
                    relaxation=lam, beta=beta)
 
@@ -120,26 +119,18 @@ class SecondOrderSpec:
 
     @classmethod
     def avd(cls, g: SmoothFunction, alpha: float):
-        return cls(variant="avd", label="avd", operator=g.gradient, damping=over_t(alpha),
+        return cls(label="avd", operator=g.gradient, damping=over_t(alpha),
                    drive=lambda t, x: g.gradient(x), g=g)
 
     @classmethod
     def yosida(cls, A: MonotoneMap, lam_schedule: Schedule, alpha: float):
-        return cls(variant="yosida", label="yosida-avd", damping=over_t(alpha),
-                   relaxation=lam_schedule,
+        return cls(label="yosida-avd", damping=over_t(alpha), relaxation=lam_schedule,
                    drive=lambda t, x: yosida_eval(A, lam_schedule(t), x))
-
-    @property
-    def effective_beta(self) -> float:
-        """Cocoercivity of the driving operator (the B of the general flow)."""
-        if self.beta is None:
-            raise SpecError("effective_beta is undefined for variant %r" % self.variant)
-        return self.beta
 
     def driving_operator(self, x):
         """The operator whose zero set the flow targets, evaluated at x."""
         if self.operator is None:
-            raise SpecError("driving_operator depends on t for variant %r" % self.variant)
+            raise SpecError("driving_operator depends on t for flow %r" % self.label)
         return self.operator(x)
 
 
@@ -155,7 +146,10 @@ def second_order_field(spec: SecondOrderSpec) -> FlowField:
 def _lyapunov(spec: SecondOrderSpec, xstar):
     """The Lyapunov value as a function lyap(t, x, v), for the probe and the series."""
     ref = np.asarray(xstar, dtype=float)
-    beta = spec.effective_beta
+    beta = spec.beta
+    if beta is None:
+        raise SpecError("flow %r has no Lyapunov functional: its drive has no beta"
+                        % spec.label)
 
     def lyap(t, x, v):
         d = x - ref
@@ -168,10 +162,7 @@ def _lyapunov(spec: SecondOrderSpec, xstar):
 def second_order_lyapunov(traj: Trajectory, spec: SecondOrderSpec, xstar) -> np.ndarray:
     """V(t) = <x - x*, v> + gamma(t)*||x - x*||^2/2 + beta*(gamma/lam)(t)*||v||^2 on the grid."""
     lyap = _lyapunov(spec, xstar)
-    out = np.empty(len(traj.times))
-    for k, t in enumerate(traj.times):
-        out[k] = lyap(t, traj.states[k], traj.velocities[k])
-    return out
+    return np.array([lyap(t, x, v) for t, x, v in zip(traj.times, traj.states, traj.velocities)])
 
 
 def second_order_probes(spec: SecondOrderSpec, xstar=None):

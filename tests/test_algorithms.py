@@ -5,16 +5,25 @@ from splitflow.algorithms import (IterateSequence, fb_step, frb_step, inertial_f
                                   km_step, nesterov_step, prox_admm_step, run_sequence,
                                   tseng_step, write_sequence_csv)
 from splitflow.first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec,
-                                   dr_field, dr_operator, fb_field, fbf_field, km_field)
+                                   check_relaxation, dr_field, dr_operator, fb_field,
+                                   fbf_field, km_field)
 from splitflow.errors import SpecError
 from splitflow.integrate import FlowField, euler_unit_step
 from splitflow.operators import (SingleValuedMap, box_prox, gradient_map, l1_prox,
                                  least_squares_fn, matrix_operator, prox_eval,
                                  quadratic_fn, soft_threshold, subdifferential_map,
                                  zero_operator)
-from splitflow.primal_dual import PDParams, PDState, special_metric
+from splitflow.primal_dual import PDParams, PDState, _check_tau, special_metric
 from splitflow.problems import get_problem
-from splitflow.schedules import constant
+from splitflow.schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power,
+                                 over_t)
+
+NAN = float("nan")
+
+
+def nan_schedule():
+    """A schedule that reads NaN everywhere and declares NaN bounds."""
+    return Schedule(fn=lambda t: NAN, dfn=lambda t: 0.0, bounds=(NAN, NAN))
 
 
 def neg_id():
@@ -82,6 +91,17 @@ class TestStepsShareTheFlowHypotheses:
             with pytest.raises(SpecError):
                 reject()
 
+    def test_nan_relaxation(self):
+        p = get_problem("lasso1d")
+        A, B = p.components["A"], p.components["B"]
+        x = np.array([0.3])
+        for reject in (lambda: KMFlowSpec(T=neg_id(), lam=nan_schedule()),
+                       lambda: FBFlowSpec(A=A, B=B, gamma=0.5, lam=nan_schedule()),
+                       lambda: km_step(neg_id(), NAN, x),
+                       lambda: fb_step(A, B, 0.5, NAN, x)):
+            with pytest.raises(SpecError):
+                reject()
+
     def test_fb_step_takes_any_positive_step(self):
         p = get_problem("lasso1d")  # beta = 1
         A, B = p.components["A"], p.components["B"]
@@ -91,6 +111,29 @@ class TestStepsShareTheFlowHypotheses:
                 fb_step(A, B, gamma, 0.5, np.array([0.3]))
         with pytest.raises(SpecError):
             fb_step(A, SingleValuedMap(fn=lambda x: x), 0.5, 0.5, np.array([0.3]))
+
+
+NAN_CONSTRUCTORS = {
+    "constant": lambda: constant(NAN),
+    "over_t": lambda: over_t(NAN),
+    "inv_power-p": lambda: inv_power(NAN),
+    "inv_power-scale": lambda: inv_power(1.0, NAN),
+    "exp_decay-rate": lambda: exp_decay(0.0, 1.0, NAN),
+    "affine_clamped-lo": lambda: affine_clamped(0.0, 1.0, NAN, 1.0),
+    "DRFlowSpec-gamma": lambda: DRFlowSpec(A=zero_operator(), B=zero_operator(), gamma=NAN),
+    "FBFFlowSpec-lam": lambda: FBFFlowSpec(A=zero_operator(), B=neg_id(), gamma=0.5,
+                                           lam=NAN),
+    "PDParams-c": lambda: PDParams(c=NAN, gamma_relax=1.0, tau=constant(0.26)),
+    "_check_tau": lambda: _check_tau(get_problem("pd_lasso_analysis").components["structured"],
+                                     PDParams(c=1.0, gamma_relax=1.0, tau=nan_schedule()), 0.0),
+    "check_relaxation": lambda: check_relaxation(NAN, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_CONSTRUCTORS))
+def test_flow_hypotheses_reject_nan(case):
+    with pytest.raises(SpecError):
+        NAN_CONSTRUCTORS[case]()
 
 
 class TestTsengStep:

@@ -1,7 +1,9 @@
-"""The benchmark's span tracer must find, patch and restore every binding it names.
+"""The benchmark's span tracer must find, patch and restore every binding it names,
+and the benchmark's workloads must pass their own gates.
 
-bench/spans.py looks splitflow functions up by name; a rename in the package
-would otherwise surface only when the benchmark runs.
+bench/spans.py and bench/workloads.py look splitflow functions up by name and
+call them with keywords; a rename or a removed parameter in the package would
+otherwise surface only when the benchmark runs.
 """
 
 import os
@@ -32,3 +34,18 @@ def test_tracer_installs_and_restores(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_benchmark_workloads_pass_their_gates(monkeypatch, tmp_path):
+    # builds and validates every corpus-runs and multistart-sweep config, then runs
+    # corpus unit 0 and multistart unit 0, whose first start carries the
+    # bit-for-bit unit-Euler gate of the discrete steps
+    monkeypatch.syspath_prepend(BENCH)
+    import workloads
+    corpus = workloads.CorpusRuns(str(tmp_path / "corpus"), seed=1)
+    sweep = workloads.MultistartSweep(str(tmp_path / "sweep"), seed=1)
+    experiments = corpus.unit(0) + sweep.unit(0)
+    assert len(experiments) == 7
+    for exp in experiments:
+        passed, detail = exp.check(exp.run())
+        assert passed, "%s: %s" % (exp.key, detail)

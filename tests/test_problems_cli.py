@@ -495,6 +495,16 @@ class TestCli:
                                      "lambda": {"family": "constant", "value": 1.0},
                                      "epsilon": {"family": "inv-power", "p": "nan",
                                                  "scale": 0.1}}},
+        # a section accepts exactly the keys its reader reads: a misspelled key is an error
+        "flow-key-misspelled": {"problem": "lasso1d",
+                                "flow": {"name": "fb", "gamma": 0.25,
+                                         "lambda": {"family": "constant", "value": 1.0},
+                                         "epsilon_": {"family": "constant", "value": 0.1}}},
+        "integrator-key-misspelled": {"integrator": {"method": "rk4", "dt": 0.01,
+                                                     "t_end": 5.0, "record_evry": 10}},
+        "schedule-key-misspelled": {"flow": {"name": "km",
+                                             "lambda": {"family": "inv-power", "p": 1.0,
+                                                        "scal": 0.5}}},
     }
 
     @pytest.mark.parametrize("key", sorted(BAD_CONFIGS))

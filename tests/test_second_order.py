@@ -156,8 +156,9 @@ def _pinned_variants():
 
 SCHEDULED_PROBES = ["lyapunov_V", "h", "hdot", "speed", "accel"]
 
-# variant -> (label, field.fn, effective_beta, driving_operator, probes with xstar,
-# probes without), at t = 2, x = (1, -2), v = (0.5, 0.25); None stands for SpecError
+# variant -> (label, field.fn, beta, driving_operator, probes with xstar,
+# probes without), at t = 2, x = (1, -2), v = (0.5, 0.25); a None driving_operator
+# stands for SpecError
 VARIANT_PINS = {
     "cocoercive": ("second-order-cocoercive", [-2.5, 0.6146647167633871], 0.4530818393219729,
                    [1.0, -1.5], SCHEDULED_PROBES, ["speed", "accel"]),
@@ -182,11 +183,7 @@ def test_variant_pins(variant):
     field = second_order_field(spec)
     assert field.label == label
     assert field.fn(2.0, x, np.array([0.5, 0.25])).tolist() == acc
-    if beta is None:
-        with pytest.raises(SpecError):
-            spec.effective_beta
-    else:
-        assert spec.effective_beta == beta
+    assert spec.beta == beta
     if drive is None:
         with pytest.raises(SpecError):
             spec.driving_operator(x)
