@@ -23,7 +23,7 @@ from .errors import DivergenceError, FitError, SpecError
 from .first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec, dr_field,
                           dr_probes, fb_field, fb_probes, fbf_field, fbf_probes,
                           km_field, km_probes)
-from .integrate import IntegratorConfig, integrate, write_trajectory_csv
+from .integrate import IntegratorConfig, integrate, open_replaced, write_trajectory_csv
 from .nonconvex import nonconvex_probes, proxgrad_field
 from .operators import SingleValuedMap, as_vector
 from .primal_dual import PDParams, PDState, _check_tau, pd_field_special, pd_probes
@@ -413,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     except DivergenceError as exc:
         if exc.trajectory is not None and len(exc.trajectory.times):
             write_trajectory_csv(exc.trajectory, csv_path)
-        with open(diag_path, "w", encoding="utf-8") as fh:
+        with open_replaced(diag_path) as fh:
             json.dump({"diverged": True, "last_finite_t": exc.last_finite_t}, fh, indent=2)
         raise
 
@@ -439,7 +439,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     diagnostics["final_residual"] = final_residual
     diagnostics["passed"] = all(c.get("pass", True) for c in diagnostics["checks"])
 
-    with open(diag_path, "w", encoding="utf-8") as fh:
+    with open_replaced(diag_path) as fh:
         json.dump(diagnostics, fh, indent=2, sort_keys=True, default=float)
 
     best_rate = ""
@@ -452,7 +452,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
                "passed": diagnostics["passed"], "out": out}
     line = ("flow=%(flow)s problem=%(problem)s final_residual=%(final_residual).3e "
             "rate=%(rate)s passed=%(passed)s" % summary)
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open_replaced(summary_path) as fh:
         fh.write(line + "\n")
     summary["line"] = line
     return summary

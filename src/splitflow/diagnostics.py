@@ -22,12 +22,13 @@ from .schedules import Schedule
 def nonincreasing_check(times, values, name: str = "nonincreasing",
                         abs_slack: float = 1e-9) -> dict:
     """Verify a sampled series never rises by more than abs_slack plus 1e-12 times the
-    larger magnitude of the pair; report the first violation."""
+    larger magnitude of the pair; report the first violation.  A step to or from
+    NaN is a violation."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     rises = np.diff(values)
     allowed = abs_slack + 1e-12 * np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
-    bad = rises > allowed
+    bad = ~(rises <= allowed)
     first = None
     if np.any(bad):
         first = float(times[1:][bad][0])
@@ -74,7 +75,7 @@ def objective_gap_check(times, gaps, d0_sq_over_2gamma: float, tol: float = 1e-6
     """0 <= gap(T) <= d0^2/(2*gamma*T)*(1+tol) at every positive grid time, gap nonincreasing.
 
     The lower bound carries a tiny floating-point allowance so that exact-zero
-    gaps at converged tails do not fail on rounding.
+    gaps at converged tails do not fail on rounding.  A NaN gap is a violation.
     """
     times = np.asarray(times, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
@@ -82,7 +83,7 @@ def objective_gap_check(times, gaps, d0_sq_over_2gamma: float, tol: float = 1e-6
     pos = times > 0
     t, gap = times[pos], gaps[pos]
     viol = np.maximum(-gap - lower_slack, gap - d0_sq_over_2gamma / t * (1.0 + tol))
-    bad = t[viol > 0]
+    bad = t[~(viol <= 0)]
     mono = nonincreasing_check(times, gaps, name="gap-nonincreasing")
     return {"check": "objective-gap-certificate", "pass": not bad.size and mono["pass"],
             "first_violation_t": float(bad[0]) if bad.size else mono["first_violation_t"],

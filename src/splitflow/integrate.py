@@ -8,6 +8,7 @@ nodes so that the recorded times stay exactly t_start + k*record_every*dt.
 from __future__ import annotations
 
 import dataclasses
+import os
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -186,12 +187,27 @@ def euler_unit_step(field: FlowField, x, t: float = 0.0) -> Array:
     return x + field.fn(t, x)
 
 
+def open_replaced(path):
+    """Open path for writing as a new text file, removing any file already there.
+
+    Removing and re-creating replaces a file without truncating it, which can
+    block while the old file's last data is still being written back.  The new
+    file gets default permissions, and a symlink at path is replaced, not
+    followed.
+    """
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", encoding="utf-8")
+
+
 def _write_csv(path, times, states, velocities, records):
     """The trajectory CSV schema: header t, x_0.., v_0.., record names; 17 significant digits."""
     n = states.shape[1]
     names = (["t"] + ["x_%d" % i for i in range(n)] + ["v_%d" % i for i in range(n)]
              + list(records.keys()))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replaced(path) as fh:
         fh.write(",".join(names) + "\n")
         for k in range(len(times)):
             row = [times[k]] + list(states[k]) + list(velocities[k])

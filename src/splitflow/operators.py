@@ -95,14 +95,14 @@ class LinearMap:
 
 def prox_eval(f: ProxFunction, gamma: float, x: Array) -> Array:
     """Evaluate prox_{gamma f}(x)."""
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects NaN
         raise ValueError("prox parameter gamma must be positive, got %r" % gamma)
     return f.prox(gamma, np.asarray(x, dtype=float))
 
 
 def resolvent_eval(A: MonotoneMap, gamma: float, x: Array) -> Array:
     """Evaluate J_{gamma A}(x) = (Id + gamma*A)^{-1}(x)."""
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects NaN
         raise ValueError("resolvent parameter gamma must be positive, got %r" % gamma)
     return A.resolvent(gamma, np.asarray(x, dtype=float))
 
@@ -115,7 +115,7 @@ def reflected_resolvent(A: MonotoneMap, gamma: float, x: Array) -> Array:
 
 def yosida_eval(A: MonotoneMap, lam: float, x: Array) -> Array:
     """Evaluate the Yosida regularization (x - J_{lam A}(x))/lam, (1/lam)-Lipschitz."""
-    if lam <= 0:
+    if not lam > 0:  # also rejects NaN
         raise ValueError("Yosida parameter lam must be positive, got %r" % lam)
     x = np.asarray(x, dtype=float)
     return (x - resolvent_eval(A, lam, x)) / lam
@@ -162,7 +162,7 @@ def prox_numeric(value_fn: Callable[[Array], float], gamma: float, x: Array,
     that does not move shows only that no coordinate alone can improve: for
     f(y) = 10|y0 - y1| at x = (1, -1), gamma = 1 it stops at (-1, -1), not 0.
     """
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects NaN
         raise ValueError("prox parameter gamma must be positive, got %r" % gamma)
     x = as_vector(x)
     n = x.size
@@ -380,7 +380,7 @@ def l1_quadratic_prox(weight: float, quad_diag, lin) -> ProxFunction:
 
 def moreau_conjugate_prox(g: ProxFunction, c: float, w: Array) -> Array:
     """prox_{c g*}(w) via the Moreau identity w - c*prox_{g/c}(w/c)."""
-    if c <= 0:
+    if not c > 0:  # also rejects NaN
         raise ValueError("conjugate prox parameter c must be positive")
     w = np.asarray(w, dtype=float)
     return w - c * prox_eval(g, 1.0 / c, w / c)

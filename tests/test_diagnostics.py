@@ -43,6 +43,14 @@ class TestMonotoneChecks:
         report = nonincreasing_check([0, 1], [1.0, 1.0 + 1e-10])
         assert report["pass"]
 
+    @pytest.mark.parametrize("values,first", [([1.0, np.nan, 5.0], 1.0),
+                                              ([1.0, 0.5, np.nan], 2.0),
+                                              ([np.nan, 1.0, 0.5], 1.0)])
+    def test_nan_counts_as_a_violation(self, values, first):
+        report = nonincreasing_check([0.0, 1.0, 2.0], values)
+        assert not report["pass"]
+        assert report["first_violation_t"] == first
+
 
 class TestEnergy:
     def test_zero_at_solution(self):
@@ -77,6 +85,19 @@ class TestIstaGapCheck:
         times = np.linspace(0.0, 5.0, 6)
         report = objective_gap_check(times, np.zeros(6), d0_sq_over_2gamma=0.0)
         assert report["pass"]
+
+    def test_nan_gap_fails(self):
+        report = objective_gap_check([0.0, 1.0, 2.0], [1.0, np.nan, np.nan],
+                                     d0_sq_over_2gamma=1.0)
+        assert not report["pass"]
+        assert report["first_violation_t"] == 1.0
+        assert not report["monotone"]
+
+    def test_nan_gap_fails_the_bound_alone(self):
+        # a single positive time has no pair for the monotonicity check
+        report = objective_gap_check([1.0], [np.nan], d0_sq_over_2gamma=1.0)
+        assert report["monotone"]
+        assert not report["pass"]
 
     def test_hypothesis_error_for_bad_step(self):
         p = get_problem("lasso1d")

@@ -149,3 +149,18 @@ class TestCsvExport:
             assert fields[1] == traj.states[k][0]      # round-trip exactly
             assert fields[2] == traj.velocities[k][0]
             assert fields[3] == traj.records["norm"][k]
+
+    def test_rewrite_replaces_the_file_instead_of_truncating_it(self, tmp_path):
+        traj = integrate(decay_field(), np.array([1.0]),
+                         IntegratorConfig(method="euler", dt=0.5, t_end=1.0))
+        path = tmp_path / "traj.csv"
+        path.write_text("old\n", encoding="utf-8")
+        keep = tmp_path / "old.csv"
+        keep.hardlink_to(path)
+        write_trajectory_csv(traj, path)
+        first = path.read_bytes()
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == first
+        assert first.startswith(b"t,x_0,v_0\n")
+        # a truncating write would have changed the linked file too
+        assert keep.read_text(encoding="utf-8") == "old\n"

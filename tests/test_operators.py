@@ -56,6 +56,18 @@ class TestProxEval:
         with pytest.raises(ValueError):
             prox_eval(zero_prox(), 0.0, np.array([1.0]))
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda s: prox_eval(l1_prox(1.0), s, np.array([1.0])),
+        lambda s: prox_numeric(abs, s, np.array([1.0])),
+        lambda s: resolvent_eval(identity_operator(), s, np.array([1.0])),
+        lambda s: yosida_eval(identity_operator(), s, np.array([1.0])),
+        lambda s: moreau_conjugate_prox(l1_prox(1.0), s, np.array([1.0])),
+    ], ids=["prox_eval", "prox_numeric", "resolvent_eval", "yosida_eval",
+            "moreau_conjugate_prox"])
+    def test_nan_step_rejected(self, evaluate):
+        with pytest.raises(ValueError, match="must be positive"):
+            evaluate(np.nan)
+
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_analytic_catalog_agrees_with_golden_oracle(self, gamma):
         cases = [

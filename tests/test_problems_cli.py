@@ -1,14 +1,17 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+
+import splitflow.problems as problems
 
 from splitflow.cli import main
 from splitflow.config import (ExperimentConfig, build_run, config_from_dict, list_flows,
                               load_config, run_experiment, save_config)
 from splitflow.errors import SolverError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
-from splitflow.operators import SingleValuedMap, l1_prox, subdifferential_map
+from splitflow.operators import SingleValuedMap, l1_prox, soft_threshold, subdifferential_map
 from splitflow.primal_dual import PDState
 from splitflow.problems import (ProblemDef, affine_monotone_map, corpus, get_problem,
                                 solution_residual, state_residual)
@@ -41,6 +44,57 @@ class TestCorpus:
     def test_unknown_problem_rejected(self):
         with pytest.raises(KeyError):
             get_problem("not_a_problem")
+
+    # sha256 over each problem's name and reference-solution bytes, read off the
+    # oracles when they always ran their full 4000 and 20000 iterations
+    SOLUTION_SHA256 = {
+        0: "e344cb06beda95f3efc2db621fa9cefeff960f83187c566235554e0793e47e34",
+        1: "6d40916e65b78a3e809e5395b5270d06cdcf63df9c26672077c16b1870519df6",
+        2: "cd6c90381f8db415002971519665d82dc74e8570e092b2ea27d0400508a1f97d",
+        3: "f1a3bede3b13887b5c0f16159ea312c21e691d5c6a0ac422104b59cb60e59a01",
+        4: "d934cd2bf737968ed5236202343d891777ac04752d82194a72f6313b5b415ef8",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SOLUTION_SHA256))
+    def test_reference_solutions_are_pinned(self, seed):
+        h = hashlib.sha256()
+        for p in corpus(seed):
+            s = p.known_solution
+            h.update(p.name.encode() + b"\0")
+            for a in ((s.x, s.z, s.y) if isinstance(s, PDState) else (s,)):
+                h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        assert h.hexdigest() == self.SOLUTION_SHA256[seed]
+
+    def test_oracles_stop_at_their_certificate(self, monkeypatch):
+        calls = []
+
+        def counted(x, thresh):
+            calls.append(1)
+            return soft_threshold(x, thresh)
+
+        monkeypatch.setattr(problems, "soft_threshold", counted)
+        problems.corpus.__wrapped__(0)  # uncached
+        assert 0 < len(calls) <= 1000  # the full budgets make 3*4000 + 20000 calls
+
+    def test_spent_budget_returns_or_raises_the_last_polish(self):
+        seen = []
+
+        def polish(pattern):
+            seen.append(float(pattern[0]))
+            return 2.0 * pattern  # never within 1e-10 of an iterate
+
+        iterates = [np.array([1.0]), np.array([3.0]), np.array([-1.0])]
+        out = problems._polish_until_certified(iter(iterates), np.sign, polish,
+                                               lambda x, y: float(np.max(np.abs(x - y))))
+        assert out.tolist() == [-2.0]
+        assert seen == [1.0, -1.0, -1.0]  # once per pattern, then the last one again
+
+        def gate_fails(pattern):
+            raise SolverError("gate")
+
+        with pytest.raises(SolverError, match="gate"):
+            problems._polish_until_certified(iter(iterates), np.sign, gate_fails,
+                                             lambda x, y: 0.0)
 
     # one registered flow per problem solves it within its documented horizon
     SOLVERS = {
