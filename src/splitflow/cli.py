@@ -2,12 +2,14 @@
 
 Subcommands: run <config>, check <config>, list-problems, list-flows.
 Exit codes: 0 on success, 2 on hypothesis/spec errors (including missing
-keys and bad integrator grids), 3 on divergence or an inner-solver failure.
+keys and bad integrator grids) or a path that cannot be read or written,
+3 on divergence or an inner-solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import list_flows, load_config, run_experiment
@@ -24,7 +26,7 @@ def main(argv=None) -> int:
     run_p.add_argument("config")
     run_p.add_argument("--out-dir", default=None, help="output directory override")
     run_p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized probes and seeded corpus data")
+                       help="seed that selects the seeded corpus problems' data")
 
     check_p = sub.add_parser("check", help="validate a config without running it")
     check_p.add_argument("config")
@@ -44,13 +46,12 @@ def main(argv=None) -> int:
             for name in list_flows():
                 print(name)
             return 0
+        cfg = load_config(args.config)
         if args.command == "check":
-            load_config(args.config)
             print("config ok: %s" % args.config)
             return 0
-        cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         summary = run_experiment(cfg, out_dir=args.out_dir)
         print(summary["line"])
         return 0 if summary["passed"] else 2
@@ -64,7 +65,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print("solver failure: %s (residual=%s)" % (exc, exc.residual), file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

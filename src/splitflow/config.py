@@ -1,9 +1,9 @@
 """Experiment configuration: JSON schema, validation, and run orchestration.
 
 A config names a corpus problem, a flow with its parameters (schedules as
-named families), an integrator grid, and the probes to record.  Loading fully
-validates the run: every referenced name must exist and every schedule bound
-must hold on the run's grid.
+named families), an integrator grid, and the probes to record.  Constructing
+a config fully validates and resolves its run, once: every referenced name
+must exist and every schedule bound must hold on the run's grid.
 """
 
 from __future__ import annotations
@@ -102,8 +102,11 @@ def build_schedule(spec: dict) -> Schedule:
     return section.done(_SCHEDULES[family](section))
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
+    """A config, immutable once built: constructing it validates and resolves its
+    run (run = build_run(self)); a changed config is made by dataclasses.replace."""
+
     problem: str
     flow: dict
     integrator: dict
@@ -112,6 +115,10 @@ class ExperimentConfig:
     v0: Optional[list] = None
     out: Optional[str] = None
     seed: int = 0
+    run: tuple = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "run", build_run(self))
 
     def to_dict(self) -> dict:
         out = {"problem": self.problem, "flow": self.flow, "integrator": self.integrator}
@@ -356,6 +363,8 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise SpecError("config %s does not parse: line %d: %s"
                         % (path, exc.lineno, exc.msg)) from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError("config %s is not UTF-8: %s" % (path, exc.reason)) from exc
     return config_from_dict(raw)
 
 
@@ -377,12 +386,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         elif not isinstance(raw[key], kind):
             raise SpecError("config section %r must be a %s, got %r"
                             % (key, kind.__name__, raw[key]))
-    cfg = ExperimentConfig(problem=raw["problem"], flow=raw["flow"],
-                           integrator=raw["integrator"], probes=raw.get("probes"),
-                           x0=raw.get("x0"), v0=raw.get("v0"), out=raw.get("out"),
-                           seed=_read(raw, "seed", int, 0))
-    build_run(cfg)  # full validation
-    return cfg
+    return ExperimentConfig(problem=raw["problem"], flow=raw["flow"],
+                            integrator=raw["integrator"], probes=raw.get("probes"),
+                            x0=raw.get("x0"), v0=raw.get("v0"), out=raw.get("out"),
+                            seed=_read(raw, "seed", int, 0))
 
 
 def save_config(cfg: ExperimentConfig, path):
@@ -396,12 +403,13 @@ def save_config(cfg: ExperimentConfig, path):
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """Run a validated config; write trajectory CSV, diagnostics JSON, summary line.
+    """Run a config's resolved run; write trajectory CSV, diagnostics JSON, summary line.
 
-    On divergence the partial trajectory is written before the error is
-    re-raised.  Returns the summary dict.
+    On divergence the partial trajectory is written, and the summary of an
+    earlier run in the same directory removed, before the error is re-raised.
+    Returns the summary dict.
     """
-    problem, field, probes, x0, v0, icfg, spec = build_run(cfg)
+    problem, field, probes, x0, v0, icfg, spec = cfg.run
     out = out_dir or cfg.out or "."
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "trajectory.csv")
@@ -415,6 +423,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             write_trajectory_csv(exc.trajectory, csv_path)
         with open_replaced(diag_path) as fh:
             json.dump({"diverged": True, "last_finite_t": exc.last_finite_t}, fh, indent=2)
+        if os.path.exists(summary_path):
+            os.remove(summary_path)
         raise
 
     write_trajectory_csv(traj, csv_path)

@@ -265,7 +265,7 @@ def soft_threshold(x: Array, thresh: float) -> Array:
 
 def l1_prox(weight: float = 1.0) -> ProxFunction:
     """f = weight * ||x||_1; prox is soft thresholding."""
-    if weight < 0:
+    if not weight >= 0:
         raise ValueError("l1 weight must be nonnegative")
     return ProxFunction(
         value=lambda x: weight * float(np.sum(np.abs(x))),
@@ -275,7 +275,7 @@ def l1_prox(weight: float = 1.0) -> ProxFunction:
 
 def squared_l2_prox(scale: float = 1.0, center=None) -> ProxFunction:
     """f = (scale/2) * ||x - center||^2."""
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("squared_l2 scale must be positive")
 
     def value(x):
@@ -303,7 +303,7 @@ def box_prox(lo, hi) -> ProxFunction:
 
 def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
     """Indicator of the Euclidean ball; prox is the radial projection."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("ball radius must be positive")
 
     def project(gamma, x):
@@ -397,7 +397,7 @@ def zero_operator() -> MonotoneMap:
 
 def identity_operator(scale: float = 1.0) -> MonotoneMap:
     """A = scale * Id (the subdifferential of (scale/2)||x||^2)."""
-    if scale < 0:
+    if not scale >= 0:
         raise ValueError("identity_operator scale must be nonnegative")
     return MonotoneMap(
         resolvent=lambda gamma, x: np.asarray(x, dtype=float) / (1.0 + gamma * scale))

@@ -224,18 +224,22 @@ def affine_monotone_map(M: Array, q: Array) -> MonotoneMap:
                                                    np.asarray(x, dtype=float) - gamma * q))
 
 
-def _lasso_problem(name: str, A_mat: Array, b: Array, mu: float, horizon: float,
-                   note: str) -> ProblemDef:
-    g = least_squares_fn(A_mat, b)
-    f = l1_prox(mu)
-    xstar = solve_l1_quadratic(A_mat.T @ A_mat, A_mat.T @ b, mu)
+def _composite_problem(name: str, f, g, xstar: Array, start: Array, horizon: float,
+                       note: str) -> ProblemDef:
+    """min f + g as the inclusion 0 in A(x) + B(x), A = df and B = grad g."""
+    B = gradient_map(g)
     return ProblemDef(
         name=name, kind="convex-composite",
-        components={"f": f, "g": g, "A": subdifferential_map(f), "B": gradient_map(g),
-                    "beta": 1.0 / g.grad_lipschitz},
-        known_solution=xstar,
-        default_start=np.ones(A_mat.shape[1]),
-        horizon=horizon, note=note)
+        components={"f": f, "g": g, "A": subdifferential_map(f), "B": B,
+                    "beta": B.cocoercivity_beta},
+        known_solution=xstar, default_start=start, horizon=horizon, note=note)
+
+
+def _lasso_problem(name: str, A_mat: Array, b: Array, mu: float, horizon: float,
+                   note: str) -> ProblemDef:
+    return _composite_problem(name, l1_prox(mu), least_squares_fn(A_mat, b),
+                              solve_l1_quadratic(A_mat.T @ A_mat, A_mat.T @ b, mu),
+                              np.ones(A_mat.shape[1]), horizon, note)
 
 
 @functools.lru_cache(maxsize=4)
@@ -270,28 +274,17 @@ def corpus(seed: int = 0):
                                    note="well-conditioned 10-D lasso, oracle-polished solution"))
 
     c_box = np.array([3.0, -1.0])
-    g_box = least_squares_fn(np.eye(2), c_box)
-    f_box = box_prox(0.0, 2.0)
-    problems.append(ProblemDef(
-        name="constrained_quadratic", kind="convex-composite",
-        components={"f": f_box, "g": g_box, "A": subdifferential_map(f_box),
-                    "B": gradient_map(g_box), "beta": 1.0},
-        known_solution=np.clip(c_box, 0.0, 2.0),
-        default_start=np.array([1.0, 1.0]),
-        horizon=60.0, note="projection of the unconstrained minimizer onto the box"))
+    problems.append(_composite_problem(
+        "constrained_quadratic", box_prox(0.0, 2.0), least_squares_fn(np.eye(2), c_box),
+        np.clip(c_box, 0.0, 2.0), np.array([1.0, 1.0]), 60.0,
+        "projection of the unconstrained minimizer onto the box"))
 
     R = _seeded_orthogonal(rng, 5)
     Q5 = R @ np.diag(np.linspace(1.0, 3.0, 5)) @ R.T
     b5 = rng.standard_normal(5) * 3.0
-    g5 = quadratic_fn(Q5, b5)
-    f5 = l1_prox(0.5)
-    x5 = solve_l1_quadratic(Q5, b5, 0.5)
-    problems.append(ProblemDef(
-        name="strongcvx_l1", kind="convex-composite",
-        components={"f": f5, "g": g5, "A": subdifferential_map(f5),
-                    "B": gradient_map(g5), "beta": 1.0 / g5.grad_lipschitz},
-        known_solution=x5, default_start=np.ones(5),
-        horizon=120.0, note="strongly convex quadratic + l1; exponential flow regime"))
+    problems.append(_composite_problem(
+        "strongcvx_l1", l1_prox(0.5), quadratic_fn(Q5, b5), solve_l1_quadratic(Q5, b5, 0.5),
+        np.ones(5), 120.0, "strongly convex quadratic + l1; exponential flow regime"))
 
     K = np.array([[0.0, 1.0], [-1.0, 0.0]])
     problems.append(ProblemDef(

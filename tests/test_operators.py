@@ -56,16 +56,23 @@ class TestProxEval:
         with pytest.raises(ValueError):
             prox_eval(zero_prox(), 0.0, np.array([1.0]))
 
-    @pytest.mark.parametrize("evaluate", [
-        lambda s: prox_eval(l1_prox(1.0), s, np.array([1.0])),
-        lambda s: prox_numeric(abs, s, np.array([1.0])),
-        lambda s: resolvent_eval(identity_operator(), s, np.array([1.0])),
-        lambda s: yosida_eval(identity_operator(), s, np.array([1.0])),
-        lambda s: moreau_conjugate_prox(l1_prox(1.0), s, np.array([1.0])),
+    @pytest.mark.parametrize("evaluate,message", [
+        (lambda s: prox_eval(l1_prox(1.0), s, np.array([1.0])), "must be positive"),
+        (lambda s: prox_numeric(abs, s, np.array([1.0])), "must be positive"),
+        (lambda s: resolvent_eval(identity_operator(), s, np.array([1.0])), "must be positive"),
+        (lambda s: yosida_eval(identity_operator(), s, np.array([1.0])), "must be positive"),
+        (lambda s: moreau_conjugate_prox(l1_prox(1.0), s, np.array([1.0])),
+         "must be positive"),
+        # a catalog parameter that is NaN is rejected where the function is built
+        (l1_prox, "must be nonnegative"),
+        (squared_l2_prox, "must be positive"),
+        (ball_prox, "must be positive"),
+        (identity_operator, "must be nonnegative"),
     ], ids=["prox_eval", "prox_numeric", "resolvent_eval", "yosida_eval",
-            "moreau_conjugate_prox"])
-    def test_nan_step_rejected(self, evaluate):
-        with pytest.raises(ValueError, match="must be positive"):
+            "moreau_conjugate_prox", "l1_prox", "squared_l2_prox", "ball_prox",
+            "identity_operator"])
+    def test_nan_step_rejected(self, evaluate, message):
+        with pytest.raises(ValueError, match=message):
             evaluate(np.nan)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])

@@ -1,14 +1,17 @@
+import csv
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import splitflow.config as config
 import splitflow.problems as problems
 
 from splitflow.cli import main
-from splitflow.config import (ExperimentConfig, build_run, config_from_dict, list_flows,
-                              load_config, run_experiment, save_config)
+from splitflow.config import (ExperimentConfig, config_from_dict, list_flows, load_config,
+                              run_experiment, save_config)
 from splitflow.errors import SolverError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
 from splitflow.operators import SingleValuedMap, l1_prox, soft_threshold, subdifferential_map
@@ -128,13 +131,36 @@ class TestCorpus:
             problem=name, flow=flow,
             integrator={"method": "rk4", "dt": dt, "t_end": p.horizon,
                         "record_every": max(1, int(round(p.horizon / dt / 100)))})
-        problem, field, probes, x0, v0, icfg, spec = build_run(cfg)
+        problem, field, probes, x0, v0, icfg, spec = cfg.run
         traj = integrate(field, x0, icfg, v0=v0)
         final = traj.final_state
         if p.kind == "structured-pd":
             s = p.components["structured"]
             final = PDState.from_vector(final, s.n, s.m)
         assert state_residual(p, final) < 1e-5
+
+
+def count_build_run(monkeypatch) -> list:
+    """Wrap splitflow.config.build_run; the returned list gets one entry per call."""
+    calls, inner = [], config.build_run
+
+    def counting(cfg):
+        calls.append(cfg)
+        return inner(cfg)
+
+    monkeypatch.setattr(config, "build_run", counting)
+    return calls
+
+
+def lasso10_fb_config(tmp_path, **overrides):
+    raw = {"problem": "lasso10",
+           "flow": {"name": "fb", "gamma": 0.25,
+                    "lambda": {"family": "constant", "value": 0.75}},
+           "integrator": {"method": "rk4", "dt": 0.01, "t_end": 5.0, "record_every": 50}}
+    raw.update(overrides)
+    path = tmp_path / "lasso10.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
 
 
 def km_config(tmp_path, lam=0.7, **overrides):
@@ -263,6 +289,18 @@ class TestConfig:
         path.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.warns(UserWarning, match="integral condition"):
             load_config(path)
+
+    def test_load_and_run_build_the_run_once(self, tmp_path, monkeypatch):
+        calls = count_build_run(monkeypatch)
+        run_experiment(load_config(km_config(tmp_path)), out_dir=str(tmp_path / "run"))
+        assert len(calls) == 1
+
+    def test_config_is_immutable(self, tmp_path):
+        cfg = load_config(km_config(tmp_path))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 3
+        reseeded = dataclasses.replace(cfg, seed=3)
+        assert (cfg.seed, reseeded.seed) == (0, 3) and reseeded.run is not cfg.run
 
     def test_avd_requires_positive_t_start(self, tmp_path):
         raw = {
@@ -572,6 +610,48 @@ class TestCli:
             assert "hypothesis error" in err
             assert "Traceback" not in err
         assert not (out_dir / "trajectory.csv").exists()
+
+    def test_run_builds_the_run_once(self, tmp_path, monkeypatch, capsys):
+        calls = count_build_run(monkeypatch)
+        assert main(["run", str(km_config(tmp_path)), "--out-dir", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    def test_seed_option_runs_at_that_seed(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        path = lasso10_fb_config(tmp_path)
+        assert main(["run", str(path), "--out-dir", str(out_dir), "--seed", "3"]) == 0
+        with open(out_dir / "trajectory.csv", encoding="utf-8") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        x = np.array([float(last["x_%d" % i]) for i in range(10)])
+        ref = get_problem("lasso10", 3).known_solution
+        assert float(last["dist_to_ref"]) == pytest.approx(np.linalg.norm(x - ref), rel=1e-12)
+        assert not np.allclose(ref, get_problem("lasso10", 0).known_solution)
+
+    def test_divergence_removes_an_earlier_summary(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        assert main(["run", str(lasso10_fb_config(tmp_path)), "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "summary.txt").exists()
+        diverging = lasso10_fb_config(tmp_path, x0=[1e13] * 10)
+        assert main(["run", str(diverging), "--out-dir", str(out_dir)]) == 3
+        diag = json.loads((out_dir / "diagnostics.json").read_text(encoding="utf-8"))
+        assert diag["diverged"] is True
+        assert not (out_dir / "summary.txt").exists()
+
+    @pytest.mark.parametrize("case", ["out-dir-is-a-file", "out-dir-below-a-file",
+                                      "config-is-a-directory", "config-not-utf8"])
+    def test_unusable_path_exits_2_without_traceback(self, tmp_path, capsys, case):
+        path, a_file = km_config(tmp_path), tmp_path / "a_file"
+        a_file.write_text("x", encoding="utf-8")
+        argv = {"out-dir-is-a-file": ["run", str(path), "--out-dir", str(a_file)],
+                "out-dir-below-a-file": ["run", str(path), "--out-dir", str(a_file / "sub")],
+                "config-is-a-directory": ["check", str(tmp_path)],
+                "config-not-utf8": ["check", str(path)]}[case]
+        if case == "config-not-utf8":
+            path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_inner_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def stall(cfg, out_dir=None):
