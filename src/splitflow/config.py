@@ -8,6 +8,7 @@ must exist and every schedule bound must hold on the run's grid.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -118,6 +119,10 @@ class ExperimentConfig:
     run: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # own copies, so that a later edit of the caller's dicts reaches neither
+        # to_dict nor the run built here
+        for key in ("flow", "integrator", "probes", "x0", "v0"):
+            object.__setattr__(self, key, copy.deepcopy(getattr(self, key)))
         object.__setattr__(self, "run", build_run(self))
 
     def to_dict(self) -> dict:

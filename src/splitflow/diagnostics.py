@@ -1,4 +1,4 @@
-"""Lyapunov monotonicity checks, energy functionals, rate fits, and the
+"""Lyapunov monotonicity checks, rate fits, and the
 objective-gap certificate of the unrelaxed proximal-gradient flow.
 
 All reports are plain dicts with keys {check, pass, first_violation_t, margin}
@@ -8,7 +8,6 @@ All reports are plain dicts with keys {check, pass, first_violation_t, margin}
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Tuple
 
 import numpy as np
@@ -51,15 +50,6 @@ def record_monotone_check(traj: Trajectory, record: str) -> dict:
     if record not in traj.records:
         raise KeyError("trajectory has no record %r" % record)
     return nonincreasing_check(traj.times, traj.records[record], name=record)
-
-
-def energy_E(x, g: SmoothFunction, gamma: float, xstar) -> float:
-    """||x - x*||^2/(2*gamma) + g(x) - g(x*) - <grad g(x*), x - x*>."""
-    x = np.asarray(x, dtype=float)
-    xstar = np.asarray(xstar, dtype=float)
-    d = x - xstar
-    return (float(d @ d) / (2.0 * gamma) + g.value(x) - g.value(xstar)
-            - float(g.gradient(xstar) @ d))
 
 
 def objective_gap_series(traj: Trajectory, f: ProxFunction, g: SmoothFunction,
@@ -203,7 +193,3 @@ def km_residual_rate_check(traj: Trajectory, lam: Schedule) -> dict:
     return {"check": "km-rate-inequality", "pass": not bad.size,
             "first_violation_t": float(bad[0]) if bad.size else None,
             "margin": float(np.max(viol, initial=-np.inf))}
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, default=float)

@@ -143,16 +143,6 @@ def lojasiewicz_fit(traj: Trajectory, p: NonconvexProblem) -> KLFitReport:
                        r2=r2, limit_value=h_inf)
 
 
-def power_exponent_from_series(gap: np.ndarray, znorm: np.ndarray) -> Tuple[float, float]:
-    """Fit theta, r2 for ||z|| ~ c*gap^theta on raw positive series (testing hook)."""
-    gap = np.asarray(gap, dtype=float)
-    znorm = np.asarray(znorm, dtype=float)
-    if np.any(gap <= 0) or np.any(znorm <= 0):
-        raise FitError("series must be positive")
-    theta, _, r2 = _loglog_fit(np.log(gap), np.log(znorm))
-    return float(theta), r2
-
-
 def brute_force_critical_points(p: NonconvexProblem, lo: float, hi: float,
                                 step: float = 1e-3) -> np.ndarray:
     """1-D grid search on the prox-residual, refined by golden-section on each basin

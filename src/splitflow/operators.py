@@ -8,11 +8,12 @@ functions through a value oracle plus a prox oracle.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SolverError, SpecError
+from .errors import SpecError
 
 Array = np.ndarray
 
@@ -150,105 +151,6 @@ def fb_map(A: MonotoneMap, B: SingleValuedMap, gamma: float, x: Array,
     return resolvent_eval(A, gamma, x - gamma * B(x))
 
 
-def prox_numeric(value_fn: Callable[[Array], float], gamma: float, x: Array,
-                 tol: float = 1e-10, max_evals: int = 10 ** 5) -> Array:
-    """Numeric fallback prox: minimize f(y) + ||y-x||^2/(2*gamma) by value queries only.
-
-    Hypothesis: f is separable, or separable plus a differentiable convex part.
-    Cyclic coordinate minimization; each coordinate is bracketed then shrunk by
-    golden-section search.  The optimality residual is the displacement of one
-    full extra sweep started from the candidate; exceeding tol after the
-    evaluation budget raises SolverError carrying the best residual.  A sweep
-    that does not move shows only that no coordinate alone can improve: for
-    f(y) = 10|y0 - y1| at x = (1, -1), gamma = 1 it stops at (-1, -1), not 0.
-    """
-    if not gamma > 0:  # also rejects NaN
-        raise ValueError("prox parameter gamma must be positive, got %r" % gamma)
-    x = as_vector(x)
-    n = x.size
-    budget = [max_evals]
-
-    def objective(y):
-        budget[0] -= 1
-        d = y - x
-        return value_fn(y) + float(d @ d) / (2.0 * gamma)
-
-    def line_min(y, i):
-        # golden-section on coordinate i with outward bracket expansion, then a
-        # parabolic-vertex refinement: value queries alone plateau at sqrt(eps)
-        # around smooth minima, while a parabola through a moderate-width
-        # triple recovers them to ~1e-11 (the quadratic penalty is exact).
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        base = y.copy()
-
-        def phi(s):
-            base[i] = y[i] + s
-            val = objective(base)
-            return val
-
-        step = max(1.0, abs(x[i]))
-        f0 = phi(0.0)
-        a, b = -step, step
-        fa, fb = phi(a), phi(b)
-        # expand until the center is no worse than both ends (convexity => bracket)
-        while (fa < f0 or fb < f0) and budget[0] > 0:
-            step *= 2.0
-            a, b = -step, step
-            fa, fb = phi(a), phi(b)
-        lo, hi = a, b
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc, fd = phi(c), phi(d)
-        scale = 1.0 + abs(y[i])
-        width_tol = 1e-13 * scale
-        snap = None
-        while hi - lo > width_tol and budget[0] > 0:
-            if snap is None and hi - lo <= 1e-5 * scale:
-                snap = (lo, hi)
-            if fc < fd:
-                hi, d, fd = d, c, fc
-                c = hi - invphi * (hi - lo)
-                fc = phi(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + invphi * (hi - lo)
-                fd = phi(d)
-        s_gold = 0.5 * (lo + hi)
-        s_best = s_gold
-        if snap is not None and budget[0] > 4:
-            s1, s3 = snap
-            s2 = 0.5 * (s1 + s3)
-            f1, f2, f3 = phi(s1), phi(s2), phi(s3)
-            num = (s2 - s1) ** 2 * (f2 - f3) - (s2 - s3) ** 2 * (f2 - f1)
-            den = (s2 - s1) * (f2 - f3) - (s2 - s3) * (f2 - f1)
-            if den != 0.0:
-                s_par = s2 - 0.5 * num / den
-                if s1 <= s_par <= s3:
-                    fg, fp = phi(s_gold), phi(s_par)
-                    noise = 8.0 * np.finfo(float).eps * (abs(fg) + abs(fp) + 1.0)
-                    # plateau => smooth minimum => trust the parabola vertex
-                    if abs(fg - fp) <= noise or fp < fg:
-                        s_best = s_par
-        base[i] = y[i] + s_best
-        return base[i]
-
-    def sweep(y):
-        out = y.copy()
-        for i in range(n):
-            out[i] = line_min(out, i)
-        return out
-
-    y = x.copy()
-    residual = np.inf
-    while budget[0] > 0:
-        y_next = sweep(y)
-        residual = float(np.linalg.norm(y_next - y))
-        y = y_next
-        if residual <= tol:
-            return y
-    raise SolverError("prox_numeric exhausted its evaluation budget", residual=residual)
-
-
 # ---------------------------------------------------------------------------
 # analytic prox catalog
 
@@ -292,6 +194,8 @@ def squared_l2_prox(scale: float = 1.0, center=None) -> ProxFunction:
 
 def box_prox(lo, hi) -> ProxFunction:
     """Indicator of the box [lo, hi]; prox is the clip, independent of gamma."""
+    if not np.all(np.less_equal(lo, hi)):  # also rejects NaN bounds
+        raise ValueError("box needs lo <= hi")
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -329,6 +233,8 @@ def halfspace_prox(normal, offset: float) -> ProxFunction:
     a_sq = float(a @ a)
     if a_sq == 0:
         raise ValueError("halfspace normal must be nonzero")
+    if not math.isfinite(offset):
+        raise ValueError("halfspace offset must be finite")
 
     def project(gamma, x):
         x = np.asarray(x, dtype=float)
@@ -364,6 +270,8 @@ def l1_quadratic_prox(weight: float, quad_diag, lin) -> ProxFunction:
     """f = weight*||x||_1 + sum_i (a_i/2) x_i^2 + b_i x_i, separable closed-form prox."""
     a = as_vector(quad_diag)
     b = as_vector(lin)
+    if not weight >= 0:
+        raise ValueError("l1 weight must be nonnegative")
     if np.any(a < 0):
         raise ValueError("quadratic diagonal must be nonnegative for convexity")
 

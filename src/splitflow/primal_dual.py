@@ -231,17 +231,6 @@ def saddle_residuals(prob: StructuredProblem, state: PDState) -> dict:
     return {"x": float(rx), "z": float(rz), "y": float(ry)}
 
 
-def psd_probe(M: LinearMap, dim: int) -> bool:
-    """Random-vector quadratic forms: <Mv, v> >= -1e-12 on 64 unit samples (seed 0)."""
-    rng = np.random.default_rng(0)
-    for _ in range(64):
-        v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        if float(M(v) @ v) < -1e-12:
-            return False
-    return True
-
-
 def pd_probes(prob: StructuredProblem, params: PDParams):
     """Probe set: feas_norm, lagrangian, block_residuals, pd_consistency."""
     n, m = prob.n, prob.m

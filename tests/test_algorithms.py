@@ -119,7 +119,11 @@ NAN_CONSTRUCTORS = {
     "inv_power-p": lambda: inv_power(NAN),
     "inv_power-scale": lambda: inv_power(1.0, NAN),
     "exp_decay-rate": lambda: exp_decay(0.0, 1.0, NAN),
+    "exp_decay-base": lambda: exp_decay(NAN, 1.0),
+    "exp_decay-amplitude": lambda: exp_decay(1.0, NAN),
     "affine_clamped-lo": lambda: affine_clamped(0.0, 1.0, NAN, 1.0),
+    "affine_clamped-intercept": lambda: affine_clamped(NAN, 0.1, 0.0, 1.0),
+    "affine_clamped-slope": lambda: affine_clamped(0.1, NAN, 0.0, 1.0),
     "DRFlowSpec-gamma": lambda: DRFlowSpec(A=zero_operator(), B=zero_operator(), gamma=NAN),
     "FBFFlowSpec-lam": lambda: FBFFlowSpec(A=zero_operator(), B=neg_id(), gamma=0.5,
                                            lam=NAN),

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from splitflow.diagnostics import (proxgrad_gap_certificate, energy_E, envelope_slope,
+from splitflow.diagnostics import (proxgrad_gap_certificate, envelope_slope,
                                    fejer_check, objective_gap_check, nonincreasing_check,
-                                   km_residual_rate_check, rate_fit, report_to_json)
+                                   km_residual_rate_check, rate_fit)
 from splitflow.errors import FitError, HypothesisError
 from splitflow.first_order import FBFlowSpec, KMFlowSpec, fb_field, fb_probes, km_field, \
     km_probes
@@ -50,21 +50,6 @@ class TestMonotoneChecks:
         report = nonincreasing_check([0.0, 1.0, 2.0], values)
         assert not report["pass"]
         assert report["first_violation_t"] == first
-
-
-class TestEnergy:
-    def test_zero_at_solution(self):
-        g = quadratic_fn(np.eye(1))
-        assert energy_E(np.zeros(1), g, 1.0, np.zeros(1)) == 0.0
-
-    def test_pure_quadratic_distance_when_g_zero(self):
-        g = quadratic_fn(np.zeros((2, 2)))
-        x = np.array([1.0, 1.0])
-        assert energy_E(x, g, 2.0, np.zeros(2)) == pytest.approx(0.5)
-
-    def test_plug_in(self):
-        g = quadratic_fn(np.eye(1))
-        assert energy_E(np.array([1.0]), g, 1.0, np.zeros(1)) == pytest.approx(1.0)
 
 
 class TestIstaGapCheck:
@@ -199,5 +184,5 @@ class TestEnvelopeAndJson:
 
     def test_report_serializes_with_required_keys(self):
         report = nonincreasing_check([0, 1], [1.0, 0.5], name="demo")
-        payload = json.loads(report_to_json(report))
+        payload = json.loads(json.dumps(report, default=float))
         assert {"check", "pass", "first_violation_t", "margin"} <= set(payload)

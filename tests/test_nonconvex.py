@@ -8,8 +8,8 @@ from splitflow.nonconvex import (NonconvexProblem, arclength_series,
                                  brute_force_critical_points, check_eta,
                                  critical_residual, lojasiewicz_fit, merit_eval,
                                  merit_series, merit_subgradient_norm,
-                                 nonconvex_probes, power_exponent_from_series,
-                                 proxgrad_field, subgradient_norm_series)
+                                 nonconvex_probes, proxgrad_field,
+                                 subgradient_norm_series)
 from splitflow.operators import (SmoothFunction, l1_prox, one_minus_cos_fn,
                                  quadratic_fn, soft_threshold, zero_prox)
 from splitflow.problems import get_problem
@@ -188,21 +188,6 @@ class TestTrajectoryProperties:
 
 
 class TestLojasiewiczFit:
-    def test_synthetic_exponential_pair(self):
-        t = np.linspace(0.0, 20.0, 200)
-        theta, r2 = power_exponent_from_series(np.exp(-t), np.exp(-t / 2))
-        assert theta == pytest.approx(0.5, abs=1e-12)
-        assert r2 == pytest.approx(1.0)
-
-    def test_synthetic_power_pair(self):
-        t = np.linspace(1.0, 50.0, 200)
-        theta, r2 = power_exponent_from_series(t ** -4.0, t ** -3.0)
-        assert theta == pytest.approx(0.75, abs=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(FitError):
-            power_exponent_from_series(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
-
     def test_quadratic_flow_recovers_half(self):
         p = NonconvexProblem(f=zero_prox(), g=quadratic_fn(np.eye(1)), eta=0.2)
         cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=150.0, record_every=50)

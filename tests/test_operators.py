@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from splitflow.errors import SolverError, SpecError
+from splitflow.errors import SpecError
 from splitflow.operators import (SingleValuedMap, affine_prox, as_vector, ball_prox,
                                  box_prox, fb_delta, fb_map, gradient_map, halfspace_prox,
                                  identity_operator, l1_prox, l1_quadratic_prox,
                                  least_squares_fn, linear_monotone_map, matrix_linear_map,
                                  matrix_operator, moreau_conjugate_prox, one_minus_cos_fn,
-                                 prox_eval, prox_numeric, quadratic_fn, reflected_resolvent,
+                                 prox_eval, quadratic_fn, reflected_resolvent,
                                  resolvent_eval, rotation_map, soft_threshold,
                                  squared_l2_prox, subdifferential_map, yosida_eval,
                                  zero_operator, zero_prox)
@@ -58,7 +58,6 @@ class TestProxEval:
 
     @pytest.mark.parametrize("evaluate,message", [
         (lambda s: prox_eval(l1_prox(1.0), s, np.array([1.0])), "must be positive"),
-        (lambda s: prox_numeric(abs, s, np.array([1.0])), "must be positive"),
         (lambda s: resolvent_eval(identity_operator(), s, np.array([1.0])), "must be positive"),
         (lambda s: yosida_eval(identity_operator(), s, np.array([1.0])), "must be positive"),
         (lambda s: moreau_conjugate_prox(l1_prox(1.0), s, np.array([1.0])),
@@ -68,9 +67,16 @@ class TestProxEval:
         (squared_l2_prox, "must be positive"),
         (ball_prox, "must be positive"),
         (identity_operator, "must be nonnegative"),
-    ], ids=["prox_eval", "prox_numeric", "resolvent_eval", "yosida_eval",
+        (lambda v: l1_quadratic_prox(v, [1.0], [0.0]), "must be nonnegative"),
+        (lambda v: halfspace_prox([1.0], v), "must be finite"),
+        (lambda v: box_prox(v, 1.0), "lo <= hi"),
+        # and so is one that makes f nonconvex or its set empty
+        (lambda v: l1_quadratic_prox(-1.0, [1.0], [0.0]), "must be nonnegative"),
+        (lambda v: box_prox(2.0, 0.0), "lo <= hi"),
+    ], ids=["prox_eval", "resolvent_eval", "yosida_eval",
             "moreau_conjugate_prox", "l1_prox", "squared_l2_prox", "ball_prox",
-            "identity_operator"])
+            "identity_operator", "l1_quadratic_prox", "halfspace_prox", "box_prox",
+            "l1_quadratic_prox-negative", "box_prox-empty"])
     def test_nan_step_rejected(self, evaluate, message):
         with pytest.raises(ValueError, match=message):
             evaluate(np.nan)
@@ -199,33 +205,6 @@ class TestFbMap:
         for _ in range(300):
             x, y = rng.standard_normal(3) * 3, rng.standard_normal(3) * 3
             assert np.linalg.norm(S(x) - S(y)) <= np.linalg.norm(x - y) + 1e-8
-
-
-class TestProxNumeric:
-    def test_quadratic_closed_form(self):
-        got = prox_numeric(lambda y: 0.5 * float(y @ y), 1.0, np.array([2.0]))
-        assert abs(got[0] - 1.0) < 1e-8
-
-    def test_soft_threshold(self):
-        got = prox_numeric(lambda y: float(np.sum(np.abs(y))), 2.0, np.array([5.0]))
-        assert abs(got[0] - 3.0) < 1e-8
-
-    def test_zero_function(self):
-        got = prox_numeric(lambda y: 0.0, 1.0, np.array([0.7, -0.3]))
-        assert np.allclose(got, [0.7, -0.3], atol=1e-10)
-
-    def test_multidim_against_analytic(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(3)
-        got = prox_numeric(lambda y: 0.8 * float(np.sum(np.abs(y))), 1.5, x)
-        want = prox_eval(l1_prox(0.8), 1.5, x)
-        assert np.allclose(got, want, atol=1e-7)
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(SolverError) as err:
-            prox_numeric(lambda y: float(np.sum(np.abs(y))), 1.0,
-                         np.ones(4) * 3.0, tol=1e-10, max_evals=50)
-        assert err.value.residual is not None
 
 
 class TestMoreau:

@@ -3,12 +3,12 @@ import pytest
 
 from splitflow.errors import SolverError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
-from splitflow.operators import (LinearMap, ProxFunction, l1_prox, least_squares_fn,
+from splitflow.operators import (ProxFunction, l1_prox, least_squares_fn,
                                  matrix_linear_map, quadratic_fn, soft_threshold,
                                  squared_l2_prox, zero_fn, zero_prox)
 from splitflow.primal_dual import (PDParams, PDState, StructuredProblem,
                                    lagrangian_eval, pd_field_general, pd_field_special,
-                                   pd_probes, psd_probe, saddle_residuals,
+                                   pd_probes, saddle_residuals,
                                    solve_prox_quadratic, special_metric)
 from splitflow.problems import get_problem
 from splitflow.schedules import constant
@@ -226,17 +226,12 @@ class TestProbesAndResiduals:
         res = saddle_residuals(p.components["structured"], p.known_solution)
         assert max(res.values()) < 1e-9
 
-    def test_psd_probe(self):
-        good = LinearMap(apply=lambda v: 2.0 * v, adjoint=lambda v: 2.0 * v,
-                         norm_estimate=2.0)
-        bad = LinearMap(apply=lambda v: -v, adjoint=lambda v: -v, norm_estimate=1.0)
-        assert psd_probe(good, dim=3)
-        assert not psd_probe(bad, dim=3)
-
     def test_special_metric_is_psd_on_probe(self):
         p = get_problem("pd_lasso_analysis")
         prob = p.components["structured"]
         tau = 0.9 / prob.A.norm_estimate ** 2
         params = PDParams(c=1.0, gamma_relax=1.0, tau=constant(tau))
         M1, _ = special_metric(prob, params)
-        assert psd_probe(M1(0.0), dim=prob.n)
+        dense = np.column_stack([M1(0.0)(e) for e in np.eye(prob.n)])
+        sym = 0.5 * (dense + dense.T)
+        assert np.linalg.eigvalsh(sym).min() >= -1e-12

@@ -302,6 +302,15 @@ class TestConfig:
         reseeded = dataclasses.replace(cfg, seed=3)
         assert (cfg.seed, reseeded.seed) == (0, 3) and reseeded.run is not cfg.run
 
+    def test_config_does_not_alias_its_input(self, tmp_path):
+        raw = json.loads(km_config(tmp_path, x0=[1.0, 0.0]).read_text(encoding="utf-8"))
+        before = json.loads(json.dumps(raw))
+        cfg = config_from_dict(raw)
+        raw["flow"]["lambda"]["value"] = 5.0
+        raw["integrator"]["dt"] = 1.0
+        raw["x0"][0] = 9.0
+        assert cfg.to_dict() == before
+
     def test_avd_requires_positive_t_start(self, tmp_path):
         raw = {
             "problem": "strongcvx_l1",
