@@ -1,24 +1,24 @@
 """Discrete counterparts of the flows, obtained by unit-step explicit discretization.
 
-km_step, fb_step and tseng_step are written as x + increment with the same
-increment code the flow fields use, so n steps coincide bit for bit with n
-unit-step Euler integrations of the matching flow.
+km_step, fb_step, tseng_step and prox_admm_step are written as x + increment
+with the same increment code the flow fields use, so n steps coincide bit for
+bit with n unit-step Euler integrations of the matching flow.  run_sequence
+records a discrete run as a Trajectory.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import DivergenceError, SpecError
 from .first_order import (check_relaxation, check_tseng_step, fb_increment, fbf_increment,
                           km_increment)
-from .integrate import _write_csv
-from .operators import (MonotoneMap, ProxFunction, SingleValuedMap, SmoothFunction,
+from .integrate import DIVERGENCE_THRESHOLD, Trajectory, _write_csv
+from .operators import (MonotoneMap, ProxFunction, SingleValuedMap, SmoothFunction, as_vector,
                         check_fb_step, fb_delta, prox_eval, resolvent_eval)
-from .primal_dual import PDParams, PDState, StructuredProblem, _metric_block_solve
+from .primal_dual import PDParams, PDState, StructuredProblem, pd_general_increment
 
 Array = np.ndarray
 
@@ -88,59 +88,48 @@ def prox_admm_step(prob: StructuredProblem, params: PDParams, M1, M2,
                    state: PDState) -> PDState:
     """One three-block proximal ADMM / linearized method-of-multipliers step.
 
-    M1, M2 are positive-semidefinite LinearMaps (or None for zero).  The two
-    block subproblems are solved by solve_prox_quadratic.
+    M1, M2 are positive-semidefinite LinearMaps (or None for zero).  The step
+    is the state plus the increment of pd_field_general with constant metrics
+    M1, M2, so n steps equal n unit Euler steps of that field.
     """
-    c, gam, A = params.c, params.gamma_relax, prob.A
-    x, z, y = state.x, state.z, state.y
-    w1 = -prob.h.gradient(x) + c * A.adjoint(z - y / c)
-    x_next = _metric_block_solve(prob.f, c, A, M1, w1, x)
-    w2 = c * (A(gam * x_next + (1.0 - gam) * x) + y / c)
-    z_next = _metric_block_solve(prob.g, c, None, M2, w2, z)
-    y_next = y + c * (A(x_next) - z_next)
-    return PDState(x=x_next, z=z_next, y=y_next)
-
-
-@dataclasses.dataclass
-class IterateSequence:
-    """Iterates of a discrete scheme on the Trajectory record format (integer time)."""
-
-    iterates: Array           # (k+1) x n, including the start point
-    records: Dict[str, Array]
-    label: str = ""
-
-    @property
-    def final(self) -> Array:
-        return self.iterates[-1]
+    xd, zd, yd = pd_general_increment(prob, params, M1, M2, state.x, state.z, state.y)
+    return PDState(x=state.x + xd, z=state.z + zd, y=state.y + yd)
 
 
 def run_sequence(update: Callable[[int, Array, Optional[Array]], Array], x0,
-                 n_steps: int, probes=(), label: str = "") -> IterateSequence:
+                 n_steps: int, probes=(), label: str = "") -> Trajectory:
     """Drive update(n, x, x_prev) -> x_next for n = 1..n_steps; x_prev is None at n = 1.
 
-    probes is a sequence of (name, fn) with fn(n, x) -> float, evaluated at
-    every iterate including the start point.
+    Returns a Trajectory with times 0..n_steps, the iterates as states and the
+    increments x_n - x_{n-1} as velocities.  probes is a sequence of (name, fn)
+    with fn(t, x, v) -> float, evaluated at every iterate including the start
+    point.  Raises DivergenceError (carrying the last finite step and the finite
+    prefix) when a coordinate passes 1e12, as integrate does.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = as_vector(x0).copy()
     x_prev = None
     out = [x.copy()]
-    rec = {name: [float(fn(0, x))] for name, fn in probes}
     for n in range(1, n_steps + 1):
         x_next = np.asarray(update(n, x, x_prev), dtype=float)
         x_prev, x = x, x_next
         out.append(x.copy())
-        for name, fn in probes:
-            rec[name].append(float(fn(n, x)))
-    return IterateSequence(iterates=np.array(out),
-                           records={k: np.array(v) for k, v in rec.items()}, label=label)
+    states = np.array(out)
+    # checked once the loop is done, so that a step costs no more than the update
+    bad = ~(np.abs(states[1:]).max(axis=1) <= DIVERGENCE_THRESHOLD)  # NaN counts as bad
+    stop = int(np.argmax(bad)) + 1 if bad.any() else len(states)
+    states = states[:stop]
+    incr = np.zeros_like(states)
+    incr[1:] = states[1:] - states[:-1]
+    times = np.arange(stop, dtype=float)
+    records = {name: np.array([float(fn(t, xs, vs)) for t, xs, vs in zip(times, states, incr)])
+               for name, fn in probes}
+    traj = Trajectory(times=times, states=states, velocities=incr, records=records, label=label)
+    if stop < len(out):
+        raise DivergenceError("sequence diverged at n=%d" % stop,
+                              last_finite_t=float(stop - 1), trajectory=traj)
+    return traj
 
 
-def write_sequence_csv(seq: IterateSequence, path):
-    """Same schema as the trajectory CSV with an integer step column.
-
-    The velocity columns hold the increments x_k - x_{k-1} (zero at k=0).
-    """
-    incr = np.zeros_like(seq.iterates)
-    incr[1:] = seq.iterates[1:] - seq.iterates[:-1]
-    _write_csv(path, np.arange(seq.iterates.shape[0], dtype=float), seq.iterates, incr,
-               seq.records)
+def write_sequence_csv(seq: Trajectory, path):
+    """The trajectory CSV of a discrete run: a step column and the increments as v."""
+    _write_csv(seq, path)

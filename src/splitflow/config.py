@@ -206,26 +206,19 @@ def _km_checks(traj, problem, spec):
     return out
 
 
-def _build_fb(problem, params, icfg):
+def _build_fb(problem, params, icfg, tikhonov=False):
     A, B = _components(problem, "A", "B")
     spec = FBFlowSpec(A=A, B=B, gamma=_read(params, "gamma"),
                       lam=_read(params, "lambda", build_schedule),
-                      epsilon=_read(params, "epsilon", build_schedule, None),
-                      tikhonov_sign=_read(params, "tikhonov_sign", default=1.0))
+                      epsilon=_read(params, "epsilon", build_schedule) if tikhonov else None,
+                      tikhonov_sign=_read(params, "tikhonov_sign", default=1.0) if tikhonov
+                      else 1.0)
     _warn_if_relaxation_vanishes(spec, icfg)
     return fb_field(spec), fb_probes(spec, ref=problem.known_solution), spec
 
 
-def _build_fb_tikhonov(problem, params, icfg):
-    if "epsilon" not in params:
-        raise SpecError("fb-tikhonov needs an 'epsilon' schedule")
-    return _build_fb(problem, params, icfg)
-
-
 def _fb_checks(traj, problem, spec):
     """Fejer and, with relaxation 1 and a short step, the objective-gap bound."""
-    if spec.epsilon is not None:  # a Tikhonov perturbation voids both
-        return []
     out = _fejer(traj, problem)
     comps = problem.components
     if (spec.lam.bounds == (1.0, 1.0) and problem.known_solution is not None
@@ -309,7 +302,9 @@ def _build_pd(problem, params, icfg):
 _FLOW_DEFS = {
     "km": _FlowDef(_build_km, "fp_residual", _km_checks),
     "fb": _FlowDef(_build_fb, "fp_residual", _fb_checks),
-    "fb-tikhonov": _FlowDef(_build_fb_tikhonov, "fp_residual", _fb_checks),
+    # a Tikhonov perturbation voids both fb checks
+    "fb-tikhonov": _FlowDef(lambda p, prm, icfg: _build_fb(p, prm, icfg, tikhonov=True),
+                            "fp_residual"),
     "fbf": _FlowDef(_build_fbf, "fp_residual"),
     "dr-reflected": _FlowDef(lambda p, prm, icfg: _build_dr(p, prm, "reflected"),
                              "fp_residual", _dr_reflected_checks),

@@ -18,7 +18,7 @@ class SolverError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """A trajectory left the finite range during integration."""
+    """A trajectory left the finite range during integration or a discrete run."""
 
     def __init__(self, message, last_finite_t, trajectory=None):
         super().__init__(message)

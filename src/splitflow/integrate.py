@@ -75,7 +75,9 @@ class Trajectory:
     """Recorded grid of an integration run.
 
     For order-1 flows velocities[k] is the field evaluated at (times[k],
-    states[k]) exactly; for order-2 flows it is the integrated velocity.
+    states[k]) exactly; for order-2 flows it is the integrated velocity.  For
+    a discrete run (algorithms.run_sequence) times are the step counts and
+    velocities the backward increments states[k] - states[k-1], zero at k = 0.
     """
 
     times: Array
@@ -202,8 +204,9 @@ def open_replaced(path):
     return open(path, "w", encoding="utf-8")
 
 
-def _write_csv(path, times, states, velocities, records):
+def _write_csv(traj: Trajectory, path):
     """The trajectory CSV schema: header t, x_0.., v_0.., record names; 17 significant digits."""
+    times, states, velocities, records = traj.times, traj.states, traj.velocities, traj.records
     n = states.shape[1]
     names = (["t"] + ["x_%d" % i for i in range(n)] + ["v_%d" % i for i in range(n)]
              + list(records.keys()))
@@ -217,4 +220,4 @@ def _write_csv(path, times, states, velocities, records):
 
 def write_trajectory_csv(traj: Trajectory, path):
     """CSV export: header t, x_0.., v_0.., probe names; 17 significant digits."""
-    _write_csv(path, traj.times, traj.states, traj.velocities, traj.records)
+    _write_csv(traj, path)

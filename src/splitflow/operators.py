@@ -179,14 +179,14 @@ def squared_l2_prox(scale: float = 1.0, center=None) -> ProxFunction:
     """f = (scale/2) * ||x - center||^2."""
     if not scale > 0:
         raise ValueError("squared_l2 scale must be positive")
+    c = 0.0 if center is None else as_vector(center)
 
     def value(x):
-        d = np.asarray(x, dtype=float) - (0.0 if center is None else center)
+        d = np.asarray(x, dtype=float) - c
         return 0.5 * scale * float(d @ d)
 
     def prox(gamma, x):
         x = np.asarray(x, dtype=float)
-        c = 0.0 if center is None else np.asarray(center, dtype=float)
         return (x + gamma * scale * c) / (1.0 + gamma * scale)
 
     return ProxFunction(value=value, prox=prox)
@@ -209,10 +209,10 @@ def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
     """Indicator of the Euclidean ball; prox is the radial projection."""
     if not radius > 0:
         raise ValueError("ball radius must be positive")
+    c = 0.0 if center is None else as_vector(center)
 
     def project(gamma, x):
         x = np.asarray(x, dtype=float)
-        c = 0.0 if center is None else np.asarray(center, dtype=float)
         d = x - c
         nd = np.linalg.norm(d)
         if nd <= radius:
@@ -220,9 +220,7 @@ def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
         return c + d * (radius / nd)
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        c = 0.0 if center is None else np.asarray(center, dtype=float)
-        return 0.0 if np.linalg.norm(x - c) <= radius + 1e-12 else np.inf
+        return 0.0 if np.linalg.norm(np.asarray(x, dtype=float) - c) <= radius + 1e-12 else np.inf
 
     return ProxFunction(value=value, prox=project)
 

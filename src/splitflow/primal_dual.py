@@ -170,29 +170,34 @@ def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
     return solve_prox_quadratic(f, q, q_norm, w, u0)
 
 
+def pd_general_increment(prob: StructuredProblem, params: PDParams,
+                         M1: Optional[LinearMap], M2: Optional[LinearMap], x, z, y):
+    """(xd, zd, yd) of the metric-scheduled field for metrics M1, M2 (None for zero).
+
+    The two strongly convex resolvent lines are solved with solve_prox_quadratic
+    (to its fixed 1e-10 stopping test); the dual line closes
+    yd = c*A(x + xd) - c*(z + zd).
+    """
+    c, gam, A = params.c, params.gamma_relax, prob.A
+    w1 = c * A.adjoint(z) - A.adjoint(y) - prob.h.gradient(x)
+    xdot = _metric_block_solve(prob.f, c, A, M1, w1, x) - x
+    w2 = c * A(gam * xdot + x) + y
+    zdot = _metric_block_solve(prob.g, c, None, M2, w2, z) - z
+    ydot = c * (A(x + xdot) - (z + zdot))
+    return xdot, zdot, ydot
+
+
 def pd_field_general(prob: StructuredProblem, params: PDParams,
                      M1: Optional[Callable[[float], LinearMap]] = None,
                      M2: Optional[Callable[[float], LinearMap]] = None) -> FlowField:
-    """The metric-scheduled field; M1(t), M2(t) are positive-semidefinite LinearMaps.
-
-    Each evaluation solves the two strongly convex resolvent lines with
-    solve_prox_quadratic (to its fixed 1e-10 stopping test), then closes the
-    dual line yd = c*A(x + xd) - c*(z + zd).
-    """
+    """The metric-scheduled field; M1(t), M2(t) are positive-semidefinite LinearMaps."""
     n, m = prob.n, prob.m
-    c, gam, A = params.c, params.gamma_relax, prob.A
 
     def fn(t, u):
         s = PDState.from_vector(u, n, m)
-        x, z, y = s.x, s.z, s.y
-        m1 = M1(t) if M1 is not None else None
-        m2 = M2(t) if M2 is not None else None
-        w1 = c * A.adjoint(z) - A.adjoint(y) - prob.h.gradient(x)
-        xdot = _metric_block_solve(prob.f, c, A, m1, w1, x) - x
-        w2 = c * A(gam * xdot + x) + y
-        zdot = _metric_block_solve(prob.g, c, None, m2, w2, z) - z
-        ydot = c * (A(x + xdot) - (z + zdot))
-        return np.concatenate([xdot, zdot, ydot])
+        rates = pd_general_increment(prob, params, M1(t) if M1 is not None else None,
+                                     M2(t) if M2 is not None else None, s.x, s.z, s.y)
+        return np.concatenate(rates)
 
     return FlowField(order=1, fn=fn, label="pd-general", dim=n + 2 * m)
 

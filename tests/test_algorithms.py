@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from splitflow.algorithms import (IterateSequence, fb_step, frb_step, inertial_fb_step,
-                                  km_step, nesterov_step, prox_admm_step, run_sequence,
-                                  tseng_step, write_sequence_csv)
+from splitflow.algorithms import (fb_step, frb_step, inertial_fb_step, km_step, nesterov_step,
+                                  prox_admm_step, run_sequence, tseng_step, write_sequence_csv)
+from splitflow.diagnostics import fejer_check
 from splitflow.first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec,
-                                   check_relaxation, dr_field, dr_operator, fb_field,
+                                   check_relaxation, dr_field, dr_operator, fb_field, fb_probes,
                                    fbf_field, km_field)
-from splitflow.errors import SpecError
-from splitflow.integrate import FlowField, euler_unit_step
+from splitflow.errors import DivergenceError, SpecError
+from splitflow.integrate import DIVERGENCE_THRESHOLD, FlowField, Trajectory, euler_unit_step
 from splitflow.operators import (SingleValuedMap, box_prox, gradient_map, l1_prox,
                                  least_squares_fn, matrix_operator, prox_eval,
                                  quadratic_fn, soft_threshold, subdifferential_map,
                                  zero_operator)
-from splitflow.primal_dual import PDParams, PDState, _check_tau, special_metric
+from splitflow.primal_dual import (PDParams, PDState, _check_tau, pd_field_general,
+                                   special_metric)
 from splitflow.problems import get_problem
 from splitflow.schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power,
                                  over_t)
@@ -390,6 +391,21 @@ class TestUnitStepCorrespondence:
             z_disc = km_step(T_dr, 1.0, z_disc)
             assert np.all(z_flow == z_disc)
 
+    def test_prox_admm_is_a_unit_euler_step_of_the_general_pd_field(self):
+        p = get_problem("pd_lasso_analysis")
+        prob = p.components["structured"]
+        params = PDParams(c=1.0, gamma_relax=1.0,
+                          tau=constant(0.9 / prob.A.norm_estimate ** 2))
+        M1, M2 = special_metric(prob, params)
+        M1 = M1(0.0)
+        field = pd_field_general(prob, params, lambda t: M1, None)
+        u_flow = np.random.default_rng(3).standard_normal(prob.n + 2 * prob.m)
+        state = PDState.from_vector(u_flow, prob.n, prob.m)
+        for k in range(20):
+            u_flow = euler_unit_step(field, u_flow, t=float(k))
+            state = prox_admm_step(prob, params, M1, M2, state)
+            assert np.array_equal(state.to_vector(), u_flow)
+
 
 class TestDivergenceWitness:
     def test_discrete_oscillates_while_flow_converges(self):
@@ -421,13 +437,56 @@ class TestSequenceRunner:
 
         seq = run_sequence(lambda n, x, xp: fb_step(A, B, gamma, lam, x),
                            p.default_start, 10000)
-        res = np.linalg.norm(fb_step(A, B, gamma, 1.0, seq.final) - seq.final)
+        res = np.linalg.norm(fb_step(A, B, gamma, 1.0, seq.final_state) - seq.final_state)
         assert res < 1e-6
-        assert np.linalg.norm(seq.final - p.known_solution) < 1e-6
+        assert np.linalg.norm(seq.final_state - p.known_solution) < 1e-6
+
+    def test_records_a_trajectory_that_flow_diagnostics_read(self):
+        p = get_problem("lasso10")
+        A, B, gamma, lam = p.components["A"], p.components["B"], p.components["beta"], 0.75
+        spec = FBFlowSpec(A=A, B=B, gamma=gamma, lam=constant(lam))
+        probes = fb_probes(spec, ref=p.known_solution)
+        assert len(probes) >= 2
+        seq = run_sequence(lambda n, x, xp: fb_step(A, B, gamma, lam, x), p.default_start, 50,
+                           probes=probes, label="fb_step")
+        assert isinstance(seq, Trajectory) and seq.label == "fb_step"
+        assert np.array_equal(seq.times, np.arange(51.0))
+        assert np.array_equal(seq.velocities[0], np.zeros(10))
+        assert np.array_equal(seq.velocities[1:], np.diff(seq.states, axis=0))
+        assert list(seq.records) == [name for name, _ in probes]
+        for name, fn in probes:
+            want = [fn(t, x, v) for t, x, v in zip(seq.times, seq.states, seq.velocities)]
+            assert np.array_equal(seq.records[name], want)
+        assert fejer_check(seq, p.known_solution)["pass"]
+
+    def test_divergence_raises_with_the_finite_prefix(self):
+        with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
+            run_sequence(lambda n, x, xp: 3.0 * x, np.ones(2), 2000,
+                         probes=[("norm", lambda t, x, v: float(np.linalg.norm(x)))])
+        traj = info.value.trajectory
+        assert info.value.last_finite_t == 25.0 and len(traj.times) == 26
+        assert np.abs(traj.states).max() <= DIVERGENCE_THRESHOLD
+        assert np.all(np.isfinite(traj.records["norm"]))
+        with pytest.raises(DivergenceError):
+            run_sequence(lambda n, x, xp: x * np.nan, np.ones(2), 3)
+
+    @pytest.mark.parametrize("x0", [[np.nan], [1.0, np.inf], [], np.eye(2)],
+                             ids=["nan", "inf", "empty", "matrix"])
+    def test_start_must_be_a_finite_vector(self, x0):
+        with pytest.raises(ValueError):
+            run_sequence(lambda n, x, xp: 0.5 * x, x0, 3)
+
+    def test_scalar_start_is_a_one_vector(self, tmp_path):
+        # as in integrate: the iterates are rows, so the CSV has x_0 and v_0
+        seq = run_sequence(lambda n, x, xp: 0.5 * x, 1.0, 3)
+        assert seq.states.shape == (4, 1)
+        write_sequence_csv(seq, tmp_path / "seq.csv")
+        lines = (tmp_path / "seq.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "t,x_0,v_0" and lines[-1] == "3,0.125,-0.125"
 
     def test_csv_schema(self, tmp_path):
         seq = run_sequence(lambda n, x, xp: 0.5 * x, np.array([1.0, 2.0]), 3,
-                           probes=[("norm", lambda n, x: float(np.linalg.norm(x)))])
+                           probes=[("norm", lambda t, x, v: float(np.linalg.norm(x)))])
         path = tmp_path / "seq.csv"
         write_sequence_csv(seq, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()

@@ -6,6 +6,7 @@ call them with keywords; a rename or a removed parameter in the package would
 otherwise surface only when the benchmark runs.
 """
 
+import importlib
 import os
 import sys
 
@@ -49,3 +50,16 @@ def test_benchmark_workloads_pass_their_gates(monkeypatch, tmp_path):
     for exp in experiments:
         passed, detail = exp.check(exp.run())
         assert passed, "%s: %s" % (exp.key, detail)
+
+
+def test_traced_bindings_are_distinct_functions(monkeypatch):
+    # the tracer wraps every binding of a traced function once per entry that
+    # names it, so two names bound to one function would record each call twice
+    monkeypatch.syspath_prepend(BENCH)
+    import spans
+    targets = [(module, attr) for module, attr, _ in spans.SPAN_TARGETS]
+    targets += [(module, attr) for module, attrs in spans.FIELD_BUILDERS + spans.PROBE_BUILDERS
+                for attr in attrs]
+    functions = [getattr(importlib.import_module(module), attr) for module, attr in targets]
+    assert all(callable(fn) for fn in functions)
+    assert len(set(map(id, functions))) == len(targets) == 37

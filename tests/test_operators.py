@@ -73,10 +73,14 @@ class TestProxEval:
         # and so is one that makes f nonconvex or its set empty
         (lambda v: l1_quadratic_prox(-1.0, [1.0], [0.0]), "must be nonnegative"),
         (lambda v: box_prox(2.0, 0.0), "lo <= hi"),
+        # a center with a NaN entry is rejected where the function is built
+        (lambda v: ball_prox(1.0, [v]), "must be finite"),
+        (lambda v: squared_l2_prox(1.0, [v]), "must be finite"),
     ], ids=["prox_eval", "resolvent_eval", "yosida_eval",
             "moreau_conjugate_prox", "l1_prox", "squared_l2_prox", "ball_prox",
             "identity_operator", "l1_quadratic_prox", "halfspace_prox", "box_prox",
-            "l1_quadratic_prox-negative", "box_prox-empty"])
+            "l1_quadratic_prox-negative", "box_prox-empty", "ball_prox-center",
+            "squared_l2_prox-center"])
     def test_nan_step_rejected(self, evaluate, message):
         with pytest.raises(ValueError, match=message):
             evaluate(np.nan)

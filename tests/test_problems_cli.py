@@ -372,8 +372,7 @@ class TestRunExperiment:
         checks = {c["check"]: c for c in diag["checks"]}
         assert checks["objective-gap-certificate"]["pass"]
 
-    # one short run per registered flow, plus fb with an epsilon schedule (which
-    # builds the Tikhonov field) and a probes filter that drops the residual:
+    # one short run per registered flow, plus a probes filter that drops the residual:
     # (problem, flow, probes, check names in order, main residual record)
     FLOW_TABLE = {
         "km": ("rotation2d", {"name": "km", "lambda": {"family": "constant", "value": 0.7}},
@@ -384,10 +383,6 @@ class TestRunExperiment:
         "fb": ("lasso1d", {"name": "fb", "gamma": 0.25,
                            "lambda": {"family": "constant", "value": 1.0}},
                None, ["fejer", "objective-gap-certificate"], "fp_residual"),
-        "fb-epsilon": ("lasso1d", {"name": "fb", "gamma": 0.25,
-                                   "lambda": {"family": "constant", "value": 1.0},
-                                   "epsilon": {"family": "inv-power", "p": 2.0, "scale": 0.1}},
-                       None, [], "fp_residual"),
         "fb-tikhonov": ("lasso1d", {"name": "fb-tikhonov", "gamma": 0.25,
                                     "lambda": {"family": "constant", "value": 1.0},
                                     "epsilon": {"family": "inv-power", "p": 2.0, "scale": 0.1}},
@@ -592,7 +587,7 @@ class TestCli:
                                 "flow": {"name": "fb", "gamma": 0.25,
                                          "lambda": {"family": "constant", "value": "nan"}}},
         "inv-power-p-nan": {"problem": "lasso1d",
-                            "flow": {"name": "fb", "gamma": 0.25,
+                            "flow": {"name": "fb-tikhonov", "gamma": 0.25,
                                      "lambda": {"family": "constant", "value": 1.0},
                                      "epsilon": {"family": "inv-power", "p": "nan",
                                                  "scale": 0.1}}},
@@ -601,6 +596,16 @@ class TestCli:
                                 "flow": {"name": "fb", "gamma": 0.25,
                                          "lambda": {"family": "constant", "value": 1.0},
                                          "epsilon_": {"family": "constant", "value": 0.1}}},
+        # fb is the unperturbed flow; its Tikhonov keys belong to fb-tikhonov
+        "fb-with-epsilon": {"problem": "lasso1d",
+                            "flow": {"name": "fb", "gamma": 0.25,
+                                     "lambda": {"family": "constant", "value": 1.0},
+                                     "epsilon": {"family": "inv-power", "p": 2.0,
+                                                 "scale": 0.1}}},
+        "fb-with-tikhonov-sign": {"problem": "lasso1d",
+                                  "flow": {"name": "fb", "gamma": 0.25,
+                                           "lambda": {"family": "constant", "value": 1.0},
+                                           "tikhonov_sign": -1.0}},
         "integrator-key-misspelled": {"integrator": {"method": "rk4", "dt": 0.01,
                                                      "t_end": 5.0, "record_evry": 10}},
         "schedule-key-misspelled": {"flow": {"name": "km",
