@@ -8,12 +8,13 @@ must exist and every schedule bound must hold on the run's grid.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import math
 import os
+import types
 import warnings
+from collections.abc import Mapping
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,8 +93,8 @@ _SCHEDULES = {
 }
 
 
-def build_schedule(spec: dict) -> Schedule:
-    if not isinstance(spec, dict) or "family" not in spec:
+def build_schedule(spec: Mapping) -> Schedule:
+    if not isinstance(spec, Mapping) or "family" not in spec:
         raise SpecError("schedule spec must be a dict with a 'family' key, got %r" % (spec,))
     section = _Section(spec, "schedule")
     family = _read(section, "family", str)
@@ -103,34 +104,63 @@ def build_schedule(spec: dict) -> Schedule:
     return section.done(_SCHEDULES[family](section))
 
 
+def _frozen(value):
+    """A read-only deep copy: mappings become read-only mappings, lists, tuples and
+    arrays become tuples."""
+    if isinstance(value, Mapping):
+        return types.MappingProxyType({key: _frozen(val) for key, val in value.items()})
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(val) for val in value)
+    return value
+
+
+def _thawed(value):
+    """The plain dicts and lists of a _frozen value."""
+    if isinstance(value, Mapping):
+        return {key: _thawed(val) for key, val in value.items()}
+    if isinstance(value, tuple):
+        return [_thawed(val) for val in value]
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """A config, immutable once built: constructing it validates and resolves its
-    run (run = build_run(self)); a changed config is made by dataclasses.replace."""
+    run (run = build_run(self)); a changed config is made by dataclasses.replace.
+
+    The sections are deep-frozen copies of the caller's values (read-only
+    mappings and tuples), so neither a later edit of the caller's dicts nor an
+    edit through the config can make to_dict disagree with the run.
+    """
 
     problem: str
-    flow: dict
-    integrator: dict
-    probes: Optional[list] = None
-    x0: Optional[list] = None
-    v0: Optional[list] = None
+    flow: Mapping
+    integrator: Mapping
+    probes: Optional[tuple] = None
+    x0: Optional[tuple] = None
+    v0: Optional[tuple] = None
     out: Optional[str] = None
     seed: int = 0
     run: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # own copies, so that a later edit of the caller's dicts reaches neither
-        # to_dict nor the run built here
         for key in ("flow", "integrator", "probes", "x0", "v0"):
-            object.__setattr__(self, key, copy.deepcopy(getattr(self, key)))
+            object.__setattr__(self, key, _frozen(getattr(self, key)))
         object.__setattr__(self, "run", build_run(self))
 
+    def __deepcopy__(self, memo):
+        return self  # immutable, and read-only mappings cannot be deep-copied
+
     def to_dict(self) -> dict:
-        out = {"problem": self.problem, "flow": self.flow, "integrator": self.integrator}
+        """The config as plain JSON values (fresh dicts and lists)."""
+        out = {"problem": self.problem, "flow": _thawed(self.flow),
+               "integrator": _thawed(self.integrator)}
         for key in ("probes", "x0", "v0", "out"):
             val = getattr(self, key)
             if val is not None:
-                out[key] = val
+                out[key] = _thawed(val)
         if self.seed != 0:
             out["seed"] = self.seed
         return out

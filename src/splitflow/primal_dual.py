@@ -25,6 +25,9 @@ from .schedules import Schedule
 
 Array = np.ndarray
 
+# the floor of the sufficient-decrease test, in units of |F|
+_DECREASE_ULPS = 4.0 * np.finfo(float).eps
+
 
 @dataclasses.dataclass(frozen=True)
 class StructuredProblem:
@@ -77,15 +80,17 @@ def _check_tau(prob: StructuredProblem, params: PDParams, t: float) -> float:
 
 
 def _special_rates(prob: StructuredProblem, params: PDParams, t: float, x, z, y):
+    # by linearity of A the field needs A(x), A(xdot) and one adjoint
     tau = _check_tau(prob, params, t)
     c, gam, A = params.c, params.gamma_relax, prob.A
-    w1 = (x - c * tau * A.adjoint(A(x)) + c * tau * A.adjoint(z)
-          - tau * A.adjoint(y) - tau * prob.h.gradient(x))
+    ax = A(x)
+    w1 = x - tau * (A.adjoint(c * (ax - z) + y) + prob.h.gradient(x))
     xdot = prox_eval(prob.f, tau, w1) - x
-    w2 = c * A(gam * xdot + x) + y
+    axdot = A(xdot)
+    w2 = c * (ax + gam * axdot) + y
     p = moreau_conjugate_prox(prob.g, c, w2)
-    ydot = p - y - c * (gam - 1.0) * A(xdot)
-    zdot = A(x + xdot) - ydot / c - z
+    ydot = p - y - c * (gam - 1.0) * axdot
+    zdot = ax + axdot - ydot / c - z
     return xdot, zdot, ydot
 
 
@@ -94,8 +99,7 @@ def pd_field_special(prob: StructuredProblem, params: PDParams) -> FlowField:
     n, m = prob.n, prob.m
 
     def fn(t, u):
-        s = PDState.from_vector(u, n, m)
-        xdot, zdot, ydot = _special_rates(prob, params, t, s.x, s.z, s.y)
+        xdot, zdot, ydot = _special_rates(prob, params, t, u[:n], u[n:n + m], u[n + m:])
         return np.concatenate([xdot, zdot, ydot])
 
     return FlowField(order=1, fn=fn, label="pd-special", dim=n + 2 * m,
@@ -112,11 +116,14 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
     accepted step d = u+ - u the next trial step is the two-point (Barzilai-
     Borwein) step max(s_safe, <d, d>/<d, Q d>), or s_safe when <d, Q d> <= 0.
     Q u is carried from the accepted iterate, so each prox evaluation costs
-    one q_apply.
+    one q_apply; f(u) is carried too, so a trial step evaluates f once.
 
     Safeguard: a trial step s > s_safe is accepted only if
-    F(u+) <= F(u) - 1e-4*||d||^2/(2 s); otherwise the iteration is redone at
-    s_safe, where the descent lemma guarantees decrease.
+    F(u) - F(u+) >= 1e-4*||d||^2/(2 s) - 4*eps*max(|F(u)|, |F(u+)|);
+    otherwise the iteration is redone at s_safe, where the descent lemma
+    guarantees decrease.  The floor of a few ulps of F keeps a move at
+    rounding level, whose computed decrease is noise of that size, from
+    being rejected.
 
     Stopping: return u+ once ||d||/s_safe <= 1e-10.  Since ||u - T_s(u)|| is
     nondecreasing in s (T_s the prox-gradient map), the safe step from the
@@ -130,6 +137,7 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
     s = s_safe
     u = np.asarray(u0, dtype=float)
     qu = q_apply(u)
+    fu = None  # f(u), evaluated when a trial step first needs it
     move = math.inf
     for _ in range(max_iter):
         u_next = prox_eval(f, s, u - s * (qu - w))
@@ -137,16 +145,23 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
         dd = float(d @ d)
         qu_next = q_apply(u_next)
         dqd = float(d @ (qu_next - qu))
+        f_next = None
         if s > s_safe:
+            if fu is None:
+                fu = f.value(u)
+            f_next = f.value(u_next)
             # F(u) - F(u+), with the quadratic part expanded in d (Q symmetric)
-            decrease = f.value(u) - f.value(u_next) - float((qu - w) @ d) - dqd / 2.0
-            if not decrease >= 1e-4 * dd / (2.0 * s):
+            decrease = fu - f_next - float((qu - w) @ d) - dqd / 2.0
+            obj = fu + float((qu / 2.0 - w) @ u)  # F(u)
+            floor = _DECREASE_ULPS * max(abs(obj), abs(obj - decrease))
+            # a decrease of -inf (u+ outside dom f) meets an infinite floor as nan
+            if not decrease + floor >= 1e-4 * dd / (2.0 * s):
                 s = s_safe
                 continue
         move = math.sqrt(dd) / s_safe
         if move <= 1e-10:
             return u_next
-        u, qu = u_next, qu_next
+        u, qu, fu = u_next, qu_next, f_next
         s = max(s_safe, dd / dqd) if dqd > 0 else s_safe
     raise SolverError("inner prox-quadratic solve stalled", residual=move)
 
@@ -155,8 +170,13 @@ def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
                         M: Optional[LinearMap], w: Array, u0: Array) -> Array:
     """argmin_u f(u) + <Q u, u>/2 - <w + M u0, u> with Q = c*A*A + M, from u0.
 
-    A None stands for the identity; M None for the zero metric.
+    A None stands for the identity; M None for the zero metric.  With both
+    None, Q = c*I and the minimiser is prox_{f/c}(w/c) in closed form (no
+    inner solve); otherwise solve_prox_quadratic iterates from u0.
     """
+    if A is None and M is None:
+        return prox_eval(f, 1.0 / c, w / c)
+
     def q(v):
         out = c * (A.adjoint(A(v)) if A is not None else v)
         if M is not None:
@@ -174,16 +194,19 @@ def pd_general_increment(prob: StructuredProblem, params: PDParams,
                          M1: Optional[LinearMap], M2: Optional[LinearMap], x, z, y):
     """(xd, zd, yd) of the metric-scheduled field for metrics M1, M2 (None for zero).
 
-    The two strongly convex resolvent lines are solved with solve_prox_quadratic
-    (to its fixed 1e-10 stopping test); the dual line closes
-    yd = c*A(x + xd) - c*(z + zd).
+    The x-line is solved with solve_prox_quadratic (to its fixed 1e-10
+    stopping test), and so is the z-line when M2 is given; with M2 None the
+    z-line is the closed form prox_{g/c}(w2/c).  The dual line closes
+    yd = c*A(x + xd) - c*(z + zd).  By linearity of A an increment needs
+    A(x), A(xd) and one adjoint besides the inner solves.
     """
     c, gam, A = params.c, params.gamma_relax, prob.A
-    w1 = c * A.adjoint(z) - A.adjoint(y) - prob.h.gradient(x)
+    w1 = A.adjoint(c * z - y) - prob.h.gradient(x)
     xdot = _metric_block_solve(prob.f, c, A, M1, w1, x) - x
-    w2 = c * A(gam * xdot + x) + y
+    ax, axdot = A(x), A(xdot)
+    w2 = c * (ax + gam * axdot) + y
     zdot = _metric_block_solve(prob.g, c, None, M2, w2, z) - z
-    ydot = c * (A(x + xdot) - (z + zdot))
+    ydot = c * (ax + axdot - (z + zdot))
     return xdot, zdot, ydot
 
 
@@ -194,9 +217,9 @@ def pd_field_general(prob: StructuredProblem, params: PDParams,
     n, m = prob.n, prob.m
 
     def fn(t, u):
-        s = PDState.from_vector(u, n, m)
         rates = pd_general_increment(prob, params, M1(t) if M1 is not None else None,
-                                     M2(t) if M2 is not None else None, s.x, s.z, s.y)
+                                     M2(t) if M2 is not None else None,
+                                     u[:n], u[n:n + m], u[n + m:])
         return np.concatenate(rates)
 
     return FlowField(order=1, fn=fn, label="pd-general", dim=n + 2 * m)

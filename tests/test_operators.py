@@ -52,6 +52,22 @@ class TestProxEval:
         assert prox_eval(f, 5.0, np.array([2.0]))[0] == pytest.approx(1.0, abs=0)
         assert prox_eval(f, 0.1, np.array([2.0]))[0] == pytest.approx(1.0, abs=0)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 2.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0),
+                                       (-1.0, -0.0), (-np.inf, np.inf), (0.0, np.inf)])
+    def test_box_projection_equals_np_clip_bit_for_bit(self, lo, hi):
+        edge = [-0.0, 0.0, np.inf, -np.inf, np.nan, -1.5, 3.0, 5e-324, -5e-324, 2.0]
+        rng = np.random.default_rng(5)
+        for size in (1, 3, 8, 33):  # below, at and above a SIMD register's length
+            for _ in range(20):
+                x = rng.choice(edge, size=size)
+                got = prox_eval(box_prox(lo, hi), 1.0, x)
+                assert got.tobytes() == np.clip(x, lo, hi).tobytes()
+                # np.clip itself picks the bound's zero sign on a tie with array
+                # bounds, so those agree by value (NaN where x is NaN)
+                lo_v, hi_v = np.full(size, lo), np.full(size, hi)
+                np.testing.assert_array_equal(prox_eval(box_prox(lo_v, hi_v), 1.0, x),
+                                              np.clip(x, lo_v, hi_v))
+
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError):
             prox_eval(zero_prox(), 0.0, np.array([1.0]))

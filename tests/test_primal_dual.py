@@ -3,12 +3,13 @@ import pytest
 
 from splitflow.errors import SolverError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
-from splitflow.operators import (ProxFunction, l1_prox, least_squares_fn,
-                                 matrix_linear_map, quadratic_fn, soft_threshold,
-                                 squared_l2_prox, zero_fn, zero_prox)
+from splitflow.operators import (ProxFunction, ball_prox, box_prox, l1_prox,
+                                 least_squares_fn, matrix_linear_map,
+                                 moreau_conjugate_prox, prox_eval, quadratic_fn,
+                                 soft_threshold, squared_l2_prox, zero_fn, zero_prox)
 from splitflow.primal_dual import (PDParams, PDState, StructuredProblem,
-                                   lagrangian_eval, pd_field_general, pd_field_special,
-                                   pd_probes, saddle_residuals,
+                                   _metric_block_solve, lagrangian_eval, pd_field_general,
+                                   pd_field_special, pd_probes, saddle_residuals,
                                    solve_prox_quadratic, special_metric)
 from splitflow.problems import get_problem
 from splitflow.schedules import constant
@@ -46,6 +47,30 @@ class TestSpecialField:
         field = pd_field_special(prob, params)
         got = field.fn(0.0, p.known_solution.to_vector())
         assert np.linalg.norm(got) < 1e-9
+
+    @pytest.mark.parametrize("gamma_relax", [0.0, 0.5, 1.0])
+    def test_matches_the_seven_product_formula(self, gamma_relax):
+        # the field as first written, with A applied four times and A* three times
+        p = get_problem("pd_lasso_analysis")
+        prob = p.components["structured"]
+        c = 2.5
+        tau = 0.9 / (c * prob.A.norm_estimate ** 2)
+        params = PDParams(c=c, gamma_relax=gamma_relax, tau=constant(tau))
+        field = pd_field_special(prob, params)
+        A, n, m, gam = prob.A, prob.n, prob.m, gamma_relax
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            u = rng.standard_normal(n + 2 * m) * 2
+            x, z, y = u[:n], u[n:n + m], u[n + m:]
+            w1 = (x - c * tau * A.adjoint(A(x)) + c * tau * A.adjoint(z)
+                  - tau * A.adjoint(y) - tau * prob.h.gradient(x))
+            xdot = prox_eval(prob.f, tau, w1) - x
+            w2 = c * A(gam * xdot + x) + y
+            ydot = (moreau_conjugate_prox(prob.g, c, w2) - y
+                    - c * (gam - 1.0) * A(xdot))
+            zdot = A(x + xdot) - ydot / c - z
+            want = np.concatenate([xdot, zdot, ydot])
+            assert np.max(np.abs(field.fn(0.0, u) - want)) < 1e-12
 
     def test_tau_constraint_enforced(self):
         prob = scalar_problem(a=2.0)  # ||A||^2 = 4
@@ -131,8 +156,9 @@ class TestSolveProxQuadratic:
     # f = ||u||_1 and Q = diag(1, 10, 1000) separate: u_i = soft(w_i, 1)/q_i
     q = np.array([1.0, 10.0, 1000.0])
     w = np.array([3.0, -25.0, 700.0])
+    s_safe = 1.0 / 1000.0
 
-    def solve(self, max_iter=20000):
+    def solve(self, max_iter=20000, u0=(0.0, 0.0, 0.0)):
         """The solve, with every q_apply point and every (step, prox input) logged."""
         points, prox_calls = [], []
         l1 = l1_prox(1.0)
@@ -146,9 +172,16 @@ class TestSolveProxQuadratic:
             return self.q * v
 
         u = solve_prox_quadratic(ProxFunction(value=l1.value, prox=prox), q_apply,
-                                 float(self.q.max()), self.w, np.zeros(3),
+                                 float(self.q.max()), self.w, np.array(u0),
                                  max_iter=max_iter)
         return u, points, prox_calls
+
+    def bases(self, points, prox_calls):
+        """The iterate each prox step starts from: the latest of the q_apply
+        points 0..i it reproduces (near the solution several points may)."""
+        return [max(j for j, p in enumerate(points[:i + 1])
+                    if np.array_equal(v, p - s * (self.q * p - self.w)))
+                for i, (s, v) in enumerate(prox_calls)]
 
     def test_diagonal_l1_matches_separable_closed_form(self):
         u, _, _ = self.solve()
@@ -156,18 +189,42 @@ class TestSolveProxQuadratic:
 
     def test_rejected_trial_step_is_redone_at_the_safe_step(self):
         _, points, prox_calls = self.solve()
-        s_safe = 1.0 / self.q.max()
         # one q_apply at the start and one per prox evaluation
         assert len(points) == len(prox_calls) + 1
-        # the iterate prox step i starts from: the latest of the q_apply points
-        # 0..i it reproduces (near the solution several points may)
-        bases = [max(j for j, p in enumerate(points[:i + 1])
-                     if np.array_equal(v, p - s * (self.q * p - self.w)))
-                 for i, (s, v) in enumerate(prox_calls)]
+        bases = self.bases(points, prox_calls)
         redone = [i for i in range(1, len(bases)) if bases[i] == bases[i - 1]]
         assert redone, "no trial step was rejected"
         for i in redone:
-            assert prox_calls[i - 1][0] > s_safe and prox_calls[i][0] == s_safe
+            assert prox_calls[i - 1][0] > self.s_safe and prox_calls[i][0] == self.s_safe
+
+    def test_trial_step_from_the_solution_is_accepted(self):
+        # there the computed decrease is rounding noise, which the floor absorbs
+        _, points, prox_calls = self.solve()
+        bases = self.bases(points, prox_calls)
+        solution = soft_threshold(self.w, 1.0) / self.q
+        at_solution = [i for i, (s, _) in enumerate(prox_calls[:-1])
+                       if s > self.s_safe and np.max(np.abs(points[bases[i]] - solution)) < 1e-12]
+        assert at_solution, "no trial step started at the solution"
+        for i in at_solution:
+            assert bases[i + 1] == i + 1  # the next step starts from the trial's result
+
+    def test_ill_conditioned_start_takes_few_prox_evaluations(self):
+        # without the floor, rounding-level rejections alternate s = 1 and
+        # s_safe here for 4,479 prox evaluations
+        u, _, prox_calls = self.solve(u0=(5.0, 5.0, 5.0))
+        assert len(prox_calls) <= 100
+        assert np.max(np.abs(u - soft_threshold(self.w, 1.0) / self.q)) < 1e-9
+
+    @pytest.mark.parametrize("f", [l1_prox(0.7), box_prox(-0.5, 0.25), ball_prox(0.8)],
+                             ids=["l1", "box", "ball"])
+    def test_identity_block_in_closed_form_matches_the_inner_solve(self, f):
+        c = 1.7
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            w, u0 = rng.standard_normal(4) * 3, rng.standard_normal(4)
+            closed = _metric_block_solve(f, c, None, None, w, u0)
+            solved = solve_prox_quadratic(f, lambda v: c * v, c, w, u0)
+            assert np.max(np.abs(closed - solved)) < 1e-10
 
     def test_budget_exhausted_raises_with_finite_residual(self):
         with pytest.raises(SolverError) as err:

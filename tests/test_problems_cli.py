@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -310,6 +311,22 @@ class TestConfig:
         raw["integrator"]["dt"] = 1.0
         raw["x0"][0] = 9.0
         assert cfg.to_dict() == before
+
+    def test_config_sections_are_read_only(self, tmp_path):
+        cfg = load_config(km_config(tmp_path, x0=[1.0, 0.0]))
+        before = cfg.to_dict()
+        with pytest.raises(TypeError):
+            cfg.flow["lambda"]["value"] = 5.0
+        with pytest.raises(TypeError):
+            cfg.integrator["dt"] = 1.0
+        with pytest.raises(TypeError):
+            cfg.x0[0] = 9.0
+        # to_dict hands out fresh plain values, so editing them changes nothing either
+        out = cfg.to_dict()
+        out["flow"]["lambda"]["value"] = 5.0
+        out["x0"][0] = 9.0
+        assert cfg.to_dict() == before and isinstance(before["x0"], list)
+        assert copy.deepcopy(cfg) is cfg
 
     def test_avd_requires_positive_t_start(self, tmp_path):
         raw = {
