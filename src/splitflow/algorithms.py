@@ -90,7 +90,9 @@ def prox_admm_step(prob: StructuredProblem, params: PDParams, M1, M2,
 
     M1, M2 are positive-semidefinite LinearMaps (or None for zero).  The step
     is the state plus the increment of pd_field_general with constant metrics
-    M1, M2, so n steps equal n unit Euler steps of that field.
+    M1, M2, so n steps equal n unit Euler steps of that field.  With the
+    linearized M1 of special_metric the x-update is one prox of f, with no
+    inner solve.
     """
     xd, zd, yd = pd_general_increment(prob, params, M1, M2, state.x, state.z, state.y)
     return PDState(x=state.x + xd, z=state.z + zd, y=state.y + yd)

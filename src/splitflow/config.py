@@ -375,13 +375,17 @@ def build_run(cfg: ExperimentConfig):
             raise SpecError("unknown probes %s for flow %r" % (sorted(unknown), name))
         probes = [pr for pr in probes if pr[0] in keep]
 
+    # the problem, and so its default start, is shared by every config on it:
+    # the run gets its own read-only copies of the start vectors
     start = problem.default_start
-    start = start.to_vector() if isinstance(start, PDState) else np.asarray(start, dtype=float)
+    start = start.to_vector() if isinstance(start, PDState) else np.array(start, dtype=float)
     x0 = _read(vars(cfg), "x0", as_vector, start)
     v0 = _read(vars(cfg), "v0", as_vector, np.zeros_like(x0)) if field.order == 2 else None
     for key, vec in (("x0", x0), ("v0", v0)):
-        if vec is not None and vec.shape != start.shape:
-            raise SpecError("%s has shape %s, the start %s" % (key, vec.shape, start.shape))
+        if vec is not None:
+            if vec.shape != start.shape:
+                raise SpecError("%s has shape %s, the start %s" % (key, vec.shape, start.shape))
+            vec.flags.writeable = False
     return problem, field, probes, x0, v0, icfg, spec
 
 

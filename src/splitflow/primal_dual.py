@@ -1,12 +1,14 @@
 """Primal-dual dynamics for min f(x) + h(x) + g(Ax) and their diagnostics.
 
 The full-splitting special field uses closed-form proxes (with the Moreau
-identity for the conjugate block); the general metric-scheduled field solves
-its two implicit resolvent lines by an inner proximal-gradient loop.  The
-three derivative lines are lower-triangular in (xd, zd, yd), so no outer
-fixed-point iteration is needed; the redundancy between the second and third
-lines is exposed as the pd_consistency probe instead of being silently
-resolved.
+identity for the conjugate block).  The general metric-scheduled field takes
+the same closed-form x-line, one prox of f, under the linearized metric
+M1 = I/tau - c A*A (a LinearizedMetric built for the field's own c and A),
+and the closed-form z-line prox_{g/c} when M2 is zero; any other metric line
+is solved by an inner proximal-gradient loop.  The three derivative lines are
+lower-triangular in (xd, zd, yd), so no outer fixed-point iteration is
+needed; the redundancy between the second and third lines is exposed as the
+pd_consistency probe instead of being silently resolved.
 """
 
 from __future__ import annotations
@@ -79,13 +81,45 @@ def _check_tau(prob: StructuredProblem, params: PDParams, t: float) -> float:
     return tau
 
 
+@dataclasses.dataclass(frozen=True)
+class LinearizedMetric(LinearMap):
+    """M = I/tau - c A*A, the metric that makes the x-line one prox of f.
+
+    Built from (tau, c, A); apply, adjoint and norm_estimate = 1/tau follow
+    from them.  pd_general_increment solves the x-line in closed form when
+    the metric's c and A are the field's own.
+    """
+
+    apply: Callable[[Array], Array] = dataclasses.field(init=False, repr=False)
+    adjoint: Callable[[Array], Array] = dataclasses.field(init=False, repr=False)
+    norm_estimate: float = dataclasses.field(init=False)
+    tau: float
+    c: float
+    A: LinearMap
+
+    def __post_init__(self):
+        tau, c, A = self.tau, self.c, self.A
+
+        def apply(v):
+            return v / tau - c * A.adjoint(A(v))
+
+        object.__setattr__(self, "apply", apply)
+        object.__setattr__(self, "adjoint", apply)
+        object.__setattr__(self, "norm_estimate", 1.0 / tau)
+
+
+def _linearized_x_line(prob: StructuredProblem, c: float, tau: float, x, z, y):
+    """(A x, xd) with xd = prox_{tau f}(x - tau*(A*(c(Ax - z) + y) + grad h(x))) - x."""
+    ax = prob.A(x)
+    w1 = x - tau * (prob.A.adjoint(c * (ax - z) + y) + prob.h.gradient(x))
+    return ax, prox_eval(prob.f, tau, w1) - x
+
+
 def _special_rates(prob: StructuredProblem, params: PDParams, t: float, x, z, y):
     # by linearity of A the field needs A(x), A(xdot) and one adjoint
     tau = _check_tau(prob, params, t)
     c, gam, A = params.c, params.gamma_relax, prob.A
-    ax = A(x)
-    w1 = x - tau * (A.adjoint(c * (ax - z) + y) + prob.h.gradient(x))
-    xdot = prox_eval(prob.f, tau, w1) - x
+    ax, xdot = _linearized_x_line(prob, c, tau, x, z, y)
     axdot = A(xdot)
     w2 = c * (ax + gam * axdot) + y
     p = moreau_conjugate_prox(prob.g, c, w2)
@@ -172,7 +206,9 @@ def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
 
     A None stands for the identity; M None for the zero metric.  With both
     None, Q = c*I and the minimiser is prox_{f/c}(w/c) in closed form (no
-    inner solve); otherwise solve_prox_quadratic iterates from u0.
+    inner solve); otherwise solve_prox_quadratic iterates from u0.  The
+    linearized x-line (Q = I/tau) never gets here: pd_general_increment takes
+    its closed form first.
     """
     if A is None and M is None:
         return prox_eval(f, 1.0 / c, w / c)
@@ -194,16 +230,24 @@ def pd_general_increment(prob: StructuredProblem, params: PDParams,
                          M1: Optional[LinearMap], M2: Optional[LinearMap], x, z, y):
     """(xd, zd, yd) of the metric-scheduled field for metrics M1, M2 (None for zero).
 
-    The x-line is solved with solve_prox_quadratic (to its fixed 1e-10
-    stopping test), and so is the z-line when M2 is given; with M2 None the
-    z-line is the closed form prox_{g/c}(w2/c).  The dual line closes
+    When M1 is a LinearizedMetric with the field's c and the problem's A
+    itself, Q = c*A*A + M1 = I/tau and the x-line is the closed form
+    prox_{tau f}(x - tau*(A*(c(Ax - z) + y) + grad h(x))), the special field's
+    x-line.  Any other M1 (a linearized one built for another c or A included)
+    is solved with solve_prox_quadratic (to its fixed 1e-10 stopping test),
+    and so is the z-line when M2 is given; with M2 None the z-line is the
+    closed form prox_{g/c}(w2/c).  The dual line closes
     yd = c*A(x + xd) - c*(z + zd).  By linearity of A an increment needs
-    A(x), A(xd) and one adjoint besides the inner solves.
+    A(x), A(xd) and one adjoint besides any inner solves.
     """
     c, gam, A = params.c, params.gamma_relax, prob.A
-    w1 = A.adjoint(c * z - y) - prob.h.gradient(x)
-    xdot = _metric_block_solve(prob.f, c, A, M1, w1, x) - x
-    ax, axdot = A(x), A(xdot)
+    if isinstance(M1, LinearizedMetric) and M1.c == c and M1.A is A:
+        ax, xdot = _linearized_x_line(prob, c, M1.tau, x, z, y)
+    else:
+        w1 = A.adjoint(c * z - y) - prob.h.gradient(x)
+        xdot = _metric_block_solve(prob.f, c, A, M1, w1, x) - x
+        ax = A(x)
+    axdot = A(xdot)
     w2 = c * (ax + gam * axdot) + y
     zdot = _metric_block_solve(prob.g, c, None, M2, w2, z) - z
     ydot = c * (ax + axdot - (z + zdot))
@@ -226,16 +270,15 @@ def pd_field_general(prob: StructuredProblem, params: PDParams,
 
 
 def special_metric(prob: StructuredProblem, params: PDParams):
-    """The M1(t) = (1/tau(t)) I - c A*A, M2 = 0 choice that recovers the special field."""
-    c, A = params.c, prob.A
+    """The M1(t) = (1/tau(t)) I - c A*A, M2 = 0 choice that recovers the special field.
+
+    M1(t) checks the step constraint c*tau(t)*||A||^2 <= 1 and returns a
+    LinearizedMetric, so the general field's x-line is the special field's
+    single prox of f, with no inner solve.
+    """
 
     def M1(t):
-        tau = _check_tau(prob, params, t)
-
-        def apply(v):
-            return v / tau - c * A.adjoint(A(v))
-
-        return LinearMap(apply=apply, adjoint=apply, norm_estimate=1.0 / tau)
+        return LinearizedMetric(tau=_check_tau(prob, params, t), c=params.c, A=prob.A)
 
     return M1, None
 

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
+import splitflow.primal_dual as primal_dual
+
 from splitflow.errors import SolverError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
-from splitflow.operators import (ProxFunction, ball_prox, box_prox, l1_prox,
+from splitflow.operators import (LinearMap, ProxFunction, ball_prox, box_prox, l1_prox,
                                  least_squares_fn, matrix_linear_map,
                                  moreau_conjugate_prox, prox_eval, quadratic_fn,
                                  soft_threshold, squared_l2_prox, zero_fn, zero_prox)
-from splitflow.primal_dual import (PDParams, PDState, StructuredProblem,
+from splitflow.primal_dual import (LinearizedMetric, PDParams, PDState, StructuredProblem,
                                    _metric_block_solve, lagrangian_eval, pd_field_general,
-                                   pd_field_special, pd_probes, saddle_residuals,
-                                   solve_prox_quadratic, special_metric)
+                                   pd_field_special, pd_general_increment, pd_probes,
+                                   saddle_residuals, solve_prox_quadratic, special_metric)
 from splitflow.problems import get_problem
-from splitflow.schedules import constant
+from splitflow.schedules import Schedule, constant
 
 
 def scalar_problem(f=None, h=None, g=None, a=1.0):
@@ -137,8 +139,9 @@ class TestGeneralField:
         assert sup < 1e-6
 
     def test_specialization_matches_special_field_to_rounding(self):
-        # with M1 = I/tau - c A*A the x-line has Q = I/tau, which the spectral
-        # step finds exactly, so both fields agree to rounding, not to inner_tol
+        # with M1 = I/tau - c A*A the general field takes the special field's
+        # closed-form x-line; only the z- and y-lines are written differently,
+        # so both fields agree to rounding
         p = get_problem("pd_lasso_analysis")
         prob = p.components["structured"]
         params = PDParams(c=1.0, gamma_relax=1.0,
@@ -150,6 +153,104 @@ class TestGeneralField:
         for _ in range(20):
             u = rng.standard_normal(prob.n + 2 * prob.m) * 2
             assert np.max(np.abs(general.fn(0.0, u) - special.fn(0.0, u))) < 1e-12
+
+
+PROX_FS = pytest.mark.parametrize("f", [l1_prox(0.7), box_prox(-0.5, 0.25), ball_prox(0.8)],
+                                  ids=["l1", "box", "ball"])
+
+
+class TestLinearizedMetric:
+    c = 1.3
+
+    def problem(self, f):
+        rng = np.random.default_rng(5)
+        A = matrix_linear_map(rng.standard_normal((3, 4)))
+        h = least_squares_fn(rng.standard_normal((2, 4)), rng.standard_normal(2))
+        return StructuredProblem(f=f, h=h, g=l1_prox(0.4), A=A, n=4, m=3)
+
+    def params(self, prob, c=None):
+        return PDParams(c=c or self.c, gamma_relax=0.5,
+                        tau=constant(0.9 / (self.c * prob.A.norm_estimate ** 2)))
+
+    def states(self, prob):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            u = rng.standard_normal(prob.n + 2 * prob.m) * 2
+            yield u[:prob.n], u[prob.n:prob.n + prob.m], u[prob.n + prob.m:]
+
+    def assert_x_line_minimises(self, prob, params, M1, x, z, y, xdot):
+        # u = x + xd is the fixed point of a prox-gradient step on
+        # f(u) + <Q u, u>/2 - <w, u>, Q = c A*A + M1, w = A*(cz - y) - grad h(x) + M1 x
+        eye = np.eye(prob.n)
+        Q = np.column_stack([params.c * prob.A.adjoint(prob.A(e)) + M1(e) for e in eye])
+        w = prob.A.adjoint(params.c * z - y) - prob.h.gradient(x) + M1(x)
+        u, s = x + xdot, 1.0 / np.linalg.norm(Q, 2)
+        assert np.max(np.abs(prox_eval(prob.f, s, u - s * (Q @ u - w)) - u)) < 1e-9
+
+    @PROX_FS
+    def test_x_line_needs_no_inner_solve_and_matches_it(self, f, monkeypatch):
+        prob = self.problem(f)
+        params = self.params(prob)
+        M1 = special_metric(prob, params)[0](0.0)
+        assert isinstance(M1, LinearizedMetric)
+        plain = LinearMap(apply=M1.apply, adjoint=M1.adjoint, norm_estimate=M1.norm_estimate)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the linearized x-line ran the inner solve")
+
+        for x, z, y in self.states(prob):
+            with monkeypatch.context() as mp:
+                mp.setattr(primal_dual, "solve_prox_quadratic", no_solve)
+                closed = pd_general_increment(prob, params, M1, None, x, z, y)
+            solved = pd_general_increment(prob, params, plain, None, x, z, y)
+            for a, b in zip(closed, solved):
+                assert np.max(np.abs(a - b)) < 1e-10
+
+    @PROX_FS
+    def test_metric_for_another_c_or_A_takes_the_inner_solve(self, f, monkeypatch):
+        prob = self.problem(f)
+        params = self.params(prob)
+        twin = self.problem(f)  # the same matrix in another LinearMap counts as another A
+        metrics = [special_metric(prob, self.params(prob, c=self.c / 2))[0](0.0),
+                   special_metric(twin, params)[0](0.0)]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_prox_quadratic(*args, **kwargs)
+
+        monkeypatch.setattr(primal_dual, "solve_prox_quadratic", counted)
+        for M1 in metrics:
+            for x, z, y in self.states(prob):
+                before = len(calls)
+                xdot = pd_general_increment(prob, params, M1, None, x, z, y)[0]
+                assert len(calls) == before + 1
+                self.assert_x_line_minimises(prob, params, M1, x, z, y, xdot)
+
+    @pytest.mark.parametrize("gamma_relax", [0.0, 0.5, 1.0])
+    def test_general_and_special_x_rates_are_equal(self, gamma_relax):
+        p = get_problem("pd_lasso_analysis")
+        prob = p.components["structured"]
+        params = PDParams(c=2.5, gamma_relax=gamma_relax,
+                          tau=constant(0.9 / (2.5 * prob.A.norm_estimate ** 2)))
+        special = pd_field_special(prob, params)
+        general = pd_field_general(prob, params, *special_metric(prob, params))
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            u = rng.standard_normal(prob.n + 2 * prob.m) * 2
+            assert np.array_equal(general.fn(0.0, u)[:prob.n], special.fn(0.0, u)[:prob.n])
+
+    def test_step_constraint_checked_at_every_evaluation(self):
+        prob = scalar_problem(a=2.0)  # ||A||^2 = 4
+        tau = Schedule(fn=lambda t: 0.25 if t < 1.0 else 0.5, dfn=lambda t: 0.0)
+        params = PDParams(c=1.0, gamma_relax=1.0, tau=tau)
+        M1, M2 = special_metric(prob, params)
+        general = pd_field_general(prob, params, M1, M2)
+        general.fn(0.0, np.zeros(3))
+        with pytest.raises(SpecError):
+            general.fn(1.0, np.zeros(3))
+        with pytest.raises(SpecError):
+            M1(1.0)
 
 
 class TestSolveProxQuadratic:
@@ -215,8 +316,7 @@ class TestSolveProxQuadratic:
         assert len(prox_calls) <= 100
         assert np.max(np.abs(u - soft_threshold(self.w, 1.0) / self.q)) < 1e-9
 
-    @pytest.mark.parametrize("f", [l1_prox(0.7), box_prox(-0.5, 0.25), ball_prox(0.8)],
-                             ids=["l1", "box", "ball"])
+    @PROX_FS
     def test_identity_block_in_closed_form_matches_the_inner_solve(self, f):
         c = 1.7
         rng = np.random.default_rng(9)

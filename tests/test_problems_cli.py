@@ -328,6 +328,25 @@ class TestConfig:
         assert cfg.to_dict() == before and isinstance(before["x0"], list)
         assert copy.deepcopy(cfg) is cfg
 
+    def test_run_start_is_a_read_only_copy(self, tmp_path):
+        # the problem is cached and shared, so its default start must not be
+        # reachable through a run
+        cfg = load_config(km_config(tmp_path))
+        x0 = cfg.run[3]
+        with pytest.raises(ValueError):
+            x0[0] = 9.0
+        assert x0 is not get_problem("rotation2d").default_start
+        fresh = load_config(km_config(tmp_path))
+        assert np.array_equal(fresh.run[3], [1.0, 0.0])
+        raw = {"problem": "constrained_quadratic",
+               "flow": {"name": "second-order-fb", "eta": 1.0, "theta": 0.5,
+                        "gamma": {"family": "constant", "value": 2.0},
+                        "lambda": {"family": "constant", "value": 1.0}},
+               "integrator": {"method": "rk4", "dt": 0.01, "t_end": 1.0}}
+        v0 = config_from_dict(raw).run[4]
+        with pytest.raises(ValueError):
+            v0[0] = 9.0
+
     def test_avd_requires_positive_t_start(self, tmp_path):
         raw = {
             "problem": "strongcvx_l1",
