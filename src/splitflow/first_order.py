@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SpecError
 from .integrate import FlowField
-from .operators import (MonotoneMap, SingleValuedMap, check_fb_step, fb_delta,
+from .operators import (MonotoneMap, SingleValuedMap, check_fb_step, fb_delta, norm,
                         reflected_resolvent, resolvent_eval)
 from .schedules import Schedule
 
@@ -228,29 +228,25 @@ def dr_field(spec: DRFlowSpec) -> FlowField:
 # probes
 
 
-def _norm(v):
-    return float(np.linalg.norm(v))
-
-
 def _fb_residual(A, B, gamma):
     """The probe ||J_{gamma A}(x - gamma*B(x)) - x||."""
     def residual(t, x, v):
-        return _norm(resolvent_eval(A, gamma, x - gamma * B(x)) - x)
+        return norm(resolvent_eval(A, gamma, x - gamma * B(x)) - x)
 
     return residual
 
 
 def _fp_probes(residual, ref):
     """The fixed-point probe set: fp_residual, dist_to_ref (with ref), field_norm."""
-    probes = [("fp_residual", residual), ("field_norm", lambda t, x, v: _norm(v))]
+    probes = [("fp_residual", residual), ("field_norm", lambda t, x, v: norm(v))]
     if ref is not None:
         r = np.asarray(ref, dtype=float)
-        probes.insert(1, ("dist_to_ref", lambda t, x, v: _norm(x - r)))
+        probes.insert(1, ("dist_to_ref", lambda t, x, v: norm(x - r)))
     return probes
 
 
 def km_probes(spec: KMFlowSpec, ref=None):
-    return _fp_probes(lambda t, x, v: _norm(spec.T(x) - x), ref)
+    return _fp_probes(lambda t, x, v: norm(spec.T(x) - x), ref)
 
 
 def fb_probes(spec: FBFlowSpec, ref=None):
@@ -264,5 +260,5 @@ def fbf_probes(spec: FBFFlowSpec, ref=None):
 def dr_probes(spec: DRFlowSpec, ref=None):
     if spec.form == "coupled":
         return _fp_probes(_fb_residual(spec.A, spec.B, spec.gamma), ref)
-    return _fp_probes(lambda t, z, v: _norm(dr_operator(spec.A, spec.B, spec.gamma, z) - z),
+    return _fp_probes(lambda t, z, v: norm(dr_operator(spec.A, spec.B, spec.gamma, z) - z),
                       ref)

@@ -17,7 +17,7 @@ import numpy as np
 from .diagnostics import _loglog_fit
 from .errors import FitError, SpecError
 from .integrate import FlowField, Trajectory
-from .operators import ProxFunction, SmoothFunction, prox_eval
+from .operators import ProxFunction, SmoothFunction, norm, prox_eval
 
 
 def check_eta(beta: float, eta: float) -> bool:
@@ -80,7 +80,7 @@ def merit_subgradient_norm(p: NonconvexProblem, x, xdot) -> float:
 
 def critical_residual(p: NonconvexProblem, x) -> float:
     """||prox_{eta f}(x - eta*grad g(x)) - x|| / eta, vanishing exactly at critical points."""
-    return float(np.linalg.norm(proxgrad_increment(p, x))) / p.eta
+    return norm(proxgrad_increment(p, x)) / p.eta
 
 
 def merit_series(p: NonconvexProblem, traj: Trajectory) -> np.ndarray:
@@ -185,7 +185,7 @@ def nonconvex_probes(p: NonconvexProblem):
     state = {"t": None, "s": None, "acc": 0.0}
 
     def arclength(t, x, v):
-        sp = float(np.linalg.norm(v))
+        sp = norm(v)
         if state["t"] is None or t <= state["t"]:
             state["acc"] = 0.0
         else:
@@ -197,6 +197,6 @@ def nonconvex_probes(p: NonconvexProblem):
         ("merit_H", lambda t, x, v: merit_eval(p, x + v, x)),
         ("merit_subgrad", lambda t, x, v: merit_subgradient_norm(p, x, v)),
         ("crit_residual", lambda t, x, v: critical_residual(p, x)),
-        ("speed", lambda t, x, v: float(np.linalg.norm(v))),
+        ("speed", lambda t, x, v: norm(v)),
         ("arclength", arclength),
     ]

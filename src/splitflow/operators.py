@@ -28,6 +28,15 @@ def as_vector(x) -> Array:
     return v
 
 
+def norm(v) -> float:
+    """The Euclidean norm of a 1-D float vector.
+
+    np.linalg.norm(v) bit for bit (it too takes the square root of v.dot(v)),
+    without its Python dispatch.
+    """
+    return math.sqrt(float(v @ v))
+
+
 @dataclasses.dataclass(frozen=True)
 class ProxFunction:
     """A proper convex lsc function accessed through value and prox oracles.
@@ -170,7 +179,7 @@ def l1_prox(weight: float = 1.0) -> ProxFunction:
     if not weight >= 0:
         raise ValueError("l1 weight must be nonnegative")
     return ProxFunction(
-        value=lambda x: weight * float(np.sum(np.abs(x))),
+        value=lambda x: weight * float(np.abs(x).sum()),
         prox=lambda gamma, x: soft_threshold(np.asarray(x, dtype=float), gamma * weight),
     )
 
@@ -199,7 +208,7 @@ def box_prox(lo, hi) -> ProxFunction:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return 0.0 if np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12) else np.inf
+        return 0.0 if (x >= lo - 1e-12).all() and (x <= hi + 1e-12).all() else np.inf
 
     def clip(gamma, x):
         # np.clip's result, bit for bit for scalar bounds (x is kept where it
@@ -395,7 +404,7 @@ def least_squares_fn(A, b) -> SmoothFunction:
 def one_minus_cos_fn() -> SmoothFunction:
     """g(x) = sum_i (1 - cos x_i), nonconvex with gradient Lipschitz constant 1."""
     return SmoothFunction(
-        value=lambda x: float(np.sum(1.0 - np.cos(np.asarray(x, dtype=float)))),
+        value=lambda x: float((1.0 - np.cos(np.asarray(x, dtype=float))).sum()),
         gradient=lambda x: np.sin(np.asarray(x, dtype=float)),
         grad_lipschitz=1.0,
         convex=False,

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SolverError, SpecError
 from .integrate import FlowField
 from .operators import (LinearMap, ProxFunction, SmoothFunction,
-                        moreau_conjugate_prox, prox_eval)
+                        moreau_conjugate_prox, norm, prox_eval)
 from .schedules import Schedule
 
 Array = np.ndarray
@@ -296,10 +296,10 @@ def lagrangian_eval(prob: StructuredProblem, state: PDState) -> float:
 def saddle_residuals(prob: StructuredProblem, state: PDState) -> dict:
     """First-order residuals of the three blocks at a candidate saddle point."""
     x, z, y = state.x, state.z, state.y
-    rx = np.linalg.norm(prox_eval(prob.f, 1.0, x - (prob.h.gradient(x) + prob.A.adjoint(y))) - x)
-    rz = np.linalg.norm(prox_eval(prob.g, 1.0, z + y) - z)
-    ry = np.linalg.norm(prob.A(x) - z)
-    return {"x": float(rx), "z": float(rz), "y": float(ry)}
+    rx = norm(prox_eval(prob.f, 1.0, x - (prob.h.gradient(x) + prob.A.adjoint(y))) - x)
+    rz = norm(prox_eval(prob.g, 1.0, z + y) - z)
+    ry = norm(prob.A(x) - z)
+    return {"x": rx, "z": rz, "y": ry}
 
 
 def pd_probes(prob: StructuredProblem, params: PDParams):
@@ -311,7 +311,7 @@ def pd_probes(prob: StructuredProblem, params: PDParams):
 
     def feas(t, u, v):
         s = unpack(u)
-        return float(np.linalg.norm(prob.A(s.x) - s.z))
+        return norm(prob.A(s.x) - s.z)
 
     def lagr(t, u, v):
         return lagrangian_eval(prob, unpack(u))
@@ -327,7 +327,7 @@ def pd_probes(prob: StructuredProblem, params: PDParams):
         zdot = v[n:n + m]
         w2 = params.c * prob.A(params.gamma_relax * xdot + s.x) + s.y
         target = prox_eval(prob.g, 1.0 / params.c, w2 / params.c)
-        return float(np.linalg.norm((s.z + zdot) - target))
+        return norm((s.z + zdot) - target)
 
     return [("feas_norm", feas), ("lagrangian", lagr),
             ("block_residuals", block), ("pd_consistency", consistency)]

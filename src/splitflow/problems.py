@@ -339,7 +339,18 @@ def corpus(seed: int = 0):
         horizon=40.0, note="feasibility of two lines; B is the gradient of half the "
                            "squared distance to the second line"))
 
+    # the corpus is cached and shared, so its solutions and starts are read-only
+    for p in problems:
+        _freeze(p.known_solution)
+        _freeze(p.default_start)
     return tuple(problems)
+
+
+def _freeze(value):
+    """Mark an array read-only in place, or each field of a PDState."""
+    for a in (value.x, value.z, value.y) if isinstance(value, PDState) else (value,):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
 
 
 def _banana_box_problem() -> ProblemDef:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SpecError
 from .integrate import FlowField, Trajectory
 from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, check_fb_step,
-                        fb_delta, resolvent_eval, yosida_eval)
+                        fb_delta, norm, resolvent_eval, yosida_eval)
 from .schedules import Schedule, over_t
 
 
@@ -174,9 +174,9 @@ def second_order_probes(spec: SecondOrderSpec, xstar=None):
             probes.append(("lyapunov_V", _lyapunov(spec, ref)))
         probes.append(("h", lambda t, x, v: 0.5 * float((x - ref) @ (x - ref))))
         probes.append(("hdot", lambda t, x, v: float((x - ref) @ v)))
-    probes.append(("speed", lambda t, x, v: float(np.linalg.norm(v))))
+    probes.append(("speed", lambda t, x, v: norm(v)))
     field = second_order_field(spec)
-    probes.append(("accel", lambda t, x, v: float(np.linalg.norm(field.fn(t, x, v)))))
+    probes.append(("accel", lambda t, x, v: norm(field.fn(t, x, v))))
     if spec.g is not None:
         probes.append(("objective", lambda t, x, v: float(spec.g.value(x))))
     return probes

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from splitflow.algorithms import run_sequence, write_sequence_csv
 from splitflow.errors import DivergenceError, SpecError
-from splitflow.integrate import (FlowField, IntegratorConfig, euler_unit_step, integrate,
-                                 write_trajectory_csv)
+from splitflow.integrate import (FlowField, IntegratorConfig, Trajectory, euler_unit_step,
+                                 integrate, write_trajectory_csv)
 
 
 def decay_field(rate=2.0):
@@ -94,6 +95,39 @@ class TestIntegrate:
         assert list(err.value.trajectory.times) == [0.0, 1.0]
         assert np.all(np.isfinite(err.value.trajectory.states))
 
+    # constant-rate euler fields: a coordinate is exactly k * dt * rate after k steps
+    def test_large_norm_with_every_coordinate_in_range_does_not_raise(self):
+        # each coordinate ends at 0.9e12, so ||u||^2 = 3.24e24 fails the (5e11)^2
+        # pre-test at the last steps and the exact test must pass them
+        field = FlowField(order=1, fn=lambda t, x: np.full(4, 0.9e11))
+        cfg = IntegratorConfig(method="euler", dt=1.0, t_end=10.0)
+        traj = integrate(field, np.zeros(4), cfg)
+        assert np.array_equal(traj.final_state, np.full(4, 0.9e12))
+        assert float(traj.final_state @ traj.final_state) > (0.5e12) ** 2
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_divergence_raised_at_the_crossing_step(self, sign):
+        # 1.5e11 per step: 6 steps reach 9e11, the 7th 1.05e12 > 1e12
+        dt, rate = 0.5, 3e11
+        field = FlowField(order=1, fn=lambda t, x: np.array([sign * rate, 0.0, 1.0]))
+        cfg = IntegratorConfig(method="euler", dt=dt, t_end=10.0)
+        crossing = math.floor(1e12 / (dt * rate)) + 1
+        with pytest.raises(DivergenceError) as err:
+            integrate(field, np.zeros(3), cfg)
+        assert err.value.last_finite_t == (crossing - 1) * dt == 3.0
+        assert len(err.value.trajectory.times) == crossing
+        assert err.value.trajectory.final_state[0] == sign * 9e11
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_and_inf_fields_raise_at_the_first_step(self, method, bad):
+        field = FlowField(order=1, fn=lambda t, x: np.array([0.0, bad]))
+        cfg = IntegratorConfig(method=method, dt=0.25, t_start=1.0, t_end=2.0)
+        with pytest.raises(DivergenceError) as err:
+            integrate(field, np.array([1.0, 1.0]), cfg)
+        assert err.value.last_finite_t == 1.0
+        assert list(err.value.trajectory.times) == [1.0]
+
     def test_divergence_threshold_is_inclusive(self):
         # one euler step of 2e12 * 0.5 lands exactly on the 1e12 threshold
         field = FlowField(order=1, fn=lambda t, x: np.array([2e12 if t == 0.0 else 0.0]))
@@ -164,3 +198,61 @@ class TestCsvExport:
         assert first.startswith(b"t,x_0,v_0\n")
         # a truncating write would have changed the linked file too
         assert keep.read_text(encoding="utf-8") == "old\n"
+
+
+def oracle_csv(traj: Trajectory) -> str:
+    """The CSV schema written one value at a time: "%.17g" of each, joined by commas."""
+    n = traj.states.shape[1]
+    names = (["t"] + ["x_%d" % i for i in range(n)] + ["v_%d" % i for i in range(n)]
+             + list(traj.records))
+    lines = [",".join(names)]
+    for k in range(len(traj.times)):
+        row = [traj.times[k]] + list(traj.states[k]) + list(traj.velocities[k])
+        row += [traj.records[name][k] for name in traj.records]
+        lines.append(",".join("%.17g" % val for val in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308]
+
+
+def edge_trajectory(rows: int, n_records: int) -> Trajectory:
+    rng = np.random.default_rng(rows + 100 * n_records)
+    states = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
+    velocities = rng.standard_normal((rows, 3))
+    states.flat[:len(EDGE_VALUES)] = EDGE_VALUES[:states.size]
+    velocities.flat[-len(EDGE_VALUES):] = EDGE_VALUES[-velocities.size:]
+    records = {}
+    for j in range(n_records):
+        rec = rng.standard_normal(rows)
+        rec[j % rows] = EDGE_VALUES[j % len(EDGE_VALUES)]
+        records["probe_%d" % j] = rec
+    return Trajectory(times=np.arange(rows) * 0.1, states=states, velocities=velocities,
+                      records=records)
+
+
+class TestCsvWriterMatchesPerValueFormatting:
+    # row counts on both sides of one and of several 64-row blocks
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("n_records", [0, 4])
+    def test_trajectory_csv(self, tmp_path, rows, n_records):
+        traj = edge_trajectory(rows, n_records)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_text(encoding="utf-8") == oracle_csv(traj)
+
+    def test_edge_values_are_written(self, tmp_path):
+        traj = edge_trajectory(1, 0)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        line = path.read_text(encoding="utf-8").splitlines()[1]
+        assert line == "0,-0,nan,inf,-inf,4.9406564584124654e-324,1e+308"
+
+    def test_sequence_csv(self, tmp_path):
+        seq = run_sequence(lambda n, x, x_prev: 0.5 * x + np.array([1.0, -0.0]),
+                           np.array([3.0, -0.0]), 600,
+                           probes=[("norm", lambda t, x, v: float(np.linalg.norm(x))),
+                                   ("step", lambda t, x, v: float(v[0]))])
+        path = tmp_path / "seq.csv"
+        write_sequence_csv(seq, path)
+        assert path.read_text(encoding="utf-8") == oracle_csv(seq)

@@ -6,8 +6,9 @@ from splitflow.operators import (SingleValuedMap, affine_prox, as_vector, ball_p
                                  box_prox, fb_delta, fb_map, gradient_map, halfspace_prox,
                                  identity_operator, l1_prox, l1_quadratic_prox,
                                  least_squares_fn, linear_monotone_map, matrix_linear_map,
-                                 matrix_operator, moreau_conjugate_prox, one_minus_cos_fn,
-                                 prox_eval, quadratic_fn, reflected_resolvent,
+                                 matrix_operator, moreau_conjugate_prox, norm,
+                                 one_minus_cos_fn, prox_eval, quadratic_fn,
+                                 reflected_resolvent,
                                  resolvent_eval, rotation_map, soft_threshold,
                                  squared_l2_prox, subdifferential_map, yosida_eval,
                                  zero_operator, zero_prox)
@@ -293,3 +294,19 @@ class TestVectors:
         f = affine_prox(np.array([[1.0, 1.0]]), np.array([2.0]))
         p = prox_eval(f, 1.0, np.array([3.0, 3.0]))
         assert np.allclose(p, [1.0, 1.0])
+
+
+class TestNorm:
+    def test_equals_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 65):
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+            assert norm(v) == np.linalg.norm(v), n
+            assert norm(np.zeros(n)) == np.linalg.norm(np.zeros(n)) == 0.0
+
+    def test_underflow_and_overflow_as_numpy(self):
+        tiny = np.full(5, 1e-300)
+        assert norm(tiny) == np.linalg.norm(tiny) == 0.0
+        with np.errstate(over="ignore"):
+            huge = np.full(5, 1e200)
+            assert norm(huge) == np.linalg.norm(huge) == np.inf

@@ -49,6 +49,23 @@ class TestCorpus:
         with pytest.raises(KeyError):
             get_problem("not_a_problem")
 
+    def test_solutions_and_starts_are_read_only(self):
+        def arrays(value):
+            return [value.x, value.z, value.y] if isinstance(value, PDState) else [value]
+
+        before = {}
+        for p in corpus():
+            for field in ("known_solution", "default_start"):
+                for i, a in enumerate(arrays(getattr(p, field))):
+                    before[p.name, field, i] = a.copy()
+                    with pytest.raises(ValueError):
+                        a[0] = 9.0
+                    with pytest.raises(ValueError):
+                        a += 1.0
+        for (name, field, i), want in before.items():
+            got = arrays(getattr(get_problem(name), field))[i]
+            assert np.array_equal(got, want), (name, field)
+
     # sha256 over each problem's name and reference-solution bytes, read off the
     # oracles when they always ran their full 4000 and 20000 iterations
     SOLUTION_SHA256 = {
