@@ -19,7 +19,7 @@ from .operators import as_vector
 Array = np.ndarray
 
 DIVERGENCE_THRESHOLD = 1e12
-# u @ u below this bounds every |u_i| by about half the threshold
+# u.dot(u) below this bounds every |u_i| by about half the threshold
 _GUARD_SQ = (DIVERGENCE_THRESHOLD / 2.0) ** 2
 _CSV_BLOCK = 64  # rows formatted per write, which bounds the writer's memory
 
@@ -117,7 +117,7 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
     every cfg.record_every steps.  Raises DivergenceError (carrying the last
     finite time and the partial trajectory) when a coordinate passes 1e12.
 
-    The divergence guard has two stages.  A step first tests u @ u <=
+    The divergence guard has two stages.  A step first tests u.dot(u) <=
     (1e12/2)**2, one dot product; when that holds, every |u_i| is at most
     about 5e11 and the step is safe.  Only when it fails (a large sum, NaN or
     inf) does the step apply the exact test max|u_i| <= 1e12, so the raise
@@ -170,23 +170,27 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
             times=np.array(times), states=np.array(states), velocities=np.array(vels),
             records={k: np.array(vv) for k, vv in rec_vals.items()}, label=field.label)
 
-    t_start, half, sixth = cfg.t_start, 0.5 * dt, dt / 6.0
+    t_start, half = cfg.t_start, 0.5 * dt
     every, euler = cfg.record_every, cfg.method == "euler"
+    # the step's products take 0-d arrays, which numpy multiplies with a
+    # vector in less dispatch than a Python float, to the same bits; the
+    # time arithmetic stays in Python floats
+    h, h_half, h_sixth, two = (np.array(c) for c in (dt, half, dt / 6.0, 2.0))
     t = t_start
     record(t, u)
     for k in range(1, cfg.n_steps + 1):
         if euler:
-            u = u + dt * deriv(t, u)
+            u = u + h * deriv(t, u)
         else:
             t_mid = t + half
             k1 = deriv(t, u)
-            k2 = deriv(t_mid, u + half * k1)
-            k3 = deriv(t_mid, u + half * k2)
-            k4 = deriv(t + dt, u + dt * k3)
-            u = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = deriv(t_mid, u + h_half * k1)
+            k3 = deriv(t_mid, u + h_half * k2)
+            k4 = deriv(t + dt, u + h * k3)
+            u = u + h_sixth * (k1 + two * k2 + two * k3 + k4)
         t = t_start + k * dt
         # NaN fails both tests: it propagates through the dot and through max
-        if not u @ u <= _GUARD_SQ and not np.abs(u).max() <= DIVERGENCE_THRESHOLD:
+        if not u.dot(u) <= _GUARD_SQ and not np.abs(u).max() <= DIVERGENCE_THRESHOLD:
             raise DivergenceError("trajectory diverged at t=%g" % t,
                                   last_finite_t=t - dt, trajectory=partial())
         if k % every == 0:

@@ -63,7 +63,7 @@ def merit_eval(p: NonconvexProblem, u, v) -> float:
     if not np.isfinite(fval):
         return np.inf
     d = u - v
-    return float(fval + p.g.value(u) + float(d @ d) / (2.0 * p.eta))
+    return float(fval + p.g.value(u) + float(d.dot(d)) / (2.0 * p.eta))
 
 
 def merit_subgradient(p: NonconvexProblem, x, xdot) -> Tuple[np.ndarray, np.ndarray]:
@@ -75,7 +75,7 @@ def merit_subgradient(p: NonconvexProblem, x, xdot) -> Tuple[np.ndarray, np.ndar
 
 def merit_subgradient_norm(p: NonconvexProblem, x, xdot) -> float:
     b1, b2 = merit_subgradient(p, x, xdot)
-    return float(np.sqrt(float(b1 @ b1) + float(b2 @ b2)))
+    return float(np.sqrt(float(b1.dot(b1)) + float(b2.dot(b2))))
 
 
 def critical_residual(p: NonconvexProblem, x) -> float:

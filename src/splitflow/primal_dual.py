@@ -159,11 +159,15 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
     rounding level, whose computed decrease is noise of that size, from
     being rejected.
 
-    Stopping: return u+ once ||d||/s_safe <= 1e-10.  Since ||u - T_s(u)|| is
-    nondecreasing in s (T_s the prox-gradient map), the safe step from the
-    same u would also have moved at most 1e-10*s_safe: the test is at least as
-    strict as plain proximal gradient at 1/q_norm.  max_iter bounds the
-    number of prox evaluations; SolverError carries the last accepted move.
+    Stopping: return u+ once ||d||/s_safe <= 1e-10*max(1, ||u+||), a test
+    absolute near the origin and relative to the iterate beyond unit size,
+    so that a large iterate, whose rounding alone moves it by more than an
+    absolute 1e-10, still stops (a diverging flow then reaches integrate's
+    divergence guard).  Since ||u - T_s(u)|| is nondecreasing in s (T_s the
+    prox-gradient map), the safe step from the same u would have moved no
+    more than d: the test is at least as strict as plain proximal gradient at
+    1/q_norm.  max_iter bounds the number of prox evaluations; SolverError
+    carries the last accepted move ||d||/s_safe.
     """
     if q_norm <= 0:
         raise ValueError("q_norm must be a positive Lipschitz bound")
@@ -176,8 +180,9 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
     for _ in range(max_iter):
         u_next = prox_eval(f, s, u - s * (qu - w))
         d = u_next - u
-        dd = float(d @ d)
+        dd = float(d.dot(d))
         qu_next = q_apply(u_next)
+        # this and the decrease's dots are cross dots, which stay @ (see operators)
         dqd = float(d @ (qu_next - qu))
         f_next = None
         if s > s_safe:
@@ -193,7 +198,7 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
                 s = s_safe
                 continue
         move = math.sqrt(dd) / s_safe
-        if move <= 1e-10:
+        if move <= 1e-10 * max(1.0, norm(u_next)):
             return u_next
         u, qu, fu = u_next, qu_next, f_next
         s = max(s_safe, dd / dqd) if dqd > 0 else s_safe
@@ -289,6 +294,7 @@ def lagrangian_eval(prob: StructuredProblem, state: PDState) -> float:
     gz = prob.g.value(state.z)
     if not (np.isfinite(fx) and np.isfinite(gz)):
         return np.inf
+    # a cross dot, which stays @ (see operators)
     coupling = float(state.y @ (prob.A(state.x) - state.z))
     return float(fx + prob.h.value(state.x) + gz + coupling)
 

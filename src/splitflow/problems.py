@@ -325,7 +325,7 @@ def corpus(seed: int = 0):
     N = np.outer(nrm, nrm)
 
     def b_two_lines(x):
-        return N @ (np.asarray(x, dtype=float) - p0)
+        return N.dot(np.asarray(x, dtype=float) - p0)
 
     problems.append(ProblemDef(
         name="two_lines", kind="inclusion",

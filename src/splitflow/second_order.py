@@ -154,7 +154,9 @@ def _lyapunov(spec: SecondOrderSpec, xstar):
     def lyap(t, x, v):
         d = x - ref
         gam, lam = spec.damping(t), spec.relaxation(t)
-        return float(d @ v) + gam * 0.5 * float(d @ d) + beta * (gam / lam) * float(v @ v)
+        # d @ v is a cross dot and stays @ (see operators)
+        return (float(d @ v) + gam * 0.5 * float(d.dot(d))
+                + beta * (gam / lam) * float(v.dot(v)))
 
     return lyap
 
@@ -172,7 +174,8 @@ def second_order_probes(spec: SecondOrderSpec, xstar=None):
         ref = np.asarray(xstar, dtype=float)
         if spec.beta is not None:
             probes.append(("lyapunov_V", _lyapunov(spec, ref)))
-        probes.append(("h", lambda t, x, v: 0.5 * float((x - ref) @ (x - ref))))
+        probes.append(("h", lambda t, x, v: 0.5 * float((x - ref).dot(x - ref))))
+        # a cross dot: .dot would write -0 for @'s 0 on a 1-D flow (see operators)
         probes.append(("hdot", lambda t, x, v: float((x - ref) @ v)))
     probes.append(("speed", lambda t, x, v: norm(v)))
     field = second_order_field(spec)

@@ -256,3 +256,68 @@ class TestCsvWriterMatchesPerValueFormatting:
         path = tmp_path / "seq.csv"
         write_sequence_csv(seq, path)
         assert path.read_text(encoding="utf-8") == oracle_csv(seq)
+
+
+def reference_states(field, u0, cfg):
+    """The fixed-step loop with Python-float step constants, on the stacked state."""
+    if field.order == 1:
+        deriv = field.fn
+    else:
+        n = u0.size // 2
+
+        def deriv(t, u):
+            return np.concatenate([u[n:], field.fn(t, u[:n], u[n:])])
+
+    dt, half, u, t = cfg.dt, 0.5 * cfg.dt, u0.copy(), cfg.t_start
+    states = [u]
+    for k in range(1, cfg.n_steps + 1):
+        if cfg.method == "euler":
+            u = u + dt * deriv(t, u)
+        else:
+            k1 = deriv(t, u)
+            k2 = deriv(t + half, u + half * k1)
+            k3 = deriv(t + half, u + half * k2)
+            k4 = deriv(t + dt, u + dt * k3)
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = cfg.t_start + k * dt
+        states.append(u)
+    return np.array(states)
+
+
+class TestStepConstantsMatchPythonFloats:
+    """integrate's 0-d array step constants give the bits of Python-float constants."""
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_states_equal_the_reference_loop_bit_for_bit(self, method, order):
+        rng = np.random.default_rng(order)
+        # dt / 6 and dt * (1 / 6) differ at dt = 0.03, so a constant built another way shows
+        cfg = IntegratorConfig(method=method, dt=0.03, t_start=0.3, t_end=1.5)
+        for n in range(1, 17):
+            K = rng.standard_normal((n, n))
+            if order == 1:
+                field = FlowField(order=1, fn=lambda t, x: np.sin(t) * np.tanh(K @ x) - x / t)
+                u0 = rng.standard_normal(n) * 3.0
+                traj = integrate(field, u0, cfg)
+                got = traj.states
+            else:
+                field = FlowField(order=2,
+                                  fn=lambda t, x, v: -(3.0 / t) * v - np.tanh(K @ x))
+                x0, v0 = rng.standard_normal(n) * 3.0, rng.standard_normal(n)
+                u0 = np.concatenate([x0, v0])
+                traj = integrate(field, x0, cfg, v0=v0)
+                got = np.hstack([traj.states, traj.velocities])
+            want = reference_states(field, u0, cfg)
+            assert got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("method, last_finite_t", [("euler", 1.0), ("rk4", 0.5)])
+    def test_guard_overflow_raises_at_the_same_step(self, method, last_finite_t):
+        # a state past 1.3e154 overflows the guard's self-dot to inf; the exact
+        # test then sees the coordinate above 1e12 and raises at that step
+        field = FlowField(order=1, fn=lambda t, x: np.array([1e160 if t >= 1.0 else 0.0, 0.0]))
+        cfg = IntegratorConfig(method=method, dt=0.5, t_end=5.0)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            with pytest.raises(DivergenceError) as err:
+                integrate(field, np.array([1.0, 1.0]), cfg)
+        assert err.value.last_finite_t == last_finite_t
+        assert np.all(np.isfinite(err.value.trajectory.states))

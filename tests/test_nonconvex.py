@@ -7,7 +7,7 @@ from splitflow.integrate import IntegratorConfig, integrate
 from splitflow.nonconvex import (NonconvexProblem, arclength_series,
                                  brute_force_critical_points, check_eta,
                                  critical_residual, lojasiewicz_fit, merit_eval,
-                                 merit_series, merit_subgradient_norm,
+                                 merit_series, merit_subgradient, merit_subgradient_norm,
                                  nonconvex_probes, proxgrad_field,
                                  subgradient_norm_series)
 from splitflow.operators import (SmoothFunction, l1_prox, one_minus_cos_fn,
@@ -64,6 +64,22 @@ class TestMerit:
         x = np.array([0.7])
         want = p.f.value(x) + p.g.value(x)
         assert merit_eval(p, x, x) == pytest.approx(want)
+
+
+class TestSelfDotsMatchMatmul:
+    def test_merit_and_subgradient_norm_bit_for_bit(self):
+        p = NonconvexProblem(f=l1_prox(0.1), g=one_minus_cos_fn(), eta=0.25)
+        rng = np.random.default_rng(4)
+        for n in range(1, 17):
+            for _ in range(10):
+                u, v = (rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n)
+                        for _ in range(2))
+                d = u - v
+                want = float(p.f.value(u) + p.g.value(u) + float(d @ d) / (2.0 * p.eta))
+                assert merit_eval(p, u, v) == want
+                b1, b2 = merit_subgradient(p, u, v)
+                want = float(np.sqrt(float(b1 @ b1) + float(b2 @ b2)))
+                assert merit_subgradient_norm(p, u, v) == want
 
 
 class TestMeritSubgradient:

@@ -12,6 +12,7 @@ from splitflow.operators import (SingleValuedMap, affine_prox, as_vector, ball_p
                                  resolvent_eval, rotation_map, soft_threshold,
                                  squared_l2_prox, subdifferential_map, yosida_eval,
                                  zero_operator, zero_prox)
+from splitflow.problems import get_problem
 
 
 def golden_min_1d(fn, lo, hi, tol=1e-12):
@@ -310,3 +311,85 @@ class TestNorm:
         with np.errstate(over="ignore"):
             huge = np.full(5, 1e200)
             assert norm(huge) == np.linalg.norm(huge) == np.inf
+
+
+def extreme_entries(rng, shape, decades=300):
+    """Entries of random sign and magnitude 10^-decades..10^decades, a fifth of them +-0.0."""
+    mags = 10.0 ** rng.uniform(-decades, decades, shape)
+    signs = rng.choice([-1.0, 1.0], shape)
+    return np.where(rng.random(shape) < 0.2, signs * 0.0, signs * mags)
+
+
+def matrix_shapes():
+    """Square, 1 x n, n x 1 and general shapes, each in C and Fortran order."""
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 5), (5, 1), (2, 2), (3, 4), (4, 3), (6, 6)]
+    return [(m, n, order) for m, n in shapes for order in "CF"]
+
+
+def assert_same_product(got, want, exact):
+    """got equals want as numbers (-0.0 == 0.0, NaN == NaN); byte for byte when exact."""
+    assert np.array_equal(got, want, equal_nan=True)
+    if exact:
+        assert got.tobytes() == want.tobytes()
+
+
+class TestCatalogProductsMatchMatmul:
+    """The catalog's .dot products against their @ formulas.
+
+    .dot and @ can differ only in the sign of an exact zero, and only when the
+    summed dimension is 1; with every summed dimension at least 2 they are
+    byte-equal.  Vectors span 1e-300..1e300, so the products overflow and
+    underflow; matrices span 1e-150..1e150, so that what the constructors
+    square (the least-squares Lipschitz constant, the affine Gram matrix)
+    stays finite.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _quiet(self):
+        with np.errstate(all="ignore"):
+            yield
+
+    def cases(self, seed, shape_of=lambda m, n: (m, n)):
+        rng = np.random.default_rng(seed)
+        for m, n, order in matrix_shapes():
+            for _ in range(20):
+                M = np.asarray(extreme_entries(rng, shape_of(m, n), 150), order=order)
+                yield rng, M
+
+    def test_matrix_linear_map_apply_and_adjoint(self):
+        for rng, M in self.cases(1):
+            A = matrix_linear_map(M)
+            x, y = extreme_entries(rng, M.shape[1]), extreme_entries(rng, M.shape[0])
+            assert_same_product(A(x), M @ x, M.shape[1] >= 2)
+            assert_same_product(A.adjoint(y), M.T @ y, M.shape[0] >= 2)
+
+    def test_matrix_operator_and_quadratic_gradient(self):
+        for rng, M in self.cases(2, lambda m, n: (n, n)):
+            x, b = extreme_entries(rng, M.shape[1]), extreme_entries(rng, M.shape[1])
+            exact = M.shape[1] >= 2
+            assert_same_product(matrix_operator(M)(x), M @ x, exact)
+            assert_same_product(quadratic_fn(M, b).gradient(x), M @ x - b, exact)
+
+    def test_least_squares_gradient(self):
+        for rng, M in self.cases(3):
+            x, b = extreme_entries(rng, M.shape[1]), extreme_entries(rng, M.shape[0])
+            assert_same_product(least_squares_fn(M, b).gradient(x), M.T @ (M @ x - b),
+                                min(M.shape) >= 2)
+
+    def test_affine_projection(self):
+        for rng, C in self.cases(4):
+            x, d = extreme_entries(rng, C.shape[1]), extreme_entries(rng, C.shape[0])
+            gram_inv = np.linalg.pinv(C @ C.T)
+            assert_same_product(prox_eval(affine_prox(C, d), 1.0, x),
+                                x - C.T @ (gram_inv @ (C @ x - d)), min(C.shape) >= 2)
+
+    def test_rotation_and_two_lines_operator(self):
+        rng = np.random.default_rng(5)
+        B = get_problem("two_lines").components["B"]
+        nrm = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        N, p0 = np.outer(nrm, nrm), np.array([1.0, 1.0])
+        for _ in range(200):
+            angle, x = rng.uniform(-4.0, 4.0), extreme_entries(rng, 2)
+            R = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+            assert_same_product(rotation_map(angle)(x), R @ x, True)
+            assert_same_product(B(x), N @ (x - p0), True)

@@ -3,7 +3,7 @@ import pytest
 
 import splitflow.primal_dual as primal_dual
 
-from splitflow.errors import SolverError, SpecError
+from splitflow.errors import DivergenceError, SolverError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
 from splitflow.operators import (LinearMap, ProxFunction, ball_prox, box_prox, l1_prox,
                                  least_squares_fn, matrix_linear_map,
@@ -330,6 +330,22 @@ class TestSolveProxQuadratic:
         with pytest.raises(SolverError) as err:
             self.solve(max_iter=2)
         assert np.isfinite(err.value.residual) and err.value.residual > 0
+
+    def test_diverging_general_metric_run_reaches_the_divergence_guard(self):
+        # the state grows past 5e11, where one ulp exceeds an absolute 1e-10
+        # move; the stop test relative to the iterate lets each solve return
+        p = get_problem("pd_lasso_analysis")
+        prob = p.components["structured"]
+        M1 = LinearMap(apply=lambda v: 0.01 * v, adjoint=lambda v: 0.01 * v,
+                       norm_estimate=0.01)
+        field = pd_field_general(prob, PDParams(c=1.0, gamma_relax=1.0, tau=constant(0.26)),
+                                 M1=lambda t: M1)
+        cfg = IntegratorConfig(method="rk4", dt=0.05, t_end=5.0)
+        with pytest.raises(DivergenceError) as err:
+            integrate(field, p.default_start.to_vector(), cfg)
+        assert err.value.last_finite_t == pytest.approx(0.5)
+        assert len(err.value.trajectory.times) == 11
+        assert np.all(np.isfinite(err.value.trajectory.states))
 
 
 class TestLagrangian:

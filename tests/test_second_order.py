@@ -215,6 +215,22 @@ class TestLyapunov:
         V = second_order_lyapunov(traj, spec, np.array([0.0]))
         assert V[0] == pytest.approx(2.0)
 
+    def test_probe_self_dots_match_matmul_bit_for_bit(self):
+        zero = SingleValuedMap(fn=lambda x: np.zeros_like(x), cocoercivity_beta=1.0)
+        condition = DampingCondition(gamma=constant(2.0), lam=constant(1.0), theta=0.1)
+        spec = SecondOrderSpec.cocoercive(zero, condition)
+        rng = np.random.default_rng(8)
+        for n in range(1, 17):
+            ref = rng.standard_normal(n)
+            probes = dict(second_order_probes(spec, ref))
+            for _ in range(10):
+                x, v = (rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n)
+                        for _ in range(2))
+                d = x - ref
+                assert probes["h"](1.0, x, v) == 0.5 * float(d @ d)
+                assert probes["lyapunov_V"](1.0, x, v) == (
+                    float(d @ v) + 2.0 * 0.5 * float(d @ d) + 1.0 * (2.0 / 1.0) * float(v @ v))
+
 
 @pytest.fixture(scope="module")
 def fb_second_order_run():
