@@ -3,7 +3,7 @@
 km_step, fb_step, tseng_step and prox_admm_step are written as x + increment
 with the same increment code the flow fields use, so n steps coincide bit for
 bit with n unit-step Euler integrations of the matching flow.  run_sequence
-records a discrete run as a Trajectory.
+records a discrete run as a Trajectory through integrate's stepping loop.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergenceError, SpecError
+from .errors import SpecError
 from .first_order import (check_relaxation, check_tseng_step, fb_increment, fbf_increment,
                           km_increment)
-from .integrate import DIVERGENCE_THRESHOLD, Trajectory, _write_csv
+from .integrate import Trajectory, _drive, _write_csv
 from .operators import (MonotoneMap, ProxFunction, SingleValuedMap, SmoothFunction, as_vector,
                         check_fb_step, fb_delta, prox_eval, resolvent_eval)
 from .primal_dual import PDParams, PDState, StructuredProblem, pd_general_increment
@@ -103,33 +103,21 @@ def run_sequence(update: Callable[[int, Array, Optional[Array]], Array], x0,
     """Drive update(n, x, x_prev) -> x_next for n = 1..n_steps; x_prev is None at n = 1.
 
     Returns a Trajectory with times 0..n_steps, the iterates as states and the
-    increments x_n - x_{n-1} as velocities.  probes is a sequence of (name, fn)
-    with fn(t, x, v) -> float, evaluated at every iterate including the start
-    point.  Raises DivergenceError (carrying the last finite step and the finite
-    prefix) when a coordinate passes 1e12, as integrate does.
+    increments x_n - x_{n-1} as velocities; probes, (name, fn(t, x, v)) pairs,
+    are evaluated at every iterate.  The loop and the divergence guard are
+    integrate's: the run stops at the first iterate with a coordinate past
+    1e12, NaN or inf with DivergenceError, which carries the finite prefix.
     """
     x = as_vector(x0).copy()
-    x_prev = None
-    out = [x.copy()]
-    for n in range(1, n_steps + 1):
+    x_prev, step = None, np.zeros_like(x)  # the increment recorded at n = 0 is zero
+
+    def advance(n, t, x):
+        nonlocal x_prev, step
         x_next = np.asarray(update(n, x, x_prev), dtype=float)
-        x_prev, x = x, x_next
-        out.append(x.copy())
-    states = np.array(out)
-    # checked once the loop is done, so that a step costs no more than the update
-    bad = ~(np.abs(states[1:]).max(axis=1) <= DIVERGENCE_THRESHOLD)  # NaN counts as bad
-    stop = int(np.argmax(bad)) + 1 if bad.any() else len(states)
-    states = states[:stop]
-    incr = np.zeros_like(states)
-    incr[1:] = states[1:] - states[:-1]
-    times = np.arange(stop, dtype=float)
-    records = {name: np.array([float(fn(t, xs, vs)) for t, xs, vs in zip(times, states, incr)])
-               for name, fn in probes}
-    traj = Trajectory(times=times, states=states, velocities=incr, records=records, label=label)
-    if stop < len(out):
-        raise DivergenceError("sequence diverged at n=%d" % stop,
-                              last_finite_t=float(stop - 1), trajectory=traj)
-    return traj
+        x_prev, step = x, x_next - x
+        return x_next
+
+    return _drive(advance, lambda t, x: (x, step), x, 0.0, 1.0, n_steps, 1, probes, label)
 
 
 def write_sequence_csv(seq: Trajectory, path):

@@ -453,8 +453,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     try:
         traj = integrate(field, x0, icfg, v0=v0, probes=probes)
     except DivergenceError as exc:
-        if exc.trajectory is not None and len(exc.trajectory.times):
-            write_trajectory_csv(exc.trajectory, csv_path)
+        write_trajectory_csv(exc.trajectory, csv_path)  # the start is always recorded
         with open_replaced(diag_path) as fh:
             json.dump({"diverged": True, "last_finite_t": exc.last_finite_t}, fh, indent=2)
         if os.path.exists(summary_path):

@@ -197,7 +197,6 @@ class DRFlowSpec:
 
 
 def _fd_jacobian(B: SingleValuedMap, x):
-    x = np.asarray(x, dtype=float)
     n = x.size
     h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
     J = np.empty((n, n))

@@ -75,12 +75,13 @@ class IntegratorConfig:
 
 @dataclasses.dataclass
 class Trajectory:
-    """Recorded grid of an integration run.
+    """Recorded grid of an integration run or a discrete run; one loop records both.
 
     For order-1 flows velocities[k] is the field evaluated at (times[k],
     states[k]) exactly; for order-2 flows it is the integrated velocity.  For
     a discrete run (algorithms.run_sequence) times are the step counts and
-    velocities the backward increments states[k] - states[k-1], zero at k = 0.
+    velocities the increments states[k] - states[k-1], zero at k = 0.  Both
+    stop at the first state that fails the shared divergence guard.
     """
 
     times: Array
@@ -109,56 +110,22 @@ def _check_breakpoints(field: FlowField, cfg: IntegratorConfig):
                 "(dt=%g); choose dt so breakpoints align" % (b, cfg.dt))
 
 
-def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
-              probes: Sequence[Tuple[str, Callable]] = ()) -> Trajectory:
-    """Integrate a flow field on a fixed grid, recording states and probe values.
+def _drive(advance, view, u, t_start, dt, n_steps, every, probes, label) -> Trajectory:
+    """The stepping loop of integrate and algorithms.run_sequence.
 
-    probes is a sequence of (name, fn) with fn(t, x, v) -> float, evaluated
-    every cfg.record_every steps.  Raises DivergenceError (carrying the last
-    finite time and the partial trajectory) when a coordinate passes 1e12.
-
-    The divergence guard has two stages.  A step first tests u.dot(u) <=
-    (1e12/2)**2, one dot product; when that holds, every |u_i| is at most
-    about 5e11 and the step is safe.  Only when it fails (a large sum, NaN or
-    inf) does the step apply the exact test max|u_i| <= 1e12, so the raise
+    Steps u = advance(k, t, u) for k = 1..n_steps, t = t_start + (k-1)*dt, and
+    records view(t, u) -> (x, v) and the probes at t_start and every `every`
+    steps.  The divergence guard first tests u.dot(u) <= (1e12/2)**2, one dot
+    product, which bounds every |u_i| by about 5e11.  Only when that fails (a
+    large sum, NaN or inf) does it apply the exact test max|u_i| <= 1e12, so
+    DivergenceError (with the last finite time and the partial trajectory)
     comes at the same step as with the exact test alone.
     """
-    x = as_vector(x0)
-    if field.dim is not None and x.size != field.dim:
-        raise ValueError("x0 has dimension %d, field expects %d" % (x.size, field.dim))
-    if field.order == 2:
-        if v0 is None:
-            raise ValueError("order-2 field needs v0")
-        v = as_vector(v0)
-        if v.size != x.size:
-            raise ValueError("v0 dimension mismatch")
-    else:
-        if v0 is not None:
-            raise ValueError("v0 supplied for an order-1 field")
-        v = None
-    _check_breakpoints(field, cfg)
-
-    if field.order == 1:
-        deriv = lambda t, u: np.asarray(field.fn(t, u), dtype=float)
-        u = x.copy()
-    else:
-        n = x.size
-
-        def deriv(t, u):
-            a = np.asarray(field.fn(t, u[:n], u[n:]), dtype=float)
-            return np.concatenate([u[n:], a])
-
-        u = np.concatenate([x, v])
-
-    dt = cfg.dt
     times, states, vels = [], [], []
     rec_vals: Dict[str, list] = {name: [] for name, _ in probes}
 
     def record(t, u):
-        if field.order == 1:
-            xs, vs = u, deriv(t, u)
-        else:
-            xs, vs = u[: x.size], u[x.size:]
+        xs, vs = view(t, u)
         times.append(t)
         states.append(xs.copy())
         vels.append(vs.copy())
@@ -168,26 +135,12 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
     def partial() -> Trajectory:
         return Trajectory(
             times=np.array(times), states=np.array(states), velocities=np.array(vels),
-            records={k: np.array(vv) for k, vv in rec_vals.items()}, label=field.label)
+            records={k: np.array(vv) for k, vv in rec_vals.items()}, label=label)
 
-    t_start, half = cfg.t_start, 0.5 * dt
-    every, euler = cfg.record_every, cfg.method == "euler"
-    # the step's products take 0-d arrays, which numpy multiplies with a
-    # vector in less dispatch than a Python float, to the same bits; the
-    # time arithmetic stays in Python floats
-    h, h_half, h_sixth, two = (np.array(c) for c in (dt, half, dt / 6.0, 2.0))
     t = t_start
     record(t, u)
-    for k in range(1, cfg.n_steps + 1):
-        if euler:
-            u = u + h * deriv(t, u)
-        else:
-            t_mid = t + half
-            k1 = deriv(t, u)
-            k2 = deriv(t_mid, u + h_half * k1)
-            k3 = deriv(t_mid, u + h_half * k2)
-            k4 = deriv(t + dt, u + h * k3)
-            u = u + h_sixth * (k1 + two * k2 + two * k3 + k4)
+    for k in range(1, n_steps + 1):
+        u = advance(k, t, u)
         t = t_start + k * dt
         # NaN fails both tests: it propagates through the dot and through max
         if not u.dot(u) <= _GUARD_SQ and not np.abs(u).max() <= DIVERGENCE_THRESHOLD:
@@ -196,6 +149,61 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
         if k % every == 0:
             record(t, u)
     return partial()
+
+
+def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
+              probes: Sequence[Tuple[str, Callable]] = ()) -> Trajectory:
+    """Integrate a flow field on a fixed grid, recording states and probe values.
+
+    probes is a sequence of (name, fn) with fn(t, x, v) -> float, evaluated
+    every cfg.record_every steps.  Raises DivergenceError (carrying the last
+    finite time and the partial trajectory) when a coordinate passes 1e12.
+    """
+    x = as_vector(x0)
+    if field.dim is not None and x.size != field.dim:
+        raise ValueError("x0 has dimension %d, field expects %d" % (x.size, field.dim))
+    n = x.size
+    if field.order == 1:
+        if v0 is not None:
+            raise ValueError("v0 supplied for an order-1 field")
+        deriv = lambda t, u: np.asarray(field.fn(t, u), dtype=float)
+        view = lambda t, u: (u, deriv(t, u))
+        u = x.copy()
+    else:
+        if v0 is None:
+            raise ValueError("order-2 field needs v0")
+        v = as_vector(v0)
+        if v.size != n:
+            raise ValueError("v0 dimension mismatch")
+
+        def deriv(t, u):
+            a = np.asarray(field.fn(t, u[:n], u[n:]), dtype=float)
+            return np.concatenate([u[n:], a])
+
+        view = lambda t, u: (u[:n], u[n:])
+        u = np.concatenate([x, v])
+    _check_breakpoints(field, cfg)
+
+    dt, half = cfg.dt, 0.5 * cfg.dt
+    # the step's products take 0-d arrays, which numpy multiplies with a
+    # vector in less dispatch than a Python float, to the same bits; the
+    # time arithmetic stays in Python floats
+    h, h_half, h_sixth, two = (np.array(c) for c in (dt, half, dt / 6.0, 2.0))
+
+    if cfg.method == "euler":
+        def advance(k, t, u):
+            return u + h * deriv(t, u)
+    else:
+        def advance(k, t, u):
+            t_mid = t + half
+            k1 = deriv(t, u)
+            k2 = deriv(t_mid, u + h_half * k1)
+            k3 = deriv(t_mid, u + h_half * k2)
+            k4 = deriv(t + dt, u + h * k3)
+            return u + h_sixth * (k1 + two * k2 + two * k3 + k4)
+
+    return _drive(advance, view, u, cfg.t_start, dt, cfg.n_steps, cfg.record_every, probes,
+                  field.label)
 
 
 def euler_unit_step(field: FlowField, x, t: float = 0.0) -> Array:

@@ -275,7 +275,10 @@ def affine_prox(C, d) -> ProxFunction:
     C = np.atleast_2d(np.asarray(C, dtype=float))
     d = as_vector(d)
     CT = C.T
-    gram_inv = np.linalg.pinv(C @ CT)
+    gram = C @ CT
+    if not np.all(np.isfinite(gram)):  # np.linalg.pinv may not return on inf or NaN
+        raise ValueError("C @ C.T is not finite; rescale the constraint Cx = d")
+    gram_inv = np.linalg.pinv(gram)
 
     def project(gamma, x):
         x = np.asarray(x, dtype=float)
@@ -405,7 +408,10 @@ def least_squares_fn(A, b) -> SmoothFunction:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = as_vector(b)
     AT = A.T
-    L = float(np.linalg.norm(A, 2)) ** 2
+    try:
+        L = float(np.linalg.norm(A, 2)) ** 2
+    except OverflowError:
+        raise ValueError("||A||^2 overflows a float; rescale A and b") from None
     return SmoothFunction(
         value=lambda x: 0.5 * float(np.sum((A @ np.asarray(x) - b) ** 2)),
         gradient=lambda x: AT.dot(A.dot(np.asarray(x, dtype=float)) - b),

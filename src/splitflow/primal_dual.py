@@ -329,7 +329,7 @@ def pd_probes(prob: StructuredProblem, params: PDParams):
     def consistency(t, u, v):
         # second-line resolvent relation recomputed from the derivative estimate
         s = unpack(u)
-        xdot = v[:n] if v is not None else None
+        xdot = v[:n]
         zdot = v[n:n + m]
         w2 = params.c * prob.A(params.gamma_relax * xdot + s.x) + s.y
         target = prox_eval(prob.g, 1.0 / params.c, w2 / params.c)

@@ -470,6 +470,25 @@ class TestSequenceRunner:
         with pytest.raises(DivergenceError):
             run_sequence(lambda n, x, xp: x * np.nan, np.ones(2), 3)
 
+    def test_divergence_stops_at_the_first_bad_iterate(self):
+        # 3**25 < 1e12 < 3**26: the guard runs at every step, so the run makes
+        # no update past the 26th
+        calls = []
+
+        def triple(n, x, x_prev):
+            calls.append(n)
+            return 3.0 * x
+
+        with pytest.raises(DivergenceError, match="^trajectory diverged at t=26$") as info:
+            run_sequence(triple, np.ones(2), 2000)
+        assert calls == list(range(1, 27))
+        assert info.value.last_finite_t == 25.0 and len(info.value.trajectory.times) == 26
+        calls.clear()
+        with pytest.raises(DivergenceError) as info:
+            run_sequence(lambda n, x, x_prev: calls.append(n) or x * np.nan, np.ones(2), 3)
+        assert calls == [1] and info.value.last_finite_t == 0.0
+        assert list(info.value.trajectory.times) == [0.0]
+
     @pytest.mark.parametrize("x0", [[np.nan], [1.0, np.inf], [], np.eye(2)],
                              ids=["nan", "inf", "empty", "matrix"])
     def test_start_must_be_a_finite_vector(self, x0):

@@ -63,3 +63,39 @@ def test_traced_bindings_are_distinct_functions(monkeypatch):
     functions = [getattr(importlib.import_module(module), attr) for module, attr in targets]
     assert all(callable(fn) for fn in functions)
     assert len(set(map(id, functions))) == len(targets) == 37
+
+
+def test_traced_units_pass_the_trace_self_checks(monkeypatch, tmp_path):
+    # corpus unit 0 and multistart unit 0 under the span tracer, as a traced
+    # benchmark run sees them: every self-check holds, and a discrete run
+    # (run_sequence) steps through the shared loop without an integrate span
+    monkeypatch.syspath_prepend(BENCH)
+    import spans
+    import workloads
+    corpus = workloads.CorpusRuns(str(tmp_path / "corpus"), seed=1)
+    sweep = workloads.MultistartSweep(str(tmp_path / "sweep"), seed=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for workload, integrate_calls in ((corpus, 1), (sweep, 3)):
+            tracer.reset()
+            for i, exp in enumerate(workload.unit(0)):
+                tracer.experiment = i
+                try:
+                    exp.run()
+                finally:
+                    tracer.experiment = None
+            counts, _, failures = spans.aggregate(tracer)
+            assert failures == []
+            assert counts["integrate.calls"] == integrate_calls
+            a = tracer.arrays()
+            ids = {name: i for i, name in enumerate(tracer.names)}
+            sequences = set(map(int, (a["name"] == ids.get("algorithms.run_sequence"))
+                                .nonzero()[0]))
+            assert len(sequences) == (3 if workload is sweep else 0)
+            for idx in (a["name"] == ids["integrate"]).nonzero()[0]:
+                while idx >= 0:
+                    assert idx not in sequences
+                    idx = int(a["parent"][idx])
+    finally:
+        tracer.uninstall()

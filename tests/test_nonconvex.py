@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splitflow.algorithms import run_sequence
 from splitflow.diagnostics import nonincreasing_check
 from splitflow.errors import FitError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
@@ -8,7 +9,7 @@ from splitflow.nonconvex import (NonconvexProblem, arclength_series,
                                  brute_force_critical_points, check_eta,
                                  critical_residual, lojasiewicz_fit, merit_eval,
                                  merit_series, merit_subgradient, merit_subgradient_norm,
-                                 nonconvex_probes, proxgrad_field,
+                                 nonconvex_probes, proxgrad_field, proxgrad_increment,
                                  subgradient_norm_series)
 from splitflow.operators import (SmoothFunction, l1_prox, one_minus_cos_fn,
                                  quadratic_fn, soft_threshold, zero_prox)
@@ -193,12 +194,17 @@ class TestTrajectoryProperties:
         assert np.all(np.diff(traj.records["arclength"]) >= -1e-15)
 
     def test_arclength_probe_restarts_when_the_list_is_reused(self):
+        # the stateful probe must see each record once, in time order, in a flow
+        # run and in a discrete run (the unit step) alike
         p = get_problem("nonconvex_cos").components["problem"]
         probes = nonconvex_probes(p)
         cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=20.0, record_every=10)
         runs = [integrate(proxgrad_field(p), np.array([2.5]), cfg, probes=probes)
                 for _ in range(2)]
-        assert np.array_equal(runs[0].records["arclength"], runs[1].records["arclength"])
+        runs += [run_sequence(lambda n, x, x_prev: x + proxgrad_increment(p, x),
+                              np.array([2.5]), 200, probes=probes) for _ in range(2)]
+        for first, second in (runs[:2], runs[2:]):
+            assert np.array_equal(first.records["arclength"], second.records["arclength"])
         for traj in runs:
             assert np.array_equal(traj.records["arclength"], arclength_series(traj))
 

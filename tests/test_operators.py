@@ -280,6 +280,11 @@ class TestLinearAndSmooth:
         assert B.cocoercivity_beta is None
         assert B.lipschitz_L == pytest.approx(1.0)
 
+    def test_least_squares_rejects_a_lipschitz_constant_that_overflows(self):
+        # ||A|| = 2e200 is a float, ||A||^2 is not
+        with pytest.raises(ValueError, match="overflows"):
+            least_squares_fn(np.full((2, 2), 1e200), np.zeros(2))
+
 
 class TestVectors:
     def test_as_vector_rejects_bad_input(self):
@@ -295,6 +300,12 @@ class TestVectors:
         f = affine_prox(np.array([[1.0, 1.0]]), np.array([2.0]))
         p = prox_eval(f, 1.0, np.array([3.0, 3.0]))
         assert np.allclose(p, [1.0, 1.0])
+
+    def test_affine_prox_rejects_a_gram_matrix_that_overflows(self):
+        # C @ C.T holds +-inf; the pseudo-inverse of such a matrix may never return
+        C = [[1e200, 0.0, 0.0], [-1e200, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            affine_prox(C, np.zeros(3))
 
 
 class TestNorm:
