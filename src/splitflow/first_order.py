@@ -4,13 +4,14 @@ coupled and reflected forms.
 
 Each *_increment function returns the raw field value; the discrete steps in
 algorithms.py reuse the same code paths so that unit-step Euler integration
-and the discrete algorithms coincide bit for bit.
+and the discrete algorithms coincide bit for bit.  A field passes them the
+values it bound when it was built: B.fn for B, a constant lam as a 0-d array.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,9 +19,10 @@ from .errors import SpecError
 from .integrate import FlowField
 from .operators import (MonotoneMap, SingleValuedMap, check_fb_step, fb_delta, norm,
                         reflected_resolvent, resolvent_eval)
-from .schedules import Schedule
+from .schedules import Schedule, _bind
 
 _BOUND_TOL = 1e-12
+_HALF = np.array(0.5)
 
 
 def check_relaxation(lam: float, cap: float, t: Optional[float] = None) -> float:
@@ -44,19 +46,18 @@ def check_tseng_step(B: SingleValuedMap, gamma: float):
         raise SpecError("need 0 < gamma with gamma*L < 1, got gamma*L=%g" % (gamma * L))
 
 
-def km_increment(T: SingleValuedMap, lam: float, x):
+def km_increment(T: Callable, lam, x):
     return lam * (T(x) - x)
 
 
-def fb_increment(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x,
-                 shift=None):
+def fb_increment(A: MonotoneMap, B: Callable, gamma: float, lam, x, shift=None):
     arg = x - gamma * B(x)
     if shift is not None:
         arg = arg + shift
     return lam * (resolvent_eval(A, gamma, arg) - x)
 
 
-def fbf_increment(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x):
+def fbf_increment(A: MonotoneMap, B: Callable, gamma: float, lam, x):
     Bx = B(x)
     y = resolvent_eval(A, gamma, x - gamma * Bx)
     return -x + y + lam * (Bx - B(y))
@@ -64,7 +65,7 @@ def fbf_increment(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, 
 
 def dr_operator(A: MonotoneMap, B: MonotoneMap, gamma: float, z):
     """The averaged Douglas-Rachford operator (Id + R_{gamma A} R_{gamma B})/2."""
-    return 0.5 * (reflected_resolvent(A, gamma, reflected_resolvent(B, gamma, z)) + z)
+    return _HALF * (reflected_resolvent(A, gamma, reflected_resolvent(B, gamma, z)) + z)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,9 +93,15 @@ class KMFlowSpec:
         return check_relaxation(self.lam(t), self.lambda_cap, t)
 
 
+def _relaxation(spec):
+    """The field's reader of spec.lam, checked against the spec's cap (see _bind)."""
+    cap = spec.lambda_cap
+    return _bind(spec.lam, lambda lam, t: check_relaxation(lam, cap, t))
+
+
 def km_field(spec: KMFlowSpec) -> FlowField:
-    return FlowField(order=1, label="km",
-                     fn=lambda t, x: km_increment(spec.T, spec._lam_at(t), x),
+    T, lam = spec.T.fn, _relaxation(spec)
+    return FlowField(order=1, label="km", fn=lambda t, x: km_increment(T, lam(t), x),
                      breakpoints=spec.lam.breakpoints)
 
 
@@ -133,18 +140,18 @@ class FBFlowSpec:
 
 
 def fb_field(spec: FBFlowSpec) -> FlowField:
-    brk = spec.lam.breakpoints
-    if spec.epsilon is not None:
-        brk = tuple(sorted(set(brk) | set(spec.epsilon.breakpoints)))
+    A, B, gamma, lam = spec.A, spec.B.fn, spec.gamma, _relaxation(spec)
+    if spec.epsilon is None:
+        return FlowField(order=1, label="fb", breakpoints=spec.lam.breakpoints,
+                         fn=lambda t, x: fb_increment(A, B, gamma, lam(t), x))
+    sign = spec.tikhonov_sign
+    eps = _bind(spec.epsilon, lambda e, t: sign * e)
 
     def fn(t, x):
-        shift = None
-        if spec.epsilon is not None:
-            shift = spec.tikhonov_sign * spec.epsilon(t) * x
-        return fb_increment(spec.A, spec.B, spec.gamma, spec._lam_at(t), x, shift=shift)
+        return fb_increment(A, B, gamma, lam(t), x, shift=eps(t) * x)
 
-    label = "fb-tikhonov" if spec.epsilon is not None else "fb"
-    return FlowField(order=1, fn=fn, label=label, breakpoints=brk)
+    brk = tuple(sorted(set(spec.lam.breakpoints) | set(spec.epsilon.breakpoints)))
+    return FlowField(order=1, fn=fn, label="fb-tikhonov", breakpoints=brk)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,8 +170,8 @@ class FBFFlowSpec:
 
 
 def fbf_field(spec: FBFFlowSpec) -> FlowField:
-    return FlowField(order=1, label="fbf",
-                     fn=lambda t, x: fbf_increment(spec.A, spec.B, spec.gamma, spec.lam, x))
+    A, B, gamma, lam = spec.A, spec.B.fn, spec.gamma, np.array(spec.lam)
+    return FlowField(order=1, label="fbf", fn=lambda t, x: fbf_increment(A, B, gamma, lam, x))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,7 +203,7 @@ class DRFlowSpec:
                                 "use form='reflected' instead")
 
 
-def _fd_jacobian(B: SingleValuedMap, x):
+def _fd_jacobian(B, x):
     n = x.size
     h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
     J = np.empty((n, n))
@@ -208,17 +215,18 @@ def _fd_jacobian(B: SingleValuedMap, x):
 
 
 def dr_field(spec: DRFlowSpec) -> FlowField:
+    A, gamma = spec.A, spec.gamma
     if spec.form == "reflected":
-        def fn(t, z):
-            return 1.0 * (dr_operator(spec.A, spec.B, spec.gamma, z) - z)
-
-        return FlowField(order=1, fn=fn, label="dr-reflected")
+        B = spec.B
+        return FlowField(order=1, label="dr-reflected",
+                         fn=lambda t, z: dr_operator(A, B, gamma, z) - z)
+    B = spec.B.fn
 
     def fn(t, x):
         x = np.asarray(x, dtype=float)
-        c = resolvent_eval(spec.A, spec.gamma, x - spec.gamma * spec.B(x)) - x
-        J = _fd_jacobian(spec.B, x)
-        return np.linalg.solve(np.eye(x.size) + spec.gamma * J, c)
+        c = resolvent_eval(A, gamma, x - gamma * B(x)) - x
+        J = _fd_jacobian(B, x)
+        return np.linalg.solve(np.eye(x.size) + gamma * J, c)
 
     return FlowField(order=1, fn=fn, label="dr-coupled")
 

@@ -46,13 +46,16 @@ class NonconvexProblem:
         return 1.0 / self.eta - (3.0 + self.eta * beta) * beta
 
 
-def proxgrad_increment(p: NonconvexProblem, x):
-    return prox_eval(p.f, p.eta, x - p.eta * p.g.gradient(x)) - x
+def proxgrad_increment(f: ProxFunction, eta: float, grad, x):
+    """prox_{eta f}(x - eta*grad(x)) - x, with grad the gradient of g."""
+    return prox_eval(f, eta, x - eta * grad(x)) - x
 
 
 def proxgrad_field(p: NonconvexProblem) -> FlowField:
     """dx/dt = prox_{eta f}(x - eta*grad g(x)) - x."""
-    return FlowField(order=1, fn=lambda t, x: proxgrad_increment(p, x), label="proxgrad")
+    f, eta, grad = p.f, p.eta, p.g.gradient
+    return FlowField(order=1, fn=lambda t, x: proxgrad_increment(f, eta, grad, x),
+                     label="proxgrad")
 
 
 def merit_eval(p: NonconvexProblem, u, v) -> float:
@@ -80,7 +83,7 @@ def merit_subgradient_norm(p: NonconvexProblem, x, xdot) -> float:
 
 def critical_residual(p: NonconvexProblem, x) -> float:
     """||prox_{eta f}(x - eta*grad g(x)) - x|| / eta, vanishing exactly at critical points."""
-    return norm(proxgrad_increment(p, x)) / p.eta
+    return norm(proxgrad_increment(p.f, p.eta, p.g.gradient, x)) / p.eta
 
 
 def merit_series(p: NonconvexProblem, traj: Trajectory) -> np.ndarray:

@@ -13,6 +13,14 @@ bits except when the summed dimension is 1 (a 1-column matrix, or two
 come out as -0.0 where @ adds it to +0.0.  A self-dot is never -0.0, so
 self-dots are always safe.  Cross dots (u @ v of two different vectors) stay
 @, since a 1-D flow's -0.0 would change the CSV outputs.
+
+A constant scalar that multiplies or clips a vector on the step path is a
+0-d float64 array (soft_threshold's zero, box bounds, the factors of
+reflected_resolvent, a field's constant relaxation): numpy 2.4 dispatches
+such a ufunc about 0.2 us faster than with a Python float (2-vCPU Xeon), to
+the same bits.  The parameters of prox_eval, resolvent_eval and
+moreau_conjugate_prox stay Python floats: gamma > 0 on a 0-d array is itself
+a ufunc call (0.8 us, not 0.05), and a 0-d fb step made the field 30% slower.
 """
 
 from __future__ import annotations
@@ -26,6 +34,10 @@ import numpy as np
 from .errors import SpecError
 
 Array = np.ndarray
+
+
+_ZERO = np.array(0.0)
+_TWO = np.array(2.0)
 
 
 def as_vector(x) -> Array:
@@ -130,7 +142,7 @@ def resolvent_eval(A: MonotoneMap, gamma: float, x: Array) -> Array:
 def reflected_resolvent(A: MonotoneMap, gamma: float, x: Array) -> Array:
     """Evaluate 2*J_{gamma A}(x) - x (nonexpansive)."""
     x = np.asarray(x, dtype=float)
-    return 2.0 * resolvent_eval(A, gamma, x) - x
+    return _TWO * resolvent_eval(A, gamma, x) - x
 
 
 def yosida_eval(A: MonotoneMap, lam: float, x: Array) -> Array:
@@ -181,7 +193,7 @@ def zero_prox() -> ProxFunction:
 
 
 def soft_threshold(x: Array, thresh: float) -> Array:
-    return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
+    return np.sign(x) * np.maximum(np.abs(x) - thresh, _ZERO)
 
 
 def l1_prox(weight: float = 1.0) -> ProxFunction:
@@ -215,6 +227,7 @@ def box_prox(lo, hi) -> ProxFunction:
     """Indicator of the box [lo, hi]; prox is the clip, independent of gamma."""
     if not np.all(np.less_equal(lo, hi)):  # also rejects NaN bounds
         raise ValueError("box needs lo <= hi")
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -358,7 +371,7 @@ def linear_monotone_map(M) -> MonotoneMap:
 
 def matrix_operator(M) -> SingleValuedMap:
     """B(x) = Mx with Lipschitz constant ||M||; cocoercive only when M is symmetric PSD."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = _finite_matrix(M, "matrix_operator: M")
     L = float(np.linalg.norm(M, 2))
     beta = None
     if np.allclose(M, M.T, atol=1e-12):
@@ -388,9 +401,17 @@ def gradient_map(g: SmoothFunction) -> SingleValuedMap:
 # smooth function catalog
 
 
+def _finite_matrix(M, name: str) -> Array:
+    """M as a 2-D float64 array; ValueError naming it if an entry is inf or NaN."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if not np.all(np.isfinite(M)):
+        raise ValueError("%s has a non-finite entry" % name)
+    return M
+
+
 def quadratic_fn(Q, b=None, constant: float = 0.0) -> SmoothFunction:
     """g(x) = x^T Q x / 2 - b^T x + constant with symmetric Q."""
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    Q = _finite_matrix(Q, "quadratic_fn: Q")
     n = Q.shape[0]
     bv = np.zeros(n) if b is None else as_vector(b)
     eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
@@ -405,7 +426,7 @@ def quadratic_fn(Q, b=None, constant: float = 0.0) -> SmoothFunction:
 
 def least_squares_fn(A, b) -> SmoothFunction:
     """g(x) = ||Ax - b||^2 / 2."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _finite_matrix(A, "least_squares_fn: A")
     b = as_vector(b)
     AT = A.T
     try:
@@ -437,7 +458,7 @@ def zero_fn() -> SmoothFunction:
 
 def matrix_linear_map(M) -> LinearMap:
     """Dense-matrix LinearMap with exact 2-norm estimate."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = _finite_matrix(M, "matrix_linear_map: M")
     MT = M.T
     return LinearMap(
         apply=lambda x: M.dot(np.asarray(x, dtype=float)),

@@ -23,7 +23,7 @@ from .errors import SolverError, SpecError
 from .integrate import FlowField
 from .operators import (LinearMap, ProxFunction, SmoothFunction,
                         moreau_conjugate_prox, norm, prox_eval)
-from .schedules import Schedule
+from .schedules import Schedule, _bind
 
 Array = np.ndarray
 
@@ -71,14 +71,23 @@ class PDState:
         return PDState(x=u[:n], z=u[n:n + m], y=u[n + m:n + 2 * m])
 
 
+def _tau_check(prob: StructuredProblem, params: PDParams):
+    """check(tau, t) -> tau: tau > 0 and c*tau*||A||^2 <= 1 (to 1e-9), else SpecError."""
+    c, a_sq = params.c, prob.A.norm_estimate ** 2
+
+    def check(tau, t):
+        if not tau > 0:
+            raise SpecError("tau(%g)=%g must be positive" % (t, tau))
+        if c * tau * a_sq > 1.0 + 1e-9:
+            raise SpecError("step constraint violated at t=%g: c*tau*||A||^2 = %g > 1"
+                            % (t, c * tau * a_sq))
+        return tau
+
+    return check
+
+
 def _check_tau(prob: StructuredProblem, params: PDParams, t: float) -> float:
-    tau = params.tau(t)
-    if not tau > 0:
-        raise SpecError("tau(%g)=%g must be positive" % (t, tau))
-    if params.c * tau * prob.A.norm_estimate ** 2 > 1.0 + 1e-9:
-        raise SpecError("step constraint violated at t=%g: c*tau*||A||^2 = %g > 1"
-                        % (t, params.c * tau * prob.A.norm_estimate ** 2))
-    return tau
+    return _tau_check(prob, params)(params.tau(t), t)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,32 +117,39 @@ class LinearizedMetric(LinearMap):
         object.__setattr__(self, "norm_estimate", 1.0 / tau)
 
 
-def _linearized_x_line(prob: StructuredProblem, c: float, tau: float, x, z, y):
-    """(A x, xd) with xd = prox_{tau f}(x - tau*(A*(c(Ax - z) + y) + grad h(x))) - x."""
-    ax = prob.A(x)
-    w1 = x - tau * (prob.A.adjoint(c * (ax - z) + y) + prob.h.gradient(x))
-    return ax, prox_eval(prob.f, tau, w1) - x
+def _linearized_x_line(A, At, grad_h, f: ProxFunction, c, tau: float, x, z, y):
+    """(A x, xd) with xd = prox_{tau f}(x - tau*(A*(c(Ax - z) + y) + grad h(x))) - x.
+
+    A, At and grad_h are the callables A.apply, A.adjoint and h.gradient.
+    """
+    ax = A(x)
+    w1 = x - tau * (At(c * (ax - z) + y) + grad_h(x))
+    return ax, prox_eval(f, tau, w1) - x
 
 
-def _special_rates(prob: StructuredProblem, params: PDParams, t: float, x, z, y):
-    # by linearity of A the field needs A(x), A(xdot) and one adjoint
-    tau = _check_tau(prob, params, t)
-    c, gam, A = params.c, params.gamma_relax, prob.A
-    ax, xdot = _linearized_x_line(prob, c, tau, x, z, y)
-    axdot = A(xdot)
-    w2 = c * (ax + gam * axdot) + y
-    p = moreau_conjugate_prox(prob.g, c, w2)
-    ydot = p - y - c * (gam - 1.0) * axdot
-    zdot = ax + axdot - ydot / c - z
-    return xdot, zdot, ydot
+def _bound_scalars(params: PDParams):
+    """c, gamma_relax and c*(gamma_relax - 1) as 0-d arrays, the rate lines' multipliers."""
+    c, gam = params.c, params.gamma_relax
+    return np.array(c), np.array(gam), np.array(c * (gam - 1.0))
 
 
 def pd_field_special(prob: StructuredProblem, params: PDParams) -> FlowField:
-    """The full-splitting primal-dual field on the stacked state (x, z, y)."""
+    """The full-splitting primal-dual field on the stacked state (x, z, y); a
+    constant tau is checked here, any other at every evaluation."""
     n, m = prob.n, prob.m
+    A, At, grad_h, f, g, c = (prob.A.apply, prob.A.adjoint, prob.h.gradient, prob.f, prob.g,
+                              params.c)
+    cv, gam, c_gam1 = _bound_scalars(params)
+    tau = _bind(params.tau, _tau_check(prob, params), as_array=False)
 
     def fn(t, u):
-        xdot, zdot, ydot = _special_rates(prob, params, t, u[:n], u[n:n + m], u[n + m:])
+        x, z, y = u[:n], u[n:n + m], u[n + m:]
+        # by linearity of A the field needs A(x), A(xdot) and one adjoint
+        ax, xdot = _linearized_x_line(A, At, grad_h, f, cv, tau(t), x, z, y)
+        axdot = A(xdot)
+        w2 = cv * (ax + gam * axdot) + y
+        ydot = moreau_conjugate_prox(g, c, w2) - y - c_gam1 * axdot
+        zdot = ax + axdot - ydot / cv - z
         return np.concatenate([xdot, zdot, ydot])
 
     return FlowField(order=1, fn=fn, label="pd-special", dim=n + 2 * m,
@@ -231,6 +247,22 @@ def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
     return solve_prox_quadratic(f, q, q_norm, w, u0)
 
 
+def _general_rates(prob: StructuredProblem, c: float, cv, gam, A, At, grad_h,
+                   M1: Optional[LinearMap], M2: Optional[LinearMap], x, z, y):
+    """pd_general_increment from bound values (see pd_field_general)."""
+    if isinstance(M1, LinearizedMetric) and M1.c == c and M1.A is prob.A:
+        ax, xdot = _linearized_x_line(A, At, grad_h, prob.f, cv, M1.tau, x, z, y)
+    else:
+        w1 = At(cv * z - y) - grad_h(x)
+        xdot = _metric_block_solve(prob.f, c, prob.A, M1, w1, x) - x
+        ax = A(x)
+    axdot = A(xdot)
+    w2 = cv * (ax + gam * axdot) + y
+    zdot = _metric_block_solve(prob.g, c, None, M2, w2, z) - z
+    ydot = cv * (ax + axdot - (z + zdot))
+    return xdot, zdot, ydot
+
+
 def pd_general_increment(prob: StructuredProblem, params: PDParams,
                          M1: Optional[LinearMap], M2: Optional[LinearMap], x, z, y):
     """(xd, zd, yd) of the metric-scheduled field for metrics M1, M2 (None for zero).
@@ -245,30 +277,23 @@ def pd_general_increment(prob: StructuredProblem, params: PDParams,
     yd = c*A(x + xd) - c*(z + zd).  By linearity of A an increment needs
     A(x), A(xd) and one adjoint besides any inner solves.
     """
-    c, gam, A = params.c, params.gamma_relax, prob.A
-    if isinstance(M1, LinearizedMetric) and M1.c == c and M1.A is A:
-        ax, xdot = _linearized_x_line(prob, c, M1.tau, x, z, y)
-    else:
-        w1 = A.adjoint(c * z - y) - prob.h.gradient(x)
-        xdot = _metric_block_solve(prob.f, c, A, M1, w1, x) - x
-        ax = A(x)
-    axdot = A(xdot)
-    w2 = c * (ax + gam * axdot) + y
-    zdot = _metric_block_solve(prob.g, c, None, M2, w2, z) - z
-    ydot = c * (ax + axdot - (z + zdot))
-    return xdot, zdot, ydot
+    c, A = params.c, prob.A
+    return _general_rates(prob, c, c, params.gamma_relax, A.apply, A.adjoint, prob.h.gradient,
+                          M1, M2, x, z, y)
 
 
 def pd_field_general(prob: StructuredProblem, params: PDParams,
                      M1: Optional[Callable[[float], LinearMap]] = None,
                      M2: Optional[Callable[[float], LinearMap]] = None) -> FlowField:
     """The metric-scheduled field; M1(t), M2(t) are positive-semidefinite LinearMaps."""
-    n, m = prob.n, prob.m
+    n, m, c = prob.n, prob.m, params.c
+    cv, gam, _ = _bound_scalars(params)
+    A, At, grad_h = prob.A.apply, prob.A.adjoint, prob.h.gradient
 
     def fn(t, u):
-        rates = pd_general_increment(prob, params, M1(t) if M1 is not None else None,
-                                     M2(t) if M2 is not None else None,
-                                     u[:n], u[n:n + m], u[n + m:])
+        rates = _general_rates(prob, c, cv, gam, A, At, grad_h,
+                               M1(t) if M1 is not None else None,
+                               M2(t) if M2 is not None else None, u[:n], u[n:n + m], u[n + m:])
         return np.concatenate(rates)
 
     return FlowField(order=1, fn=fn, label="pd-general", dim=n + 2 * m)
@@ -277,14 +302,14 @@ def pd_field_general(prob: StructuredProblem, params: PDParams,
 def special_metric(prob: StructuredProblem, params: PDParams):
     """The M1(t) = (1/tau(t)) I - c A*A, M2 = 0 choice that recovers the special field.
 
-    M1(t) checks the step constraint c*tau(t)*||A||^2 <= 1 and returns a
-    LinearizedMetric, so the general field's x-line is the special field's
-    single prox of f, with no inner solve.
+    M1(t) returns a LinearizedMetric, so the general field's x-line is the
+    special field's single prox of f, with no inner solve.  The step
+    constraint c*tau*||A||^2 <= 1 is checked, and the metric built, once here
+    when tau is constant, and at every call of M1 otherwise.
     """
-
-    def M1(t):
-        return LinearizedMetric(tau=_check_tau(prob, params, t), c=params.c, A=prob.A)
-
+    c, A, check = params.c, prob.A, _tau_check(prob, params)
+    M1 = _bind(params.tau, lambda tau, t: LinearizedMetric(tau=check(tau, t), c=c, A=A),
+               as_array=False)
     return M1, None
 
 

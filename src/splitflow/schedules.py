@@ -32,6 +32,26 @@ class Schedule:
         return float(self.dfn(t))
 
 
+def _bind(s: Schedule, check: Optional[Callable] = None, as_array: bool = True):
+    """The reader t -> s(t) of a flow field; check(value, t), if given, raises or
+    returns what the reader gives.
+
+    A schedule whose declared bounds are equal is constant: it is read at
+    t = 0 and checked once, here, and the reader returns that value, as a
+    0-d float64 array when as_array (the cheaper vector operand, see
+    operators).  Any other schedule is read and checked at every call.
+    """
+    if s.bounds is not None and s.bounds[0] == s.bounds[1]:
+        value = s(0.0) if check is None else check(s(0.0), 0.0)
+        if as_array:
+            value = np.array(value)
+        return lambda t: value
+    if check is None:
+        return s
+    fn = s.fn  # read as __call__ does, one call layer less
+    return lambda t: check(float(fn(t)), t)
+
+
 def constant(value: float) -> Schedule:
     if math.isnan(value):
         raise SpecError("constant schedule needs a number, got nan")

@@ -23,7 +23,7 @@ from .errors import SpecError
 from .integrate import FlowField, Trajectory
 from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, check_fb_step,
                         fb_delta, norm, resolvent_eval, yosida_eval)
-from .schedules import Schedule, over_t
+from .schedules import Schedule, _bind, over_t
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,33 +94,35 @@ class SecondOrderSpec:
 
     @classmethod
     def _scheduled(cls, variant, operator, beta, condition):
-        lam = condition.lam
+        lam = _bind(condition.lam)
         return cls(label="second-order-" + variant, operator=operator,
                    drive=lambda t, x: lam(t) * operator(x), damping=condition.gamma,
-                   relaxation=lam, beta=beta)
+                   relaxation=condition.lam, beta=beta)
 
     @classmethod
     def cocoercive(cls, B: SingleValuedMap, condition: DampingCondition):
         if B.cocoercivity_beta is None:
             raise SpecError("cocoercive variant needs B.cocoercivity_beta")
-        return cls._scheduled("cocoercive", B, B.cocoercivity_beta, condition)
+        return cls._scheduled("cocoercive", B.fn, B.cocoercivity_beta, condition)
 
     @classmethod
     def nonexpansive(cls, T: SingleValuedMap, condition: DampingCondition):
         if T.lipschitz_L is not None and T.lipschitz_L > 1.0 + 1e-10:
             raise SpecError("nonexpansive variant needs a nonexpansive T")
-        return cls._scheduled("nonexpansive", lambda x: x - T(x), 0.5, condition)
+        Tf = T.fn
+        return cls._scheduled("nonexpansive", lambda x: x - Tf(x), 0.5, condition)
 
     @classmethod
     def fb(cls, A: MonotoneMap, B: SingleValuedMap, eta: float, condition: DampingCondition):
-        beta = check_fb_step(B, eta)
-        return cls._scheduled("fb", lambda x: x - resolvent_eval(A, eta, x - eta * B(x)),
+        beta, Bf = check_fb_step(B, eta), B.fn
+        return cls._scheduled("fb", lambda x: x - resolvent_eval(A, eta, x - eta * Bf(x)),
                               fb_delta(beta, eta) / 2.0, condition)
 
     @classmethod
     def avd(cls, g: SmoothFunction, alpha: float):
-        return cls(label="avd", operator=g.gradient, damping=over_t(alpha),
-                   drive=lambda t, x: g.gradient(x), g=g)
+        grad = g.gradient
+        return cls(label="avd", operator=grad, damping=over_t(alpha),
+                   drive=lambda t, x: grad(x), g=g)
 
     @classmethod
     def yosida(cls, A: MonotoneMap, lam_schedule: Schedule, alpha: float):
@@ -136,11 +138,11 @@ class SecondOrderSpec:
 
 def second_order_field(spec: SecondOrderSpec) -> FlowField:
     """xdd = -damping(t)*xd - drive(t, x); breakpoints of damping and relaxation."""
-    damping, drive = spec.damping, spec.drive
+    neg_damping, drive = _bind(spec.damping, lambda gam, t: -gam), spec.drive
     relax = spec.relaxation.breakpoints if spec.relaxation is not None else ()
-    return FlowField(order=2, fn=lambda t, x, v: -damping(t) * v - drive(t, x),
+    return FlowField(order=2, fn=lambda t, x, v: neg_damping(t) * v - drive(t, x),
                      label=spec.label,
-                     breakpoints=tuple(sorted(set(damping.breakpoints) | set(relax))))
+                     breakpoints=tuple(sorted(set(spec.damping.breakpoints) | set(relax))))
 
 
 def _lyapunov(spec: SecondOrderSpec, xstar):

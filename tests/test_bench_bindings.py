@@ -6,9 +6,12 @@ call them with keywords; a rename or a removed parameter in the package would
 otherwise surface only when the benchmark runs.
 """
 
+import collections
 import importlib
 import os
 import sys
+
+import numpy as np
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -99,3 +102,56 @@ def test_traced_units_pass_the_trace_self_checks(monkeypatch, tmp_path):
                     idx = int(a["parent"][idx])
     finally:
         tracer.uninstall()
+
+
+def _fields(corpus, sweep):
+    """One field of each of the 11 labels, as the workloads build them, with a state."""
+    import splitflow.config as config
+    import splitflow.primal_dual as primal_dual
+    out = []
+    for _, path, _, _ in corpus.configs:
+        _, field, _, x0, v0, icfg, _ = config.load_config(path).run
+        out.append((field, icfg.t_start + 0.3, x0, v0))
+    prob, params = sweep.pd.components["structured"], sweep.pd_params
+    field = primal_dual.pd_field_general(prob, params, *primal_dual.special_metric(prob, params))
+    out.append((field, 0.3, np.ones(prob.n + 2 * prob.m), None))
+    return out
+
+
+def test_fields_built_before_the_tracer_installs_are_traced_alike(monkeypatch, tmp_path):
+    # a field binds its invariants when it is built, but prox_eval, resolvent_eval
+    # and moreau_conjugate_prox must stay module lookups at call time: a field built
+    # before install must make the same operators.* spans per evaluation as one
+    # built after it, or a traced benchmark run would undercount them
+    monkeypatch.syspath_prepend(BENCH)
+    import spans
+    import workloads
+    corpus = workloads.CorpusRuns(str(tmp_path / "corpus"), seed=1)
+    sweep = workloads.MultistartSweep(str(tmp_path / "sweep"), seed=1)
+    before = _fields(corpus, sweep)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        after = _fields(corpus, sweep)
+
+        def operator_spans(field, t, x, v):
+            tracer.reset()
+            tracer.experiment = 0
+            try:
+                field.fn(t, x) if v is None else field.fn(t, x, v)
+            finally:
+                tracer.experiment = None
+            counts = collections.Counter(tracer.names[i] for i in tracer.arrays()["name"])
+            return {name: k for name, k in counts.items() if name.startswith("operators.")}
+
+        seen = {}
+        for (old, t, x, v), (new, _, _, _) in zip(before, after):
+            assert old.label == new.label
+            assert operator_spans(old, t, x, v) == operator_spans(new, t, x, v)
+            seen[old.label] = operator_spans(new, t, x, v)
+    finally:
+        tracer.uninstall()
+    assert sorted(seen) == sorted(spans.FIELD_LABELS)
+    assert seen["pd-special"] == {"operators.prox_eval": 2,
+                                  "operators.moreau_conjugate_prox": 1}
+    assert seen["fb"] == {"operators.resolvent_eval": 1, "operators.prox_eval": 1}

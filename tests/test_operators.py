@@ -280,6 +280,19 @@ class TestLinearAndSmooth:
         assert B.cocoercivity_beta is None
         assert B.lipschitz_L == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("make, name", [
+        (lambda M: quadratic_fn(M), "quadratic_fn: Q"),
+        (lambda M: least_squares_fn(M, np.zeros(2)), "least_squares_fn: A"),
+        (matrix_linear_map, "matrix_linear_map: M"),
+        (matrix_operator, "matrix_operator: M"),
+    ])
+    def test_constructors_reject_a_non_finite_matrix(self, make, name, bad):
+        # before: a NaN Lipschitz or norm bound for inf, LinAlgError for NaN in the
+        # SVD, and for quadratic_fn a NaN entry gave grad_lipschitz 0.0
+        with pytest.raises(ValueError, match="%s has a non-finite entry" % name):
+            make(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_least_squares_rejects_a_lipschitz_constant_that_overflows(self):
         # ||A|| = 2e200 is a float, ||A||^2 is not
         with pytest.raises(ValueError, match="overflows"):

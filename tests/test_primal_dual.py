@@ -75,11 +75,11 @@ class TestSpecialField:
             assert np.max(np.abs(field.fn(0.0, u) - want)) < 1e-12
 
     def test_tau_constraint_enforced(self):
+        # a constant tau is checked once, when the field is built
         prob = scalar_problem(a=2.0)  # ||A||^2 = 4
         params = PDParams(c=1.0, gamma_relax=1.0, tau=constant(0.5))
-        field = pd_field_special(prob, params)
         with pytest.raises(SpecError):
-            field.fn(0.0, np.zeros(3))
+            pd_field_special(prob, params)
 
 
 class TestGeneralField:
