@@ -104,16 +104,21 @@ def run_sequence(update: Callable[[int, Array, Optional[Array]], Array], x0,
 
     Returns a Trajectory with times 0..n_steps, the iterates as states and the
     increments x_n - x_{n-1} as velocities; probes, (name, fn(t, x, v)) pairs,
-    are evaluated at every iterate.  The loop and the divergence guard are
-    integrate's: the run stops at the first iterate with a coordinate past
-    1e12, NaN or inf with DivergenceError, which carries the finite prefix.
+    are evaluated at every iterate.  Each iterate is a float64 copy of what
+    update returned, so update may reuse its output buffer; it is lent to
+    update and the probes read-only, so an update that writes into x or x_prev
+    raises ValueError.  The loop and the divergence guard are integrate's: the
+    run stops at the first iterate with a coordinate past 1e12, NaN or inf with
+    DivergenceError, which carries the finite prefix.
     """
     x = as_vector(x0).copy()
+    x.flags.writeable = False
     x_prev, step = None, np.zeros_like(x)  # the increment recorded at n = 0 is zero
 
     def advance(n, t, x):
         nonlocal x_prev, step
-        x_next = np.asarray(update(n, x, x_prev), dtype=float)
+        x_next = np.array(update(n, x, x_prev), dtype=float)
+        x_next.flags.writeable = False
         x_prev, step = x, x_next - x
         return x_next
 

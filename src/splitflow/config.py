@@ -61,8 +61,8 @@ class _Section(dict):
 def _read(section: dict, key: str, kind: Callable = float, default=_REQUIRED):
     """section[key] converted by kind, or default when absent or null; a missing
     required key, a value kind rejects, a boolean or non-integral number read
-    as int, or a NaN or infinite number read as float raises SpecError naming
-    the key."""
+    as int, or a NaN, infinite or out-of-range number read as float raises
+    SpecError naming the key."""
     value = section.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -75,7 +75,7 @@ def _read(section: dict, key: str, kind: Callable = float, default=_REQUIRED):
         out = kind(value)
     except SpecError:
         raise
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
         raise SpecError("config key %r has a malformed value %r" % (key, value)) from None
     if kind is float and not math.isfinite(out):
         raise SpecError("config key %r must be finite, got %r" % (key, value))
@@ -394,12 +394,14 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        return config_from_dict(raw)
     except json.JSONDecodeError as exc:
         raise SpecError("config %s does not parse: line %d: %s"
                         % (path, exc.lineno, exc.msg)) from exc
     except UnicodeDecodeError as exc:
         raise SpecError("config %s is not UTF-8: %s" % (path, exc.reason)) from exc
-    return config_from_dict(raw)
+    except RecursionError:  # from json.load or from copying a deep section
+        raise SpecError("config %s is nested too deeply" % path) from None
 
 
 # config key -> (JSON type, required); x0, v0 and seed are converted where read

@@ -223,7 +223,6 @@ def dr_field(spec: DRFlowSpec) -> FlowField:
     B = spec.B.fn
 
     def fn(t, x):
-        x = np.asarray(x, dtype=float)
         c = resolvent_eval(A, gamma, x - gamma * B(x)) - x
         J = _fd_jacobian(B, x)
         return np.linalg.solve(np.eye(x.size) + gamma * J, c)

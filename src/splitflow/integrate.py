@@ -28,7 +28,10 @@ _CSV_BLOCK = 64  # rows formatted per write, which bounds the writer's memory
 class FlowField:
     """A time-dependent vector field defining one dynamical system.
 
-    order 1: fn(t, x) -> dx/dt.  order 2: fn(t, x, v) -> dv/dt.
+    order 1: fn(t, x) -> dx/dt.  order 2: fn(t, x, v) -> dv/dt.  fn obeys the
+    oracle contract of operators: x and v are 1-D float64 arrays, the result
+    is a new array, and fn never modifies its arguments.  integrate converts
+    the start once and records an order-1 fn's results without copying them.
     """
 
     order: int
@@ -115,11 +118,13 @@ def _drive(advance, view, u, t_start, dt, n_steps, every, probes, label) -> Traj
 
     Steps u = advance(k, t, u) for k = 1..n_steps, t = t_start + (k-1)*dt, and
     records view(t, u) -> (x, v) and the probes at t_start and every `every`
-    steps.  The divergence guard first tests u.dot(u) <= (1e12/2)**2, one dot
-    product, which bounds every |u_i| by about 5e11.  Only when that fails (a
-    large sum, NaN or inf) does it apply the exact test max|u_i| <= 1e12, so
-    DivergenceError (with the last finite time and the partial trajectory)
-    comes at the same step as with the exact test alone.
+    steps.  The arrays view returns are kept, not copied: advance returns a
+    new array and nothing modifies one in place.  The divergence guard first
+    tests u.dot(u) <= (1e12/2)**2, one dot product, which bounds every |u_i|
+    by about 5e11.  Only when that fails (a large sum, NaN or inf) does it
+    apply the exact test max|u_i| <= 1e12, so DivergenceError (with the last
+    finite time and the partial trajectory) comes at the same step as with
+    the exact test alone.
     """
     times, states, vels = [], [], []
     rec_vals: Dict[str, list] = {name: [] for name, _ in probes}
@@ -127,8 +132,8 @@ def _drive(advance, view, u, t_start, dt, n_steps, every, probes, label) -> Traj
     def record(t, u):
         xs, vs = view(t, u)
         times.append(t)
-        states.append(xs.copy())
-        vels.append(vs.copy())
+        states.append(xs)
+        vels.append(vs)
         for name, fn in probes:
             rec_vals[name].append(float(fn(t, xs, vs)))
 
@@ -166,9 +171,9 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
     if field.order == 1:
         if v0 is not None:
             raise ValueError("v0 supplied for an order-1 field")
-        deriv = lambda t, u: np.asarray(field.fn(t, u), dtype=float)
+        deriv = field.fn
         view = lambda t, u: (u, deriv(t, u))
-        u = x.copy()
+        u = x
     else:
         if v0 is None:
             raise ValueError("order-2 field needs v0")
@@ -177,10 +182,10 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
             raise ValueError("v0 dimension mismatch")
 
         def deriv(t, u):
-            a = np.asarray(field.fn(t, u[:n], u[n:]), dtype=float)
-            return np.concatenate([u[n:], a])
+            return np.concatenate([u[n:], field.fn(t, u[:n], u[n:])])
 
-        view = lambda t, u: (u[:n], u[n:])
+        # copied halves: two views per record would also keep the whole state alive
+        view = lambda t, u: (u[:n].copy(), u[n:].copy())
         u = np.concatenate([x, v])
     _check_breakpoints(field, cfg)
 

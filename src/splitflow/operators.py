@@ -4,6 +4,16 @@ Everything lives in R^n with dense float64 coordinates.  Set-valued monotone
 operators are represented purely through their resolvent oracle; proximable
 functions through a value oracle plus a prox oracle.
 
+The oracle contract: an oracle (prox, resolvent, value, fn, gradient, apply,
+adjoint) receives a 1-D float64 array, returns a new array, and never
+modifies its argument.  A caller's vector is converted to float64 once, where
+it enters the package: as_vector, prox_eval, resolvent_eval,
+reflected_resolvent, yosida_eval, fb_map and moreau_conjugate_prox here,
+integrate, run_sequence and euler_unit_step for flows, and the public
+diagnostic and merit functions.  Nothing beneath them converts again, so a
+closure that only forwards its argument is the bound callable itself
+(M.dot, np.sin).
+
 Small products on the step path go through ndarray.dot: every matrix-vector
 product of the catalog (M.dot(x)) and every self-dot (v.dot(v)).  On vectors
 of a few entries a product costs numpy's dispatch, not arithmetic, and
@@ -189,7 +199,7 @@ def fb_map(A: MonotoneMap, B: SingleValuedMap, gamma: float, x: Array,
 def zero_prox() -> ProxFunction:
     """f = 0; prox is the identity."""
     return ProxFunction(value=lambda x: 0.0,
-                        prox=lambda gamma, x: np.asarray(x, dtype=float).copy())
+                        prox=lambda gamma, x: x.copy())
 
 
 def soft_threshold(x: Array, thresh: float) -> Array:
@@ -202,7 +212,7 @@ def l1_prox(weight: float = 1.0) -> ProxFunction:
         raise ValueError("l1 weight must be nonnegative")
     return ProxFunction(
         value=lambda x: weight * float(np.abs(x).sum()),
-        prox=lambda gamma, x: soft_threshold(np.asarray(x, dtype=float), gamma * weight),
+        prox=lambda gamma, x: soft_threshold(x, gamma * weight),
     )
 
 
@@ -213,11 +223,10 @@ def squared_l2_prox(scale: float = 1.0, center=None) -> ProxFunction:
     c = 0.0 if center is None else as_vector(center)
 
     def value(x):
-        d = np.asarray(x, dtype=float) - c
+        d = x - c
         return 0.5 * scale * float(d.dot(d))
 
     def prox(gamma, x):
-        x = np.asarray(x, dtype=float)
         return (x + gamma * scale * c) / (1.0 + gamma * scale)
 
     return ProxFunction(value=value, prox=prox)
@@ -230,13 +239,12 @@ def box_prox(lo, hi) -> ProxFunction:
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
     def value(x):
-        x = np.asarray(x, dtype=float)
         return 0.0 if (x >= lo - 1e-12).all() and (x <= hi + 1e-12).all() else np.inf
 
     def clip(gamma, x):
         # np.clip's result, bit for bit for scalar bounds (x is kept where it
         # equals a bound, so -0.0 stays -0.0), at half its dispatch cost
-        return np.minimum(hi, np.maximum(lo, np.asarray(x, dtype=float)))
+        return np.minimum(hi, np.maximum(lo, x))
 
     return ProxFunction(value=value, prox=clip)
 
@@ -248,7 +256,6 @@ def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
     c = 0.0 if center is None else as_vector(center)
 
     def project(gamma, x):
-        x = np.asarray(x, dtype=float)
         d = x - c
         nd = norm(d)
         if nd <= radius:
@@ -256,7 +263,7 @@ def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
         return c + d * (radius / nd)
 
     def value(x):
-        return 0.0 if norm(np.asarray(x, dtype=float) - c) <= radius + 1e-12 else np.inf
+        return 0.0 if norm(x - c) <= radius + 1e-12 else np.inf
 
     return ProxFunction(value=value, prox=project)
 
@@ -271,14 +278,13 @@ def halfspace_prox(normal, offset: float) -> ProxFunction:
         raise ValueError("halfspace offset must be finite")
 
     def project(gamma, x):
-        x = np.asarray(x, dtype=float)
         excess = float(a @ x) - offset
         if excess <= 0:
             return x.copy()
         return x - (excess / a_sq) * a
 
     def value(x):
-        return 0.0 if float(a @ np.asarray(x, dtype=float)) <= offset + 1e-12 else np.inf
+        return 0.0 if float(a @ x) <= offset + 1e-12 else np.inf
 
     return ProxFunction(value=value, prox=project)
 
@@ -294,11 +300,10 @@ def affine_prox(C, d) -> ProxFunction:
     gram_inv = np.linalg.pinv(gram)
 
     def project(gamma, x):
-        x = np.asarray(x, dtype=float)
         return x - CT.dot(gram_inv.dot(C.dot(x) - d))
 
     def value(x):
-        r = C @ np.asarray(x, dtype=float) - d
+        r = C @ x - d
         return 0.0 if norm(r) <= 1e-10 else np.inf
 
     return ProxFunction(value=value, prox=project)
@@ -314,11 +319,9 @@ def l1_quadratic_prox(weight: float, quad_diag, lin) -> ProxFunction:
         raise ValueError("quadratic diagonal must be nonnegative for convexity")
 
     def value(x):
-        x = np.asarray(x, dtype=float)
         return weight * float(np.sum(np.abs(x))) + 0.5 * float(a @ (x * x)) + float(b @ x)
 
     def prox(gamma, x):
-        x = np.asarray(x, dtype=float)
         return soft_threshold(x - gamma * b, gamma * weight) / (1.0 + gamma * a)
 
     return ProxFunction(value=value, prox=prox)
@@ -338,15 +341,14 @@ def moreau_conjugate_prox(g: ProxFunction, c: float, w: Array) -> Array:
 
 def zero_operator() -> MonotoneMap:
     """A = 0; the resolvent is the identity."""
-    return MonotoneMap(resolvent=lambda gamma, x: np.asarray(x, dtype=float).copy())
+    return MonotoneMap(resolvent=lambda gamma, x: x.copy())
 
 
 def identity_operator(scale: float = 1.0) -> MonotoneMap:
     """A = scale * Id (the subdifferential of (scale/2)||x||^2)."""
     if not scale >= 0:
         raise ValueError("identity_operator scale must be nonnegative")
-    return MonotoneMap(
-        resolvent=lambda gamma, x: np.asarray(x, dtype=float) / (1.0 + gamma * scale))
+    return MonotoneMap(resolvent=lambda gamma, x: x / (1.0 + gamma * scale))
 
 
 def subdifferential_map(f: ProxFunction) -> MonotoneMap:
@@ -364,7 +366,7 @@ def linear_monotone_map(M) -> MonotoneMap:
     eye = np.eye(M.shape[0])
 
     def res(gamma, x):
-        return np.linalg.solve(eye + gamma * M, np.asarray(x, dtype=float))
+        return np.linalg.solve(eye + gamma * M, x)
 
     return MonotoneMap(resolvent=res)
 
@@ -378,16 +380,14 @@ def matrix_operator(M) -> SingleValuedMap:
         eigs = np.linalg.eigvalsh(M)
         if np.min(eigs) >= -1e-12 and np.max(eigs) > 0:
             beta = 1.0 / float(np.max(eigs))
-    return SingleValuedMap(fn=lambda x: M.dot(np.asarray(x, dtype=float)),
-                           cocoercivity_beta=beta, lipschitz_L=L)
+    return SingleValuedMap(fn=M.dot, cocoercivity_beta=beta, lipschitz_L=L)
 
 
 def rotation_map(angle: float) -> SingleValuedMap:
     """Plane rotation by the given angle; nonexpansive (an isometry)."""
     R = np.array([[np.cos(angle), -np.sin(angle)],
                   [np.sin(angle), np.cos(angle)]])
-    return SingleValuedMap(fn=lambda x: R.dot(np.asarray(x, dtype=float)),
-                           cocoercivity_beta=None, lipschitz_L=1.0)
+    return SingleValuedMap(fn=R.dot, cocoercivity_beta=None, lipschitz_L=1.0)
 
 
 def gradient_map(g: SmoothFunction) -> SingleValuedMap:
@@ -417,8 +417,8 @@ def quadratic_fn(Q, b=None, constant: float = 0.0) -> SmoothFunction:
     eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
     L = float(np.max(np.abs(eigs)))
     return SmoothFunction(
-        value=lambda x: 0.5 * float(np.asarray(x) @ (Q @ np.asarray(x))) - float(bv @ np.asarray(x)) + constant,
-        gradient=lambda x: Q.dot(np.asarray(x, dtype=float)) - bv,
+        value=lambda x: 0.5 * float(x @ (Q @ x)) - float(bv @ x) + constant,
+        gradient=lambda x: Q.dot(x) - bv,
         grad_lipschitz=L,
         convex=bool(np.min(eigs) >= -1e-12),
     )
@@ -434,8 +434,8 @@ def least_squares_fn(A, b) -> SmoothFunction:
     except OverflowError:
         raise ValueError("||A||^2 overflows a float; rescale A and b") from None
     return SmoothFunction(
-        value=lambda x: 0.5 * float(np.sum((A @ np.asarray(x) - b) ** 2)),
-        gradient=lambda x: AT.dot(A.dot(np.asarray(x, dtype=float)) - b),
+        value=lambda x: 0.5 * float(np.sum((A @ x - b) ** 2)),
+        gradient=lambda x: AT.dot(A.dot(x) - b),
         grad_lipschitz=L,
     )
 
@@ -443,28 +443,22 @@ def least_squares_fn(A, b) -> SmoothFunction:
 def one_minus_cos_fn() -> SmoothFunction:
     """g(x) = sum_i (1 - cos x_i), nonconvex with gradient Lipschitz constant 1."""
     return SmoothFunction(
-        value=lambda x: float((1.0 - np.cos(np.asarray(x, dtype=float))).sum()),
-        gradient=lambda x: np.sin(np.asarray(x, dtype=float)),
+        value=lambda x: float((1.0 - np.cos(x)).sum()),
+        gradient=np.sin,
         grad_lipschitz=1.0,
         convex=False,
     )
 
 
 def zero_fn() -> SmoothFunction:
-    return SmoothFunction(value=lambda x: 0.0,
-                          gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                          grad_lipschitz=0.0)
+    return SmoothFunction(value=lambda x: 0.0, gradient=np.zeros_like, grad_lipschitz=0.0)
 
 
 def matrix_linear_map(M) -> LinearMap:
     """Dense-matrix LinearMap with exact 2-norm estimate."""
     M = _finite_matrix(M, "matrix_linear_map: M")
     MT = M.T
-    return LinearMap(
-        apply=lambda x: M.dot(np.asarray(x, dtype=float)),
-        adjoint=lambda y: MT.dot(np.asarray(y, dtype=float)),
-        norm_estimate=float(np.linalg.norm(M, 2)),
-    )
+    return LinearMap(apply=M.dot, adjoint=MT.dot, norm_estimate=float(np.linalg.norm(M, 2)))
 
 
 def difference_matrix(n: int) -> Array:

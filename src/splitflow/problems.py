@@ -220,8 +220,7 @@ def affine_monotone_map(M: Array, q: Array) -> MonotoneMap:
     q = np.asarray(q, dtype=float)
     eye = np.eye(M.shape[0])
     return MonotoneMap(
-        resolvent=lambda gamma, x: np.linalg.solve(eye + gamma * M,
-                                                   np.asarray(x, dtype=float) - gamma * q))
+        resolvent=lambda gamma, x: np.linalg.solve(eye + gamma * M, x - gamma * q))
 
 
 def _composite_problem(name: str, f, g, xstar: Array, start: Array, horizon: float,
@@ -256,8 +255,7 @@ def corpus(seed: int = 0):
 
     problems.append(ProblemDef(
         name="neg_identity", kind="fixed-point",
-        components={"T": SingleValuedMap(fn=lambda x: -np.asarray(x, dtype=float),
-                                         lipschitz_L=1.0)},
+        components={"T": SingleValuedMap(fn=np.negative, lipschitz_L=1.0)},
         known_solution=np.zeros(1), default_start=np.array([1.0]),
         horizon=20.0, note="T = -Id; the discrete iteration with lam=1 oscillates"))
 
@@ -325,7 +323,7 @@ def corpus(seed: int = 0):
     N = np.outer(nrm, nrm)
 
     def b_two_lines(x):
-        return N.dot(np.asarray(x, dtype=float) - p0)
+        return N.dot(x - p0)
 
     problems.append(ProblemDef(
         name="two_lines", kind="inclusion",
@@ -363,11 +361,9 @@ def _banana_box_problem() -> ProblemDef:
     lo, hi = -1.5, 1.5
 
     def val(x):
-        x = np.asarray(x, dtype=float)
         return float((1.0 - x[0]) ** 2 + c * (x[1] - x[0] ** 2) ** 2)
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
         return np.array([-2.0 * (1.0 - x[0]) - 4.0 * c * x[0] * (x[1] - x[0] ** 2),
                          2.0 * c * (x[1] - x[0] ** 2)])
 
@@ -395,22 +391,19 @@ def get_problem(name: str, seed: int = 0) -> ProblemDef:
 
 def state_residual(p: ProblemDef, state) -> float:
     """First-order residual of a candidate solution, by problem kind."""
-    if p.kind == "fixed-point":
-        T = p.components["T"]
-        return float(np.linalg.norm(T(state) - state))
-    if p.kind in ("inclusion", "convex-composite"):
-        A, B = p.components["A"], p.components["B"]
-        beta = p.components.get("beta", 1.0)
-        gamma = min(1.0, beta)
-        y = resolvent_eval(A, gamma, np.asarray(state) - gamma * B(state))
-        return float(np.linalg.norm(y - np.asarray(state)))
-    if p.kind == "saddle":
-        B = p.components["B"]
-        return float(np.linalg.norm(B(state)))
-    if p.kind == "nonconvex-composite":
-        return critical_residual(p.components["problem"], np.asarray(state))
     if p.kind == "structured-pd":
         return max(saddle_residuals(p.components["structured"], state).values())
+    x = np.asarray(state, dtype=float)
+    if p.kind == "fixed-point":
+        return float(np.linalg.norm(p.components["T"](x) - x))
+    if p.kind in ("inclusion", "convex-composite"):
+        A, B = p.components["A"], p.components["B"]
+        gamma = min(1.0, p.components.get("beta", 1.0))
+        return float(np.linalg.norm(resolvent_eval(A, gamma, x - gamma * B(x)) - x))
+    if p.kind == "saddle":
+        return float(np.linalg.norm(p.components["B"](x)))
+    if p.kind == "nonconvex-composite":
+        return critical_residual(p.components["problem"], x)
     raise ValueError("unknown problem kind %r" % p.kind)
 
 

@@ -489,6 +489,33 @@ class TestSequenceRunner:
         assert calls == [1] and info.value.last_finite_t == 0.0
         assert list(info.value.trajectory.times) == [0.0]
 
+    def test_update_may_reuse_its_output_buffer(self):
+        buf, seen = np.empty(1), []
+
+        def update(n, x, x_prev):
+            seen.append(x_prev is x)
+            buf[:] = x + 1.0
+            return buf
+
+        seq = run_sequence(update, np.zeros(1), 5)
+        assert seq.states[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert seq.velocities[:, 0].tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        assert seen == [False] * 5
+
+    def test_update_writing_into_its_input_raises(self):
+        calls = []
+
+        def update(n, x, x_prev):
+            calls.append(n)
+            x += 1.0
+            return x
+
+        start = np.zeros(2)
+        with pytest.raises(ValueError, match="read-only"):
+            run_sequence(update, start, 3)
+        assert calls == [1]
+        assert start.flags.writeable and np.array_equal(start, np.zeros(2))
+
     @pytest.mark.parametrize("x0", [[np.nan], [1.0, np.inf], [], np.eye(2)],
                              ids=["nan", "inf", "empty", "matrix"])
     def test_start_must_be_a_finite_vector(self, x0):

@@ -5,8 +5,11 @@ import pytest
 
 from splitflow.algorithms import run_sequence, write_sequence_csv
 from splitflow.errors import DivergenceError, SpecError
+from splitflow.first_order import FBFlowSpec, fb_field, fb_probes
 from splitflow.integrate import (FlowField, IntegratorConfig, Trajectory, euler_unit_step,
                                  integrate, write_trajectory_csv)
+from splitflow.operators import l1_prox, matrix_operator, subdifferential_map
+from splitflow.schedules import constant
 
 
 def decay_field(rate=2.0):
@@ -321,3 +324,60 @@ class TestStepConstantsMatchPythonFloats:
                 integrate(field, np.array([1.0, 1.0]), cfg)
         assert err.value.last_finite_t == last_finite_t
         assert np.all(np.isfinite(err.value.trajectory.states))
+
+
+class TestStartsConvertOnce:
+    """integrate, run_sequence and euler_unit_step convert a list or int start once."""
+
+    @staticmethod
+    def assert_same_records(got, want):
+        for name in ("times", "states", "velocities"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+        assert list(got.records) == list(want.records)
+        for name in want.records:
+            assert got.records[name].tobytes() == want.records[name].tobytes()
+
+    def fb_flow(self):
+        """The fb field of a small l1 problem, checking that it is handed float64 vectors."""
+        A = subdifferential_map(l1_prox(0.3))
+        B = matrix_operator([[2.0, 1.0], [1.0, 3.0]])
+        spec = FBFlowSpec(A=A, B=B, gamma=0.4, lam=constant(1.0))
+        fn = fb_field(spec).fn
+
+        def checked(t, x):
+            assert x.dtype == np.float64 and x.shape == (2,)
+            return fn(t, x)
+
+        return FlowField(order=1, fn=checked), fb_probes(spec, ref=[0, 1])
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_integrate(self, method):
+        field, probes = self.fb_flow()
+        cfg = IntegratorConfig(method=method, dt=0.1, t_end=2.0, record_every=2)
+        want = integrate(field, np.array([3.0, -1.0]), cfg, probes=probes)
+        for x0 in ([3, -1], np.array([3, -1])):
+            self.assert_same_records(integrate(field, x0, cfg, probes=probes), want)
+        B = matrix_operator([[2.0, 1.0], [1.0, 3.0]])
+
+        def second_fn(t, x, v):
+            assert x.dtype == v.dtype == np.float64
+            return -v - B(x)
+
+        second = FlowField(order=2, fn=second_fn)
+        want = integrate(second, np.array([3.0, -1.0]), cfg, v0=np.array([0.0, 2.0]))
+        for x0, v0 in (([3, -1], [0, 2]), (np.array([3, -1]), np.array([0, 2]))):
+            self.assert_same_records(integrate(second, x0, cfg, v0=v0), want)
+
+    def test_run_sequence_and_euler_unit_step(self):
+        field, probes = self.fb_flow()
+
+        def update(n, x, x_prev):
+            assert x.dtype == np.float64
+            return euler_unit_step(field, x, t=float(n))
+
+        want = run_sequence(update, np.array([3.0, -1.0]), 20, probes=probes)
+        for x0 in ([3, -1], np.array([3, -1])):
+            self.assert_same_records(run_sequence(update, x0, 20, probes=probes), want)
+            got = euler_unit_step(field, x0)
+            assert got.dtype == np.float64 and got.tobytes() == want.states[1].tobytes()

@@ -12,7 +12,7 @@ from splitflow.operators import (SingleValuedMap, affine_prox, as_vector, ball_p
                                  resolvent_eval, rotation_map, soft_threshold,
                                  squared_l2_prox, subdifferential_map, yosida_eval,
                                  zero_operator, zero_prox)
-from splitflow.problems import get_problem
+from splitflow.problems import affine_monotone_map, get_problem
 
 
 def golden_min_1d(fn, lo, hi, tol=1e-12):
@@ -417,3 +417,50 @@ class TestCatalogProductsMatchMatmul:
             R = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
             assert_same_product(rotation_map(angle)(x), R @ x, True)
             assert_same_product(B(x), N @ (x - p0), True)
+
+
+def same_bits(got, want):
+    return got.dtype == np.float64 and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestEntryPointsConvertOnce:
+    """The catalog oracles take float64 arrays; the entry points convert lists and ints."""
+
+    PROXES = {
+        "zero": zero_prox(), "l1": l1_prox(0.7), "squared_l2": squared_l2_prox(2.0, [1, 0, -1]),
+        "box": box_prox(-1, 2), "ball": ball_prox(1.0, [0, 0, 1]),
+        "halfspace": halfspace_prox([1, 1, 0], 1.0), "affine": affine_prox([[1, 1, 1]], [1]),
+        "l1_quadratic": l1_quadratic_prox(0.3, [1, 2, 0], [1, 0, -1]),
+    }
+    OPERATORS = {
+        "zero": zero_operator(), "identity": identity_operator(2.0),
+        "subdifferential": subdifferential_map(l1_prox(0.5)),
+        "linear": linear_monotone_map([[1, 2, 0], [-2, 1, 0], [0, 0, 3]]),
+        "affine": affine_monotone_map([[2, 0, 0], [0, 1, 1], [0, -1, 1]], [1, 0, -1]),
+    }
+    STARTS = ([3, -1, 0], [0, 0, 0], [1, 1, -2])
+
+    @staticmethod
+    def assert_list_and_int_calls_match(evaluate, start):
+        want = evaluate(np.array(start, dtype=float))
+        assert same_bits(evaluate(list(start)), want)
+        assert same_bits(evaluate(np.array(start)), want)
+
+    @pytest.mark.parametrize("name", sorted(PROXES))
+    def test_prox_eval(self, name):
+        f = self.PROXES[name]
+        for start in self.STARTS:
+            self.assert_list_and_int_calls_match(lambda x: prox_eval(f, 0.5, x), start)
+            self.assert_list_and_int_calls_match(lambda x: moreau_conjugate_prox(f, 2.0, x),
+                                                 start)
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_resolvent_entry_points(self, name):
+        A = self.OPERATORS[name]
+        B = matrix_operator(np.diag([1.0, 2.0, 0.5]))
+        for start in self.STARTS:
+            for evaluate in (lambda x: resolvent_eval(A, 0.5, x),
+                             lambda x: reflected_resolvent(A, 0.5, x),
+                             lambda x: yosida_eval(A, 0.5, x),
+                             lambda x: fb_map(A, B, 0.5, x)):
+                self.assert_list_and_int_calls_match(evaluate, start)

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -664,6 +665,16 @@ class TestCli:
         "schedule-key-misspelled": {"flow": {"name": "km",
                                              "lambda": {"family": "inv-power", "p": 1.0,
                                                         "scal": 0.5}}},
+        # JSON integers that no float holds
+        "dt-past-float-range": {"integrator": {"method": "rk4", "dt": 10 ** 400, "t_end": 5.0}},
+        "schedule-value-past-float-range": {
+            "flow": {"name": "km", "lambda": {"family": "constant", "value": 10 ** 400}}},
+        "x0-past-float-range": {"x0": [10 ** 400, 0.0]},
+        # json.load takes one frame per level, the config's read-only copy of a
+        # section two per list level: 600 levels fail only in the copy
+        "flow-value-nested-too-deeply": {
+            "flow": {"name": "km", "lambda": {"family": "constant", "value": 0.5},
+                     "deep": functools.reduce(lambda inner, _: [inner], range(600), [])}},
     }
 
     @pytest.mark.parametrize("key", sorted(BAD_CONFIGS))
@@ -677,6 +688,13 @@ class TestCli:
             assert "hypothesis error" in err
             assert "Traceback" not in err
         assert not (out_dir / "trajectory.csv").exists()
+
+    def test_config_too_deep_for_json_exits_2_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
 
     def test_run_builds_the_run_once(self, tmp_path, monkeypatch, capsys):
         calls = count_build_run(monkeypatch)
