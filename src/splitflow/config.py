@@ -19,8 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import (fejer_check, nonincreasing_check, proxgrad_gap_certificate,
-                          rate_fit, record_monotone_check)
+from .diagnostics import fejer_check, proxgrad_gap_certificate, rate_fit, record_monotone_check
 from .errors import DivergenceError, FitError, SpecError
 from .first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec, dr_field,
                           dr_probes, fb_field, fb_probes, fbf_field, fbf_probes,
@@ -125,6 +124,14 @@ def _thawed(value):
     return value
 
 
+# config key -> (accepted type, what it must be, default); an absent optional
+# key is None, and x0 and v0 are converted where they are read
+_SECTIONS = {"problem": (str, "a string", _REQUIRED), "flow": (Mapping, "an object", _REQUIRED),
+             "integrator": (Mapping, "an object", _REQUIRED),
+             "probes": ((list, tuple), "a list", None), "out": (str, "a string", None),
+             "seed": (int, "an integer", 0)}
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """A config, immutable once built: constructing it validates and resolves its
@@ -146,6 +153,12 @@ class ExperimentConfig:
     run: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for key, (kind, what, default) in _SECTIONS.items():
+            value = getattr(self, key)
+            if value is None and default is None:
+                continue  # an absent optional key
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise SpecError("config key %r must be %s, got %r" % (key, what, value))
         for key in ("flow", "integrator", "probes", "x0", "v0"):
             object.__setattr__(self, key, _frozen(getattr(self, key)))
         object.__setattr__(self, "run", build_run(self))
@@ -291,7 +304,7 @@ def _build_proxgrad(problem, params, icfg):
 def _proxgrad_checks(traj, problem, spec):
     if "merit_H" not in traj.records:
         return []
-    return [nonincreasing_check(traj.times, traj.records["merit_H"], name="merit_H")]
+    return [record_monotone_check(traj, "merit_H")]
 
 
 def _build_second_order_fb(problem, params, icfg):
@@ -404,28 +417,17 @@ def load_config(path) -> ExperimentConfig:
         raise SpecError("config %s is nested too deeply" % path) from None
 
 
-# config key -> (JSON type, required); x0, v0 and seed are converted where read
-_SECTIONS = {"problem": (str, True), "flow": (dict, True), "integrator": (dict, True),
-             "probes": (list, False), "out": (str, False)}
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise SpecError("config must be a JSON object, got %r" % (raw,))
-    unknown = set(raw) - set(_SECTIONS) - {"x0", "v0", "seed"}
+    unknown = set(raw) - set(_SECTIONS) - {"x0", "v0"}
     if unknown:
         raise SpecError("unknown config keys: %s" % sorted(unknown))
-    for key, (kind, required) in _SECTIONS.items():
-        if raw.get(key) is None:
-            if required:
-                raise SpecError("config is missing the %r section" % key)
-        elif not isinstance(raw[key], kind):
-            raise SpecError("config section %r must be a %s, got %r"
-                            % (key, kind.__name__, raw[key]))
-    return ExperimentConfig(problem=raw["problem"], flow=raw["flow"],
-                            integrator=raw["integrator"], probes=raw.get("probes"),
-                            x0=raw.get("x0"), v0=raw.get("v0"), out=raw.get("out"),
-                            seed=_read(raw, "seed", int, 0))
+    for key, (_, _, default) in _SECTIONS.items():
+        if default is _REQUIRED and raw.get(key) is None:
+            raise SpecError("config is missing the %r section" % key)
+    # a null value stands for an absent key
+    return ExperimentConfig(**{key: val for key, val in raw.items() if val is not None})
 
 
 def save_config(cfg: ExperimentConfig, path):

@@ -353,7 +353,7 @@ def identity_operator(scale: float = 1.0) -> MonotoneMap:
 
 def subdifferential_map(f: ProxFunction) -> MonotoneMap:
     """The subdifferential of a proximable convex function; resolvent = prox."""
-    return MonotoneMap(resolvent=lambda gamma, x: prox_eval(f, gamma, x))
+    return MonotoneMap(resolvent=f.prox)
 
 
 def linear_monotone_map(M) -> MonotoneMap:

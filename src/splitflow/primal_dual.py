@@ -1,14 +1,17 @@
 """Primal-dual dynamics for min f(x) + h(x) + g(Ax) and their diagnostics.
 
-The full-splitting special field uses closed-form proxes (with the Moreau
-identity for the conjugate block).  The general metric-scheduled field takes
-the same closed-form x-line, one prox of f, under the linearized metric
-M1 = I/tau - c A*A (a LinearizedMetric built for the field's own c and A),
-and the closed-form z-line prox_{g/c} when M2 is zero; any other metric line
-is solved by an inner proximal-gradient loop.  The three derivative lines are
-lower-triangular in (xd, zd, yd), so no outer fixed-point iteration is
-needed; the redundancy between the second and third lines is exposed as the
-pd_consistency probe instead of being silently resolved.
+Both field builders return the one metric-scheduled field (Bot, Csetnek &
+Laszlo 2020): pd_field_general takes the metrics M1(t), M2(t), and
+pd_field_special is that field under special_metric, the linearized metric
+M1 = I/tau - c A*A with M2 = 0.  Under it the x-line is one prox of f, and
+without a z-metric the z-line is the closed form z' = prox_{g/c}(w2/c) - z,
+w2 = c(Ax + gamma_relax Ax') + y; any other metric line is solved by an inner
+proximal-gradient loop.  The dual line closes y' = c(A(x + x') - (z + z')),
+which by Moreau's identity prox_{c g*}(w) = w - c prox_{g/c}(w/c) equals the
+full-splitting form y' = prox_{c g*}(w2) - y - c(gamma_relax - 1)Ax'.  The
+three lines are lower-triangular in (x', z', y'), so no outer fixed-point
+iteration is needed; the redundancy between the second and third lines is
+exposed as the pd_consistency probe instead of being silently resolved.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import numpy as np
 
 from .errors import SolverError, SpecError
 from .integrate import FlowField
-from .operators import (LinearMap, ProxFunction, SmoothFunction,
-                        moreau_conjugate_prox, norm, prox_eval)
+from .operators import LinearMap, ProxFunction, SmoothFunction, norm, prox_eval
 from .schedules import Schedule, _bind
 
 Array = np.ndarray
@@ -115,45 +117,6 @@ class LinearizedMetric(LinearMap):
         object.__setattr__(self, "apply", apply)
         object.__setattr__(self, "adjoint", apply)
         object.__setattr__(self, "norm_estimate", 1.0 / tau)
-
-
-def _linearized_x_line(A, At, grad_h, f: ProxFunction, c, tau: float, x, z, y):
-    """(A x, xd) with xd = prox_{tau f}(x - tau*(A*(c(Ax - z) + y) + grad h(x))) - x.
-
-    A, At and grad_h are the callables A.apply, A.adjoint and h.gradient.
-    """
-    ax = A(x)
-    w1 = x - tau * (At(c * (ax - z) + y) + grad_h(x))
-    return ax, prox_eval(f, tau, w1) - x
-
-
-def _bound_scalars(params: PDParams):
-    """c, gamma_relax and c*(gamma_relax - 1) as 0-d arrays, the rate lines' multipliers."""
-    c, gam = params.c, params.gamma_relax
-    return np.array(c), np.array(gam), np.array(c * (gam - 1.0))
-
-
-def pd_field_special(prob: StructuredProblem, params: PDParams) -> FlowField:
-    """The full-splitting primal-dual field on the stacked state (x, z, y); a
-    constant tau is checked here, any other at every evaluation."""
-    n, m = prob.n, prob.m
-    A, At, grad_h, f, g, c = (prob.A.apply, prob.A.adjoint, prob.h.gradient, prob.f, prob.g,
-                              params.c)
-    cv, gam, c_gam1 = _bound_scalars(params)
-    tau = _bind(params.tau, _tau_check(prob, params), as_array=False)
-
-    def fn(t, u):
-        x, z, y = u[:n], u[n:n + m], u[n + m:]
-        # by linearity of A the field needs A(x), A(xdot) and one adjoint
-        ax, xdot = _linearized_x_line(A, At, grad_h, f, cv, tau(t), x, z, y)
-        axdot = A(xdot)
-        w2 = cv * (ax + gam * axdot) + y
-        ydot = moreau_conjugate_prox(g, c, w2) - y - c_gam1 * axdot
-        zdot = ax + axdot - ydot / cv - z
-        return np.concatenate([xdot, zdot, ydot])
-
-    return FlowField(order=1, fn=fn, label="pd-special", dim=n + 2 * m,
-                     breakpoints=params.tau.breakpoints)
 
 
 def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
@@ -249,9 +212,12 @@ def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
 
 def _general_rates(prob: StructuredProblem, c: float, cv, gam, A, At, grad_h,
                    M1: Optional[LinearMap], M2: Optional[LinearMap], x, z, y):
-    """pd_general_increment from bound values (see pd_field_general)."""
+    """pd_general_increment from bound values: A, At and grad_h are the callables
+    A.apply, A.adjoint and h.gradient, cv and gam the 0-d c and gamma_relax."""
     if isinstance(M1, LinearizedMetric) and M1.c == c and M1.A is prob.A:
-        ax, xdot = _linearized_x_line(A, At, grad_h, prob.f, cv, M1.tau, x, z, y)
+        ax = A(x)
+        w1 = x - M1.tau * (At(cv * (ax - z) + y) + grad_h(x))
+        xdot = prox_eval(prob.f, M1.tau, w1) - x
     else:
         w1 = At(cv * z - y) - grad_h(x)
         xdot = _metric_block_solve(prob.f, c, prob.A, M1, w1, x) - x
@@ -269,11 +235,11 @@ def pd_general_increment(prob: StructuredProblem, params: PDParams,
 
     When M1 is a LinearizedMetric with the field's c and the problem's A
     itself, Q = c*A*A + M1 = I/tau and the x-line is the closed form
-    prox_{tau f}(x - tau*(A*(c(Ax - z) + y) + grad h(x))), the special field's
-    x-line.  Any other M1 (a linearized one built for another c or A included)
-    is solved with solve_prox_quadratic (to its fixed 1e-10 stopping test),
-    and so is the z-line when M2 is given; with M2 None the z-line is the
-    closed form prox_{g/c}(w2/c).  The dual line closes
+    prox_{tau f}(x - tau*(A*(c(Ax - z) + y) + grad h(x))).  Any other M1 (a
+    linearized one built for another c or A included) is solved with
+    solve_prox_quadratic (to its fixed 1e-10 stopping test), and so is the
+    z-line when M2 is given; with M2 None the z-line is the closed form
+    prox_{g/c}(w2/c).  The dual line closes
     yd = c*A(x + xd) - c*(z + zd).  By linearity of A an increment needs
     A(x), A(xd) and one adjoint besides any inner solves.
     """
@@ -282,12 +248,14 @@ def pd_general_increment(prob: StructuredProblem, params: PDParams,
                           M1, M2, x, z, y)
 
 
-def pd_field_general(prob: StructuredProblem, params: PDParams,
-                     M1: Optional[Callable[[float], LinearMap]] = None,
-                     M2: Optional[Callable[[float], LinearMap]] = None) -> FlowField:
-    """The metric-scheduled field; M1(t), M2(t) are positive-semidefinite LinearMaps."""
+def _pd_field(prob: StructuredProblem, params: PDParams,
+              M1: Optional[Callable[[float], LinearMap]],
+              M2: Optional[Callable[[float], LinearMap]], label: str,
+              breakpoints=()) -> FlowField:
+    """The metric-scheduled field on the stacked state (x, z, y), under the label
+    of the public builder that made it."""
     n, m, c = prob.n, prob.m, params.c
-    cv, gam, _ = _bound_scalars(params)
+    cv, gam = np.array(c), np.array(params.gamma_relax)
     A, At, grad_h = prob.A.apply, prob.A.adjoint, prob.h.gradient
 
     def fn(t, u):
@@ -296,16 +264,31 @@ def pd_field_general(prob: StructuredProblem, params: PDParams,
                                M2(t) if M2 is not None else None, u[:n], u[n:n + m], u[n + m:])
         return np.concatenate(rates)
 
-    return FlowField(order=1, fn=fn, label="pd-general", dim=n + 2 * m)
+    return FlowField(order=1, fn=fn, label=label, dim=n + 2 * m, breakpoints=breakpoints)
+
+
+def pd_field_special(prob: StructuredProblem, params: PDParams) -> FlowField:
+    """The full-splitting field: the metric-scheduled field under special_metric,
+    with tau's breakpoints; a constant tau is checked here, any other at every
+    evaluation."""
+    return _pd_field(prob, params, *special_metric(prob, params), "pd-special",
+                     params.tau.breakpoints)
+
+
+def pd_field_general(prob: StructuredProblem, params: PDParams,
+                     M1: Optional[Callable[[float], LinearMap]] = None,
+                     M2: Optional[Callable[[float], LinearMap]] = None) -> FlowField:
+    """The metric-scheduled field; M1(t), M2(t) are positive-semidefinite LinearMaps."""
+    return _pd_field(prob, params, M1, M2, "pd-general")
 
 
 def special_metric(prob: StructuredProblem, params: PDParams):
-    """The M1(t) = (1/tau(t)) I - c A*A, M2 = 0 choice that recovers the special field.
+    """The M1(t) = (1/tau(t)) I - c A*A, M2 = 0 choice of pd_field_special.
 
-    M1(t) returns a LinearizedMetric, so the general field's x-line is the
-    special field's single prox of f, with no inner solve.  The step
-    constraint c*tau*||A||^2 <= 1 is checked, and the metric built, once here
-    when tau is constant, and at every call of M1 otherwise.
+    M1(t) returns a LinearizedMetric, so the field's x-line is a single prox
+    of f, with no inner solve.  The step constraint c*tau*||A||^2 <= 1 is
+    checked, and the metric built, once here when tau is constant, and at
+    every call of M1 otherwise.
     """
     c, A, check = params.c, prob.A, _tau_check(prob, params)
     M1 = _bind(params.tau, lambda tau, t: LinearizedMetric(tau=check(tau, t), c=c, A=A),

@@ -119,8 +119,8 @@ def _fields(corpus, sweep):
 
 
 def test_fields_built_before_the_tracer_installs_are_traced_alike(monkeypatch, tmp_path):
-    # a field binds its invariants when it is built, but prox_eval, resolvent_eval
-    # and moreau_conjugate_prox must stay module lookups at call time: a field built
+    # a field binds its invariants when it is built, but prox_eval and
+    # resolvent_eval must stay module lookups at call time: a field built
     # before install must make the same operators.* spans per evaluation as one
     # built after it, or a traced benchmark run would undercount them
     monkeypatch.syspath_prepend(BENCH)
@@ -152,6 +152,5 @@ def test_fields_built_before_the_tracer_installs_are_traced_alike(monkeypatch, t
     finally:
         tracer.uninstall()
     assert sorted(seen) == sorted(spans.FIELD_LABELS)
-    assert seen["pd-special"] == {"operators.prox_eval": 2,
-                                  "operators.moreau_conjugate_prox": 1}
-    assert seen["fb"] == {"operators.resolvent_eval": 1, "operators.prox_eval": 1}
+    assert seen["pd-special"] == seen["pd-general"] == {"operators.prox_eval": 2}
+    assert seen["fb"] == {"operators.resolvent_eval": 1}

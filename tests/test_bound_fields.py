@@ -17,7 +17,7 @@ from splitflow.first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSp
                                    km_increment)
 from splitflow.integrate import IntegratorConfig, integrate
 from splitflow.nonconvex import proxgrad_field
-from splitflow.operators import moreau_conjugate_prox, prox_eval, resolvent_eval
+from splitflow.operators import prox_eval, resolvent_eval
 from splitflow.primal_dual import PDParams, pd_field_general, pd_field_special, special_metric
 from splitflow.problems import get_problem
 from splitflow.schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power,
@@ -104,12 +104,8 @@ def _pd(tau, general=False):
         xdot = prox_eval(prob.f, tau, w1) - x
         axdot = A(xdot)
         w2 = c * (ax + gam * axdot) + y
-        if general:
-            zdot = prox_eval(prob.g, 1.0 / c, w2 / c) - z
-            ydot = c * (ax + axdot - (z + zdot))
-        else:
-            ydot = moreau_conjugate_prox(prob.g, c, w2) - y - c * (gam - 1.0) * axdot
-            zdot = ax + axdot - ydot / c - z
+        zdot = prox_eval(prob.g, 1.0 / c, w2 / c) - z
+        ydot = c * (ax + axdot - (z + zdot))
         return np.concatenate([xdot, zdot, ydot])
 
     if general:

@@ -14,7 +14,7 @@ from splitflow.primal_dual import (LinearizedMetric, PDParams, PDState, Structur
                                    pd_field_special, pd_general_increment, pd_probes,
                                    saddle_residuals, solve_prox_quadratic, special_metric)
 from splitflow.problems import get_problem
-from splitflow.schedules import Schedule, constant
+from splitflow.schedules import Schedule, affine_clamped, constant
 
 
 def scalar_problem(f=None, h=None, g=None, a=1.0):
@@ -138,21 +138,26 @@ class TestGeneralField:
         sup = np.max(np.linalg.norm(t_special.states - t_general.states, axis=1))
         assert sup < 1e-6
 
-    def test_specialization_matches_special_field_to_rounding(self):
-        # with M1 = I/tau - c A*A the general field takes the special field's
-        # closed-form x-line; only the z- and y-lines are written differently,
-        # so both fields agree to rounding
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    @pytest.mark.parametrize("gamma_relax", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("varying_tau", [False, True], ids=["constant-tau", "affine-tau"])
+    def test_specialization_is_the_special_field_bit_for_bit(self, c, gamma_relax,
+                                                             varying_tau):
+        # pd_field_special is the metric-scheduled field under special_metric
         p = get_problem("pd_lasso_analysis")
         prob = p.components["structured"]
-        params = PDParams(c=1.0, gamma_relax=1.0,
-                          tau=constant(0.9 / prob.A.norm_estimate ** 2))
-        M1, M2 = special_metric(prob, params)
+        tau_max = 0.9 / (c * prob.A.norm_estimate ** 2)
+        tau = (affine_clamped(0.5 * tau_max, 0.01, 0.5 * tau_max, tau_max) if varying_tau
+               else constant(tau_max))
+        params = PDParams(c=c, gamma_relax=gamma_relax, tau=tau)
         special = pd_field_special(prob, params)
-        general = pd_field_general(prob, params, M1, M2)
+        general = pd_field_general(prob, params, *special_metric(prob, params))
+        assert special.breakpoints == tau.breakpoints
         rng = np.random.default_rng(4)
         for _ in range(20):
+            t = float(rng.uniform(0.0, 100.0))
             u = rng.standard_normal(prob.n + 2 * prob.m) * 2
-            assert np.max(np.abs(general.fn(0.0, u) - special.fn(0.0, u))) < 1e-12
+            assert general.fn(t, u).tobytes() == special.fn(t, u).tobytes()
 
 
 PROX_FS = pytest.mark.parametrize("f", [l1_prox(0.7), box_prox(-0.5, 0.25), ball_prox(0.8)],

@@ -321,6 +321,25 @@ class TestConfig:
         reseeded = dataclasses.replace(cfg, seed=3)
         assert (cfg.seed, reseeded.seed) == (0, 3) and reseeded.run is not cfg.run
 
+    KM = {"problem": "rotation2d",
+          "flow": {"name": "km", "lambda": {"family": "constant", "value": 0.7}},
+          "integrator": {"method": "rk4", "dt": 0.01, "t_end": 1.0, "record_every": 10}}
+
+    @pytest.mark.parametrize("key, value", [("flow", [1, 2]), ("seed", 2.0),
+                                            ("probes", "fp_residual"), ("seed", True),
+                                            ("out", 5), ("problem", None), ("seed", None)])
+    def test_a_constructed_config_is_checked_as_a_loaded_one(self, key, value):
+        with pytest.raises(SpecError, match="config key %r must be" % key):
+            ExperimentConfig(**{**self.KM, key: value})
+
+    @pytest.mark.parametrize("extra", [{}, {"seed": 3, "out": "runs/km", "x0": (1.0, 0.5),
+                                            "probes": ["fp_residual"]}])
+    def test_a_constructed_config_round_trips(self, tmp_path, extra):
+        cfg = ExperimentConfig(**self.KM, **extra)
+        save_config(cfg, tmp_path / "cfg.json")
+        again = load_config(tmp_path / "cfg.json")
+        assert again == cfg and again.to_dict() == cfg.to_dict()
+
     def test_config_does_not_alias_its_input(self, tmp_path):
         raw = json.loads(km_config(tmp_path, x0=[1.0, 0.0]).read_text(encoding="utf-8"))
         before = json.loads(json.dumps(raw))
@@ -602,6 +621,7 @@ class TestCli:
         "dt-not-a-number": {"integrator": {"method": "rk4", "dt": "nan", "t_end": 5.0}},
         "seed-not-an-integer": {"seed": "q"},
         "seed-not-integral": {"seed": 1.5},
+        "seed-a-float": {"seed": 2.0},  # as in the constructor: numpy rejects a float seed
         "seed-boolean": {"seed": True},
         "record-every-not-integral": {"integrator": {"method": "rk4", "dt": 0.01,
                                                      "t_end": 5.0, "record_every": 2.5}},
