@@ -103,13 +103,16 @@ def run_sequence(update: Callable[[int, Array, Optional[Array]], Array], x0,
     """Drive update(n, x, x_prev) -> x_next for n = 1..n_steps; x_prev is None at n = 1.
 
     Returns a Trajectory with times 0..n_steps, the iterates as states and the
-    increments x_n - x_{n-1} as velocities; probes, (name, fn(t, x, v)) pairs,
-    are evaluated at every iterate.  Each iterate is a float64 copy of what
-    update returned, so update may reuse its output buffer; it is lent to
-    update and the probes read-only, so an update that writes into x or x_prev
-    raises ValueError.  The loop and the divergence guard are integrate's: the
-    run stops at the first iterate with a coordinate past 1e12, NaN or inf with
-    DivergenceError, which carries the finite prefix.
+    increments x_n - x_{n-1} as velocities.  probes, (name, fn) pairs, are
+    called once, after the run, on every iterate stacked, as in integrate:
+    fn(t, x, v) with t of shape (R,) and x, v of shape (R, n), read-only,
+    returning a float64 array of shape (R,) (anything else raises ValueError
+    naming the probe).  Each iterate is a float64 copy of what update
+    returned, so update may reuse its output buffer; it is lent to update
+    read-only, so an update that writes into x or x_prev raises ValueError.
+    The loop and the divergence guard are integrate's: the run stops at the
+    first iterate with a coordinate past 1e12, NaN or inf with
+    DivergenceError, which carries the finite prefix and its probes.
     """
     x = as_vector(x0).copy()
     x.flags.writeable = False
@@ -122,7 +125,7 @@ def run_sequence(update: Callable[[int, Array, Optional[Array]], Array], x0,
         x_prev, step = x, x_next - x
         return x_next
 
-    return _drive(advance, lambda t, x: (x, step), x, 0.0, 1.0, n_steps, 1, probes, label)
+    return _drive(advance, lambda t, x: step, x, 0.0, 1.0, n_steps, 1, probes, label)
 
 
 def write_sequence_csv(seq: Trajectory, path):

@@ -57,8 +57,8 @@ def objective_gap_series(traj: Trajectory, f: ProxFunction, g: SmoothFunction,
     """gap(T) = (f+g)(xd(T)+x(T)) - (f+g)(x*) + ||xd(T)||^2/(2*gamma) on the grid."""
     xstar = np.asarray(xstar, dtype=float)
     opt = f.value(xstar) + g.value(xstar)
-    return np.array([f.value(x + v) + g.value(x + v) - opt + float(v @ v) / (2.0 * gamma)
-                     for x, v in zip(traj.states, traj.velocities)])
+    u, v = traj.states + traj.velocities, traj.velocities
+    return f.value(u) + g.value(u) - opt + np.vecdot(v, v) / (2.0 * gamma)
 
 
 def objective_gap_check(times, gaps, d0_sq_over_2gamma: float, tol: float = 1e-6) -> dict:

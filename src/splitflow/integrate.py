@@ -32,6 +32,8 @@ class FlowField:
     oracle contract of operators: x and v are 1-D float64 arrays, the result
     is a new array, and fn never modifies its arguments.  integrate converts
     the start once and records an order-1 fn's results without copying them.
+    The fields of second_order also take stacked records (x, v of shape
+    (R, n), t of shape (R, 1)), which the accel probe hands them.
     """
 
     order: int
@@ -113,34 +115,38 @@ def _check_breakpoints(field: FlowField, cfg: IntegratorConfig):
                 "(dt=%g); choose dt so breakpoints align" % (b, cfg.dt))
 
 
-def _drive(advance, view, u, t_start, dt, n_steps, every, probes, label) -> Trajectory:
+def _drive(advance, velocity, u, t_start, dt, n_steps, every, probes, label) -> Trajectory:
     """The stepping loop of integrate and algorithms.run_sequence.
 
     Steps u = advance(k, t, u) for k = 1..n_steps, t = t_start + (k-1)*dt, and
-    records view(t, u) -> (x, v) and the probes at t_start and every `every`
-    steps.  The arrays view returns are kept, not copied: advance returns a
-    new array and nothing modifies one in place.  The divergence guard first
-    tests u.dot(u) <= (1e12/2)**2, one dot product, which bounds every |u_i|
-    by about 5e11.  Only when that fails (a large sum, NaN or inf) does it
-    apply the exact test max|u_i| <= 1e12, so DivergenceError (with the last
-    finite time and the partial trajectory) comes at the same step as with
-    the exact test alone.
+    records t, u and velocity(t, u) at t_start and every `every` steps; with
+    velocity None, u is an order-2 state (x, v) side by side, recorded whole.
+    The recorded arrays are kept, not copied: advance returns a new array and
+    nothing modifies one in place.  The divergence guard first tests
+    u.dot(u) <= (1e12/2)**2, one dot product, which bounds every |u_i| by
+    about 5e11.  Only when that fails (a large sum, NaN or inf) does it apply
+    the exact test max|u_i| <= 1e12, so DivergenceError (with the last finite
+    time and the partial trajectory) comes at the same step as with the exact
+    test alone.  The probes run once, on the stacked records of the run or of
+    its finite prefix (see _probe_records).
     """
     times, states, vels = [], [], []
-    rec_vals: Dict[str, list] = {name: [] for name, _ in probes}
 
     def record(t, u):
-        xs, vs = view(t, u)
         times.append(t)
-        states.append(xs)
-        vels.append(vs)
-        for name, fn in probes:
-            rec_vals[name].append(float(fn(t, xs, vs)))
+        states.append(u)
+        if velocity is not None:
+            vels.append(velocity(t, u))
 
     def partial() -> Trajectory:
-        return Trajectory(
-            times=np.array(times), states=np.array(states), velocities=np.array(vels),
-            records={k: np.array(vv) for k, vv in rec_vals.items()}, label=label)
+        T, X = np.array(times), np.array(states)
+        if velocity is None:  # split (x, v) once, into C-contiguous halves
+            n = X.shape[1] // 2
+            X, V = X[:, :n].copy(), X[:, n:].copy()
+        else:
+            V = np.array(vels)
+        return Trajectory(times=T, states=X, velocities=V,
+                          records=_probe_records(probes, T, X, V), label=label)
 
     t = t_start
     record(t, u)
@@ -156,13 +162,35 @@ def _drive(advance, view, u, t_start, dt, n_steps, every, probes, label) -> Traj
     return partial()
 
 
+def _probe_records(probes, T, X, V) -> Dict[str, Array]:
+    """Each probe called once on the stacked records, lent read-only: t of shape (R,),
+    x and v of shape (R, n).  A result that is not a float64 array of shape (R,)
+    raises ValueError naming the probe."""
+    lent = [a.view() for a in (T, X, V)]
+    for a in lent:
+        a.flags.writeable = False
+    records = {}
+    for name, fn in probes:
+        vals = fn(*lent)
+        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                and vals.shape == T.shape):
+            raise ValueError("probe %r returned %s of shape %s, not float64 of shape %s"
+                             % (name, getattr(vals, "dtype", type(vals).__name__),
+                                np.shape(vals), T.shape))
+        records[name] = vals
+    return records
+
+
 def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
               probes: Sequence[Tuple[str, Callable]] = ()) -> Trajectory:
     """Integrate a flow field on a fixed grid, recording states and probe values.
 
-    probes is a sequence of (name, fn) with fn(t, x, v) -> float, evaluated
-    every cfg.record_every steps.  Raises DivergenceError (carrying the last
-    finite time and the partial trajectory) when a coordinate passes 1e12.
+    probes is a sequence of (name, fn).  Each fn is called once, after the
+    run, on the records every cfg.record_every steps: fn(t, x, v) with t of
+    shape (R,) and x, v of shape (R, n), read-only, returning a float64 array
+    of shape (R,) (anything else raises ValueError naming the probe).  Raises
+    DivergenceError (carrying the last finite time and the partial trajectory,
+    with its probes) when a coordinate passes 1e12.
     """
     x = as_vector(x0)
     if field.dim is not None and x.size != field.dim:
@@ -171,8 +199,7 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
     if field.order == 1:
         if v0 is not None:
             raise ValueError("v0 supplied for an order-1 field")
-        deriv = field.fn
-        view = lambda t, u: (u, deriv(t, u))
+        deriv = velocity = field.fn
         u = x
     else:
         if v0 is None:
@@ -184,8 +211,7 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
         def deriv(t, u):
             return np.concatenate([u[n:], field.fn(t, u[:n], u[n:])])
 
-        # copied halves: two views per record would also keep the whole state alive
-        view = lambda t, u: (u[:n].copy(), u[n:].copy())
+        velocity = None  # the state holds x and v
         u = np.concatenate([x, v])
     _check_breakpoints(field, cfg)
 
@@ -207,8 +233,8 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
             k4 = deriv(t + dt, u + h * k3)
             return u + h_sixth * (k1 + two * k2 + two * k3 + k4)
 
-    return _drive(advance, view, u, cfg.t_start, dt, cfg.n_steps, cfg.record_every, probes,
-                  field.label)
+    return _drive(advance, velocity, u, cfg.t_start, dt, cfg.n_steps, cfg.record_every,
+                  probes, field.label)
 
 
 def euler_unit_step(field: FlowField, x, t: float = 0.0) -> Array:

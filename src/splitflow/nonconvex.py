@@ -17,7 +17,7 @@ import numpy as np
 from .diagnostics import _loglog_fit
 from .errors import FitError, SpecError
 from .integrate import FlowField, Trajectory
-from .operators import ProxFunction, SmoothFunction, norm, prox_eval
+from .operators import ProxFunction, SmoothFunction, _per_row, norm, prox_eval
 
 
 def check_eta(beta: float, eta: float) -> bool:
@@ -58,15 +58,16 @@ def proxgrad_field(p: NonconvexProblem) -> FlowField:
                      label="proxgrad")
 
 
-def merit_eval(p: NonconvexProblem, u, v) -> float:
-    """H(u, v) = (f+g)(u) + ||u - v||^2/(2*eta); +inf outside dom f."""
+def merit_eval(p: NonconvexProblem, u, v):
+    """H(u, v) = (f+g)(u) + ||u - v||^2/(2*eta); +inf outside dom f.  A float for
+    vectors u, v, or one value per row of stacks."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     fval = p.f.value(u)
-    if not np.isfinite(fval):
-        return np.inf
     d = u - v
-    return float(fval + p.g.value(u) + float(d.dot(d)) / (2.0 * p.eta))
+    H = np.where(np.isfinite(fval), fval + p.g.value(u) + np.vecdot(d, d) / (2.0 * p.eta),
+                 np.inf)
+    return _per_row(H, u)
 
 
 def merit_subgradient(p: NonconvexProblem, x, xdot) -> Tuple[np.ndarray, np.ndarray]:
@@ -76,34 +77,39 @@ def merit_subgradient(p: NonconvexProblem, x, xdot) -> Tuple[np.ndarray, np.ndar
     return (p.g.gradient(xdot + x) - p.g.gradient(x), -xdot / p.eta)
 
 
-def merit_subgradient_norm(p: NonconvexProblem, x, xdot) -> float:
+def merit_subgradient_norm(p: NonconvexProblem, x, xdot):
+    """The norm of merit_subgradient: a float for vectors, one value per row of stacks."""
     b1, b2 = merit_subgradient(p, x, xdot)
-    return float(np.sqrt(float(b1.dot(b1)) + float(b2.dot(b2))))
+    return _per_row(np.sqrt(np.vecdot(b1, b1) + np.vecdot(b2, b2)), b1)
 
 
-def critical_residual(p: NonconvexProblem, x) -> float:
-    """||prox_{eta f}(x - eta*grad g(x)) - x|| / eta, vanishing exactly at critical points."""
+def critical_residual(p: NonconvexProblem, x):
+    """||prox_{eta f}(x - eta*grad g(x)) - x|| / eta, vanishing exactly at critical points;
+    one value per row of a stack x."""
     return norm(proxgrad_increment(p.f, p.eta, p.g.gradient, x)) / p.eta
 
 
 def merit_series(p: NonconvexProblem, traj: Trajectory) -> np.ndarray:
-    """H(xd + x, x) along the recorded grid."""
-    return np.array([merit_eval(p, traj.states[k] + traj.velocities[k], traj.states[k])
-                     for k in range(len(traj.times))])
+    """H(xd + x, x) along the recorded grid (the merit_H probe)."""
+    return merit_eval(p, traj.states + traj.velocities, traj.states)
 
 
 def subgradient_norm_series(p: NonconvexProblem, traj: Trajectory) -> np.ndarray:
-    return np.array([merit_subgradient_norm(p, traj.states[k], traj.velocities[k])
-                     for k in range(len(traj.times))])
+    """The merit_subgrad probe along the recorded grid."""
+    return merit_subgradient_norm(p, traj.states, traj.velocities)
+
+
+def _arclength(t, x, v) -> np.ndarray:
+    """Cumulative trapezoid of ||v|| over the stacked record times t (a probe)."""
+    speed = norm(v)
+    out = np.zeros(len(t))
+    out[1:] = np.cumsum(0.5 * np.diff(t) * (speed[1:] + speed[:-1]))
+    return out
 
 
 def arclength_series(traj: Trajectory) -> np.ndarray:
-    """Cumulative trapezoid of ||xd|| over the recorded grid."""
-    speed = np.linalg.norm(traj.velocities, axis=1)
-    dt = np.diff(traj.times)
-    out = np.zeros(len(traj.times))
-    out[1:] = np.cumsum(0.5 * dt * (speed[1:] + speed[:-1]))
-    return out
+    """Cumulative trapezoid of ||xd|| over the recorded grid (the arclength probe)."""
+    return _arclength(traj.times, traj.states, traj.velocities)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,7 +157,7 @@ def brute_force_critical_points(p: NonconvexProblem, lo: float, hi: float,
     """1-D grid search on the prox-residual, refined by golden-section on each basin
     whose grid minimum lies below 5e-3."""
     xs = np.arange(lo, hi + step, step)
-    res = np.array([critical_residual(p, np.array([x])) for x in xs])
+    res = critical_residual(p, xs[:, None])
     hits = []
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     for i in range(1, len(xs) - 1):
@@ -180,26 +186,14 @@ def brute_force_critical_points(p: NonconvexProblem, lo: float, hi: float,
 def nonconvex_probes(p: NonconvexProblem):
     """Probe set: merit_H, merit_subgrad, crit_residual, speed, arclength.
 
-    The arclength probe accumulates trapezoid increments over the recorded
-    grid.  A call whose t does not advance past the last recorded time marks
-    the start of a new integration run and restarts the sum at 0, so the
-    probe list can be reused across runs.
+    Each probe takes a trajectory's stacked records (see integrate) and is a
+    pure function of them, so the list can be reused across runs; arclength
+    is the cumulative trapezoid of the speed over the record times.
     """
-    state = {"t": None, "s": None, "acc": 0.0}
-
-    def arclength(t, x, v):
-        sp = norm(v)
-        if state["t"] is None or t <= state["t"]:
-            state["acc"] = 0.0
-        else:
-            state["acc"] += 0.5 * (t - state["t"]) * (sp + state["s"])
-        state["t"], state["s"] = t, sp
-        return state["acc"]
-
     return [
         ("merit_H", lambda t, x, v: merit_eval(p, x + v, x)),
         ("merit_subgrad", lambda t, x, v: merit_subgradient_norm(p, x, v)),
         ("crit_residual", lambda t, x, v: critical_residual(p, x)),
         ("speed", lambda t, x, v: norm(v)),
-        ("arclength", arclength),
+        ("arclength", _arclength),
     ]

@@ -5,14 +5,18 @@ operators are represented purely through their resolvent oracle; proximable
 functions through a value oracle plus a prox oracle.
 
 The oracle contract: an oracle (prox, resolvent, value, fn, gradient, apply,
-adjoint) receives a 1-D float64 array, returns a new array, and never
-modifies its argument.  A caller's vector is converted to float64 once, where
-it enters the package: as_vector, prox_eval, resolvent_eval,
-reflected_resolvent, yosida_eval, fb_map and moreau_conjugate_prox here,
-integrate, run_sequence and euler_unit_step for flows, and the public
-diagnostic and merit functions.  Nothing beneath them converts again, so a
-closure that only forwards its argument is the bound callable itself
-(M.dot, np.sin).
+adjoint) receives a 1-D float64 array, or a stack of them with a leading
+record axis, shape (R, n), returns a new array, and never modifies its
+argument.  On a stack it returns one result per row (a value oracle a
+float64 array of shape (R,), where a vector gets a float), each with the
+bits the row alone would get.  The step path hands oracles vectors; the
+probes of a trajectory hand them its stacked records, once.  A caller's
+vector is converted to float64 once, where it enters the package:
+as_vector, prox_eval, resolvent_eval, reflected_resolvent, yosida_eval,
+fb_map and moreau_conjugate_prox here, integrate, run_sequence and
+euler_unit_step for flows, and the public diagnostic and merit functions.
+Nothing beneath them converts again, so an elementwise closure that only
+forwards its argument is the callable itself (np.sin, np.negative).
 
 Small products on the step path go through ndarray.dot: every matrix-vector
 product of the catalog (M.dot(x)) and every self-dot (v.dot(v)).  On vectors
@@ -22,7 +26,11 @@ bits except when the summed dimension is 1 (a 1-column matrix, or two
 1-entry vectors): there .dot returns the bare product, so an exact zero can
 come out as -0.0 where @ adds it to +0.0.  A self-dot is never -0.0, so
 self-dots are always safe.  Cross dots (u @ v of two different vectors) stay
-@, since a 1-D flow's -0.0 would change the CSV outputs.
+@, since a 1-D flow's -0.0 would change the CSV outputs.  A stack goes through
+np.matvec and np.vecdot, which give each row the bits of @, and so of .dot
+but where M has a single column (see _rows_dot).  A bound M.dot is therefore
+no oracle: on a stack it would contract the record axis (and without an
+error when R == n); _matvec(M) is the oracle x -> M x.
 
 A constant scalar that multiplies or clips a vector on the step path is a
 0-d float64 array (soft_threshold's zero, box bounds, the factors of
@@ -60,13 +68,56 @@ def as_vector(x) -> Array:
     return v
 
 
-def norm(v) -> float:
-    """The Euclidean norm of a 1-D float vector.
+def norm(v):
+    """The Euclidean norm of a 1-D float vector, or of each row of a stack.
 
     np.linalg.norm(v) bit for bit (it too takes the square root of v.dot(v)),
-    without its Python dispatch.
+    without its Python dispatch; a row's norm has the same bits.
     """
-    return math.sqrt(float(v.dot(v)))
+    if v.ndim == 1:
+        return math.sqrt(float(v.dot(v)))
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _rows_dot(M, X) -> Array:
+    """M.dot(x) for each row x of the stack X, to its bits.
+
+    np.matvec gives them when M has two or more columns.  With one column
+    .dot sums nothing: a 1x1 M gives the bare product, and a k x 1 M goes to
+    BLAS gemv, which skips a zero x and fuses the multiply with its +0.0
+    start, so that neither the bare product nor np.matvec (which adds it to
+    +0.0, as @ does) has its zero signs; such an M is applied row by row.
+    """
+    if M.shape[1] > 1:
+        return np.matvec(M, X)
+    if M.shape[0] == 1:
+        return X * M[0]
+    return np.array([M.dot(x) for x in X]).reshape(X.shape[:-1] + M.shape[:1])
+
+
+def _matvec(M) -> Callable[[Array], Array]:
+    """The oracle x -> M x: M.dot on a vector, _rows_dot on a stack."""
+    dot = M.dot
+    return lambda x: dot(x) if x.ndim == 1 else _rows_dot(M, x)
+
+
+def _solve(K, x) -> Array:
+    """K^{-1} x for a vector x, or for each row of a stack.  A stack is solved
+    against K broadcast to one matrix per row: a single solve with R right-hand
+    sides would round differently from R solves with one."""
+    if x.ndim == 1:
+        return np.linalg.solve(K, x)
+    return np.linalg.solve(np.broadcast_to(K, x.shape[:-1] + K.shape), x[..., None])[..., 0]
+
+
+def _per_row(value, x):
+    """A value oracle's result: a float for a vector x, the (R,) array for a stack."""
+    return float(value) if x.ndim == 1 else value
+
+
+def _indicator(inside, x):
+    """0 where inside holds and +inf elsewhere, as _per_row gives it."""
+    return _per_row(np.where(inside, 0.0, np.inf), x)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,7 +249,7 @@ def fb_map(A: MonotoneMap, B: SingleValuedMap, gamma: float, x: Array,
 
 def zero_prox() -> ProxFunction:
     """f = 0; prox is the identity."""
-    return ProxFunction(value=lambda x: 0.0,
+    return ProxFunction(value=lambda x: _per_row(np.zeros(x.shape[:-1]), x),
                         prox=lambda gamma, x: x.copy())
 
 
@@ -211,7 +262,7 @@ def l1_prox(weight: float = 1.0) -> ProxFunction:
     if not weight >= 0:
         raise ValueError("l1 weight must be nonnegative")
     return ProxFunction(
-        value=lambda x: weight * float(np.abs(x).sum()),
+        value=lambda x: _per_row(weight * np.abs(x).sum(axis=-1), x),
         prox=lambda gamma, x: soft_threshold(x, gamma * weight),
     )
 
@@ -224,7 +275,7 @@ def squared_l2_prox(scale: float = 1.0, center=None) -> ProxFunction:
 
     def value(x):
         d = x - c
-        return 0.5 * scale * float(d.dot(d))
+        return _per_row(0.5 * scale * np.vecdot(d, d), x)
 
     def prox(gamma, x):
         return (x + gamma * scale * c) / (1.0 + gamma * scale)
@@ -239,7 +290,7 @@ def box_prox(lo, hi) -> ProxFunction:
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
     def value(x):
-        return 0.0 if (x >= lo - 1e-12).all() and (x <= hi + 1e-12).all() else np.inf
+        return _indicator(((x >= lo - 1e-12) & (x <= hi + 1e-12)).all(axis=-1), x)
 
     def clip(gamma, x):
         # np.clip's result, bit for bit for scalar bounds (x is kept where it
@@ -258,33 +309,36 @@ def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
     def project(gamma, x):
         d = x - c
         nd = norm(d)
-        if nd <= radius:
-            return x.copy()
-        return c + d * (radius / nd)
+        inside = nd <= radius
+        scale = radius / np.where(inside, radius, nd)  # no division by a zero norm
+        return np.where(np.expand_dims(inside, -1), x, c + d * np.expand_dims(scale, -1))
 
     def value(x):
-        return 0.0 if norm(x - c) <= radius + 1e-12 else np.inf
+        return _indicator(norm(x - c) <= radius + 1e-12, x)
 
     return ProxFunction(value=value, prox=project)
 
 
 def halfspace_prox(normal, offset: float) -> ProxFunction:
-    """Indicator of {x : <normal, x> <= offset}."""
+    """Indicator of {x : <normal, x> <= offset}.
+
+    Its value takes a point within distance 1e-12 of the set as inside, as
+    box_prox's does, whatever the scale of normal and offset.
+    """
     a = as_vector(normal)
     a_sq = float(a @ a)
     if a_sq == 0:
         raise ValueError("halfspace normal must be nonzero")
     if not math.isfinite(offset):
         raise ValueError("halfspace offset must be finite")
+    bound = offset + 1e-12 * math.sqrt(a_sq)
 
     def project(gamma, x):
-        excess = float(a @ x) - offset
-        if excess <= 0:
-            return x.copy()
-        return x - (excess / a_sq) * a
+        excess = np.expand_dims(np.vecdot(a, x) - offset, -1)
+        return np.where(excess <= 0, x, x - (excess / a_sq) * a)
 
     def value(x):
-        return 0.0 if float(a @ x) <= offset + 1e-12 else np.inf
+        return _indicator(np.vecdot(a, x) <= bound, x)
 
     return ProxFunction(value=value, prox=project)
 
@@ -300,11 +354,12 @@ def affine_prox(C, d) -> ProxFunction:
     gram_inv = np.linalg.pinv(gram)
 
     def project(gamma, x):
-        return x - CT.dot(gram_inv.dot(C.dot(x) - d))
+        if x.ndim == 1:
+            return x - CT.dot(gram_inv.dot(C.dot(x) - d))
+        return x - _rows_dot(CT, _rows_dot(gram_inv, _rows_dot(C, x) - d))
 
     def value(x):
-        r = C @ x - d
-        return 0.0 if norm(r) <= 1e-10 else np.inf
+        return _indicator(norm(np.matvec(C, x) - d) <= 1e-10, x)
 
     return ProxFunction(value=value, prox=project)
 
@@ -319,7 +374,8 @@ def l1_quadratic_prox(weight: float, quad_diag, lin) -> ProxFunction:
         raise ValueError("quadratic diagonal must be nonnegative for convexity")
 
     def value(x):
-        return weight * float(np.sum(np.abs(x))) + 0.5 * float(a @ (x * x)) + float(b @ x)
+        return _per_row(weight * np.abs(x).sum(axis=-1) + 0.5 * np.vecdot(a, x * x)
+                        + np.vecdot(b, x), x)
 
     def prox(gamma, x):
         return soft_threshold(x - gamma * b, gamma * weight) / (1.0 + gamma * a)
@@ -364,11 +420,7 @@ def linear_monotone_map(M) -> MonotoneMap:
     if eigmin < -1e-10:
         raise ValueError("matrix is not monotone: min symmetric eigenvalue %g" % eigmin)
     eye = np.eye(M.shape[0])
-
-    def res(gamma, x):
-        return np.linalg.solve(eye + gamma * M, x)
-
-    return MonotoneMap(resolvent=res)
+    return MonotoneMap(resolvent=lambda gamma, x: _solve(eye + gamma * M, x))
 
 
 def matrix_operator(M) -> SingleValuedMap:
@@ -380,14 +432,14 @@ def matrix_operator(M) -> SingleValuedMap:
         eigs = np.linalg.eigvalsh(M)
         if np.min(eigs) >= -1e-12 and np.max(eigs) > 0:
             beta = 1.0 / float(np.max(eigs))
-    return SingleValuedMap(fn=M.dot, cocoercivity_beta=beta, lipschitz_L=L)
+    return SingleValuedMap(fn=_matvec(M), cocoercivity_beta=beta, lipschitz_L=L)
 
 
 def rotation_map(angle: float) -> SingleValuedMap:
     """Plane rotation by the given angle; nonexpansive (an isometry)."""
     R = np.array([[np.cos(angle), -np.sin(angle)],
                   [np.sin(angle), np.cos(angle)]])
-    return SingleValuedMap(fn=R.dot, cocoercivity_beta=None, lipschitz_L=1.0)
+    return SingleValuedMap(fn=_matvec(R), cocoercivity_beta=None, lipschitz_L=1.0)
 
 
 def gradient_map(g: SmoothFunction) -> SingleValuedMap:
@@ -417,8 +469,9 @@ def quadratic_fn(Q, b=None, constant: float = 0.0) -> SmoothFunction:
     eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
     L = float(np.max(np.abs(eigs)))
     return SmoothFunction(
-        value=lambda x: 0.5 * float(x @ (Q @ x)) - float(bv @ x) + constant,
-        gradient=lambda x: Q.dot(x) - bv,
+        value=lambda x: _per_row(0.5 * np.vecdot(x, np.matvec(Q, x)) - np.vecdot(bv, x)
+                                 + constant, x),
+        gradient=lambda x: (Q.dot(x) if x.ndim == 1 else _rows_dot(Q, x)) - bv,
         grad_lipschitz=L,
         convex=bool(np.min(eigs) >= -1e-12),
     )
@@ -434,8 +487,9 @@ def least_squares_fn(A, b) -> SmoothFunction:
     except OverflowError:
         raise ValueError("||A||^2 overflows a float; rescale A and b") from None
     return SmoothFunction(
-        value=lambda x: 0.5 * float(np.sum((A @ x - b) ** 2)),
-        gradient=lambda x: AT.dot(A.dot(x) - b),
+        value=lambda x: _per_row(0.5 * np.sum((np.matvec(A, x) - b) ** 2, axis=-1), x),
+        gradient=lambda x: (AT.dot(A.dot(x) - b) if x.ndim == 1
+                            else _rows_dot(AT, _rows_dot(A, x) - b)),
         grad_lipschitz=L,
     )
 
@@ -443,7 +497,7 @@ def least_squares_fn(A, b) -> SmoothFunction:
 def one_minus_cos_fn() -> SmoothFunction:
     """g(x) = sum_i (1 - cos x_i), nonconvex with gradient Lipschitz constant 1."""
     return SmoothFunction(
-        value=lambda x: float((1.0 - np.cos(x)).sum()),
+        value=lambda x: _per_row((1.0 - np.cos(x)).sum(axis=-1), x),
         gradient=np.sin,
         grad_lipschitz=1.0,
         convex=False,
@@ -451,14 +505,16 @@ def one_minus_cos_fn() -> SmoothFunction:
 
 
 def zero_fn() -> SmoothFunction:
-    return SmoothFunction(value=lambda x: 0.0, gradient=np.zeros_like, grad_lipschitz=0.0)
+    return SmoothFunction(value=lambda x: _per_row(np.zeros(x.shape[:-1]), x),
+                          gradient=np.zeros_like, grad_lipschitz=0.0)
 
 
 def matrix_linear_map(M) -> LinearMap:
     """Dense-matrix LinearMap with exact 2-norm estimate."""
     M = _finite_matrix(M, "matrix_linear_map: M")
     MT = M.T
-    return LinearMap(apply=M.dot, adjoint=MT.dot, norm_estimate=float(np.linalg.norm(M, 2)))
+    return LinearMap(apply=_matvec(M), adjoint=_matvec(MT),
+                     norm_estimate=float(np.linalg.norm(M, 2)))
 
 
 def difference_matrix(n: int) -> Array:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SolverError, SpecError
 from .integrate import FlowField
-from .operators import LinearMap, ProxFunction, SmoothFunction, norm, prox_eval
+from .operators import LinearMap, ProxFunction, SmoothFunction, _per_row, norm, prox_eval
 from .schedules import Schedule, _bind
 
 Array = np.ndarray
@@ -69,8 +69,9 @@ class PDState:
 
     @staticmethod
     def from_vector(u: Array, n: int, m: int) -> "PDState":
+        """The blocks of u, or of each row of a stack u as stacks (views, not copies)."""
         u = np.asarray(u, dtype=float)
-        return PDState(x=u[:n], z=u[n:n + m], y=u[n + m:n + 2 * m])
+        return PDState(x=u[..., :n], z=u[..., n:n + m], y=u[..., n + m:n + 2 * m])
 
 
 def _tau_check(prob: StructuredProblem, params: PDParams):
@@ -296,19 +297,20 @@ def special_metric(prob: StructuredProblem, params: PDParams):
     return M1, None
 
 
-def lagrangian_eval(prob: StructuredProblem, state: PDState) -> float:
-    """l(x, z, y) = f(x) + h(x) + g(z) + <y, Ax - z>; +inf outside the domains."""
+def lagrangian_eval(prob: StructuredProblem, state: PDState):
+    """l(x, z, y) = f(x) + h(x) + g(z) + <y, Ax - z>; +inf outside the domains.  A
+    float, or one value per row of a stacked state."""
     fx = prob.f.value(state.x)
     gz = prob.g.value(state.z)
-    if not (np.isfinite(fx) and np.isfinite(gz)):
-        return np.inf
-    # a cross dot, which stays @ (see operators)
-    coupling = float(state.y @ (prob.A(state.x) - state.z))
-    return float(fx + prob.h.value(state.x) + gz + coupling)
+    # a cross dot, which rounds as @ (see operators)
+    coupling = np.vecdot(state.y, prob.A(state.x) - state.z)
+    return _per_row(np.where(np.isfinite(fx) & np.isfinite(gz),
+                             fx + prob.h.value(state.x) + gz + coupling, np.inf), state.x)
 
 
 def saddle_residuals(prob: StructuredProblem, state: PDState) -> dict:
-    """First-order residuals of the three blocks at a candidate saddle point."""
+    """First-order residuals of the three blocks at a candidate saddle point, or at
+    each row of a stacked state."""
     x, z, y = state.x, state.z, state.y
     rx = norm(prox_eval(prob.f, 1.0, x - (prob.h.gradient(x) + prob.A.adjoint(y))) - x)
     rz = norm(prox_eval(prob.g, 1.0, z + y) - z)
@@ -317,7 +319,8 @@ def saddle_residuals(prob: StructuredProblem, state: PDState) -> dict:
 
 
 def pd_probes(prob: StructuredProblem, params: PDParams):
-    """Probe set: feas_norm, lagrangian, block_residuals, pd_consistency."""
+    """Probe set: feas_norm, lagrangian, block_residuals, pd_consistency, each on a
+    trajectory's stacked records (see integrate)."""
     n, m = prob.n, prob.m
 
     def unpack(u):
@@ -332,13 +335,13 @@ def pd_probes(prob: StructuredProblem, params: PDParams):
 
     def block(t, u, v):
         r = saddle_residuals(prob, unpack(u))
-        return max(r.values())
+        return np.maximum(np.maximum(r["x"], r["z"]), r["y"])
 
     def consistency(t, u, v):
         # second-line resolvent relation recomputed from the derivative estimate
         s = unpack(u)
-        xdot = v[:n]
-        zdot = v[n:n + m]
+        xdot = v[..., :n]
+        zdot = v[..., n:n + m]
         w2 = params.c * prob.A(params.gamma_relax * xdot + s.x) + s.y
         target = prox_eval(prob.g, 1.0 / params.c, w2 / params.c)
         return norm((s.z + zdot) - target)

@@ -1,4 +1,11 @@
-"""Scalar time schedules with derivative access and piecewise-C^1 structure."""
+"""Scalar time schedules with derivative access and piecewise-C^1 structure.
+
+A schedule is read at one time t, a float, or at an array of times, which
+gives an array of the same shape with each entry's bits as at that time
+alone.  The families here take both; a Schedule built from a float-only fn
+serves the flow fields, but not the second-order probes, which read the
+damping and relaxation at every record at once.
+"""
 
 from __future__ import annotations
 
@@ -25,11 +32,18 @@ class Schedule:
     bounds: Optional[Tuple[float, float]] = None
     breakpoints: Tuple[float, ...] = ()
 
-    def __call__(self, t: float) -> float:
-        return float(self.fn(t))
+    def __call__(self, t):
+        return _read(self.fn, t)
 
-    def derivative(self, t: float) -> float:
-        return float(self.dfn(t))
+    def derivative(self, t):
+        return _read(self.dfn, t)
+
+
+def _read(fn, t):
+    """fn(t) as a float, or at an array of times as a float64 array of its shape."""
+    if isinstance(t, np.ndarray):
+        return np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
+    return float(fn(t))
 
 
 def _bind(s: Schedule, check: Optional[Callable] = None, as_array: bool = True):
@@ -48,8 +62,8 @@ def _bind(s: Schedule, check: Optional[Callable] = None, as_array: bool = True):
         return lambda t: value
     if check is None:
         return s
-    fn = s.fn  # read as __call__ does, one call layer less
-    return lambda t: check(float(fn(t)), t)
+    fn = s.fn  # a float time is read as __call__ does, one call layer less
+    return lambda t: check(float(fn(t)) if isinstance(t, float) else s(t), t)
 
 
 def constant(value: float) -> Schedule:
@@ -72,10 +86,16 @@ def affine_clamped(intercept: float, slope: float, lo: float, hi: float) -> Sche
                 brk.append(tb)
 
     def fn(t):
-        return min(max(intercept + slope * t, lo), hi)
+        raw = intercept + slope * t
+        if isinstance(t, np.ndarray):  # max and min as Python's: a tie keeps the first
+            low = np.where(lo > raw, lo, raw)
+            return np.where(hi < low, hi, low)
+        return min(max(raw, lo), hi)
 
     def dfn(t):
         raw = intercept + slope * t
+        if isinstance(t, np.ndarray):
+            return np.where((lo < raw) & (raw < hi), slope, 0.0)
         return slope if lo < raw < hi else 0.0
 
     v0 = fn(0.0)
@@ -89,10 +109,16 @@ def inv_power(p: float, scale: float = 1.0) -> Schedule:
     if not (p > 0 and scale > 0):
         raise SpecError("inv_power needs positive p and scale")
     return Schedule(
-        fn=lambda t: scale / (1.0 + t) ** p,
-        dfn=lambda t: -p * scale / (1.0 + t) ** (p + 1.0),
+        fn=lambda t: scale / _pow(1.0 + t, p),
+        dfn=lambda t: -p * scale / _pow(1.0 + t, p + 1.0),
         bounds=(0.0, scale),
     )
+
+
+def _pow(a, p):
+    """a ** p as a float computes it, C pow(); on an array ** has fast paths (p = 2,
+    0.5, ...) that round otherwise, and np.float_power is pow()."""
+    return np.float_power(a, p) if isinstance(a, np.ndarray) else a ** p
 
 
 def over_t(alpha: float) -> Schedule:
@@ -101,8 +127,8 @@ def over_t(alpha: float) -> Schedule:
         raise SpecError("over_t needs positive alpha")
 
     def fn(t):
-        if t <= 0:
-            raise SpecError("alpha/t schedule evaluated at t=%g <= 0" % t)
+        if np.any(t <= 0) if isinstance(t, np.ndarray) else t <= 0:
+            raise SpecError("alpha/t schedule evaluated at t=%g <= 0" % np.min(t))
         return alpha / t
 
     return Schedule(fn=fn, dfn=lambda t: -alpha / (t * t))

@@ -126,8 +126,15 @@ class SecondOrderSpec:
 
     @classmethod
     def yosida(cls, A: MonotoneMap, lam_schedule: Schedule, alpha: float):
+        def drive(t, x):
+            lam = lam_schedule(t)
+            if isinstance(lam, float):
+                return yosida_eval(A, lam, x)
+            # stacked records at times of their own: a resolvent takes one step size
+            return np.array([yosida_eval(A, step, row) for step, row in zip(lam.ravel(), x)])
+
         return cls(label="yosida-avd", damping=over_t(alpha), relaxation=lam_schedule,
-                   drive=lambda t, x: yosida_eval(A, lam_schedule(t), x))
+                   drive=drive)
 
     def driving_operator(self, x):
         """The operator whose zero set the flow targets, evaluated at x."""
@@ -156,32 +163,35 @@ def _lyapunov(spec: SecondOrderSpec, xstar):
     def lyap(t, x, v):
         d = x - ref
         gam, lam = spec.damping(t), spec.relaxation(t)
-        # d @ v is a cross dot and stays @ (see operators)
-        return (float(d @ v) + gam * 0.5 * float(d.dot(d))
-                + beta * (gam / lam) * float(v.dot(v)))
+        # np.vecdot rounds as @ does; d @ v is a cross dot (see operators)
+        return (np.vecdot(d, v) + gam * 0.5 * np.vecdot(d, d)
+                + beta * (gam / lam) * np.vecdot(v, v))
 
     return lyap
 
 
 def second_order_lyapunov(traj: Trajectory, spec: SecondOrderSpec, xstar) -> np.ndarray:
     """V(t) = <x - x*, v> + gamma(t)*||x - x*||^2/2 + beta*(gamma/lam)(t)*||v||^2 on the grid."""
-    lyap = _lyapunov(spec, xstar)
-    return np.array([lyap(t, x, v) for t, x, v in zip(traj.times, traj.states, traj.velocities)])
+    return _lyapunov(spec, xstar)(traj.times, traj.states, traj.velocities)
 
 
 def second_order_probes(spec: SecondOrderSpec, xstar=None):
-    """Standard probe set: lyapunov_V, h, hdot, speed, accel (+ objective for avd)."""
+    """Standard probe set: lyapunov_V, h, hdot, speed, accel (+ objective for avd).
+
+    Each probe takes a trajectory's stacked records (see integrate); accel
+    evaluates the field once on all of them, at the times as a column.
+    """
     probes = []
     if xstar is not None:
         ref = np.asarray(xstar, dtype=float)
         if spec.beta is not None:
             probes.append(("lyapunov_V", _lyapunov(spec, ref)))
-        probes.append(("h", lambda t, x, v: 0.5 * float((x - ref).dot(x - ref))))
-        # a cross dot: .dot would write -0 for @'s 0 on a 1-D flow (see operators)
-        probes.append(("hdot", lambda t, x, v: float((x - ref) @ v)))
+        probes.append(("h", lambda t, x, v: 0.5 * np.vecdot(x - ref, x - ref)))
+        # a cross dot, which rounds as @ (see operators)
+        probes.append(("hdot", lambda t, x, v: np.vecdot(x - ref, v)))
     probes.append(("speed", lambda t, x, v: norm(v)))
     field = second_order_field(spec)
-    probes.append(("accel", lambda t, x, v: norm(field.fn(t, x, v))))
+    probes.append(("accel", lambda t, x, v: norm(field.fn(t[:, None], x, v))))
     if spec.g is not None:
-        probes.append(("objective", lambda t, x, v: float(spec.g.value(x))))
+        probes.append(("objective", lambda t, x, v: spec.g.value(x)))
     return probes

@@ -462,7 +462,7 @@ class TestSequenceRunner:
     def test_divergence_raises_with_the_finite_prefix(self):
         with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
             run_sequence(lambda n, x, xp: 3.0 * x, np.ones(2), 2000,
-                         probes=[("norm", lambda t, x, v: float(np.linalg.norm(x)))])
+                         probes=[("norm", lambda t, x, v: np.linalg.norm(x, axis=1))])
         traj = info.value.trajectory
         assert info.value.last_finite_t == 25.0 and len(traj.times) == 26
         assert np.abs(traj.states).max() <= DIVERGENCE_THRESHOLD
@@ -532,7 +532,7 @@ class TestSequenceRunner:
 
     def test_csv_schema(self, tmp_path):
         seq = run_sequence(lambda n, x, xp: 0.5 * x, np.array([1.0, 2.0]), 3,
-                           probes=[("norm", lambda t, x, v: float(np.linalg.norm(x)))])
+                           probes=[("norm", lambda t, x, v: np.linalg.norm(x, axis=1))])
         path = tmp_path / "seq.csv"
         write_sequence_csv(seq, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()

@@ -73,7 +73,7 @@ class TestIntegrate:
         field = decay_field()
         cfg = IntegratorConfig(method="rk4", dt=0.1, t_end=1.0, record_every=2)
         traj = integrate(field, np.array([1.0]), cfg,
-                         probes=[("norm", lambda t, x, v: float(np.linalg.norm(x)))])
+                         probes=[("norm", lambda t, x, v: np.linalg.norm(x, axis=1))])
         assert len(traj.records["norm"]) == len(traj.times) == 6
 
     def test_divergence_detected_with_partial_output(self):
@@ -175,7 +175,7 @@ class TestCsvExport:
         field = decay_field()
         cfg = IntegratorConfig(method="rk4", dt=0.1, t_end=1.0, record_every=5)
         traj = integrate(field, np.array([1.0 / 3.0]), cfg,
-                         probes=[("norm", lambda t, x, v: float(np.linalg.norm(x)))])
+                         probes=[("norm", lambda t, x, v: np.linalg.norm(x, axis=1))])
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()
@@ -254,8 +254,8 @@ class TestCsvWriterMatchesPerValueFormatting:
     def test_sequence_csv(self, tmp_path):
         seq = run_sequence(lambda n, x, x_prev: 0.5 * x + np.array([1.0, -0.0]),
                            np.array([3.0, -0.0]), 600,
-                           probes=[("norm", lambda t, x, v: float(np.linalg.norm(x))),
-                                   ("step", lambda t, x, v: float(v[0]))])
+                           probes=[("norm", lambda t, x, v: np.linalg.norm(x, axis=1)),
+                                   ("step", lambda t, x, v: v[:, 0])])
         path = tmp_path / "seq.csv"
         write_sequence_csv(seq, path)
         assert path.read_text(encoding="utf-8") == oracle_csv(seq)
@@ -381,3 +381,62 @@ class TestStartsConvertOnce:
             self.assert_same_records(run_sequence(update, x0, 20, probes=probes), want)
             got = euler_unit_step(field, x0)
             assert got.dtype == np.float64 and got.tobytes() == want.states[1].tobytes()
+
+
+class TestProbesRunOnceOnTheStackedRecords:
+    """integrate and run_sequence call each probe once, after the loop, on every record."""
+
+    CFG = IntegratorConfig(method="rk4", dt=0.1, t_end=1.0, record_every=2)
+
+    @staticmethod
+    def runs(probes):
+        """An order-1 run, an order-2 run and a discrete run, each with the probes."""
+        second = FlowField(order=2, fn=lambda t, x, v: -v - x)
+        cfg = TestProbesRunOnceOnTheStackedRecords.CFG
+        return [lambda: integrate(decay_field(), np.array([1.0, -2.0]), cfg, probes=probes),
+                lambda: integrate(second, np.array([1.0, -2.0]), cfg, v0=np.array([0.5, 0.0]),
+                                  probes=probes),
+                lambda: run_sequence(lambda n, x, xp: 0.5 * x, np.array([1.0, -2.0]), 5,
+                                     probes=probes)]
+
+    @pytest.mark.parametrize("run", range(3), ids=["order-1", "order-2", "discrete"])
+    def test_each_probe_is_called_once_on_read_only_stacks(self, run):
+        calls = []
+
+        def probe(t, x, v):
+            calls.append((t, x, v))
+            return np.linalg.norm(x, axis=1)
+
+        traj = self.runs([("norm", probe)])[run]()
+        assert len(calls) == 1
+        t, x, v = calls[0]
+        assert t.shape == (6,) and x.shape == v.shape == (6, 2)
+        assert not (t.flags.writeable or x.flags.writeable or v.flags.writeable)
+        assert np.array_equal(t, traj.times) and np.array_equal(x, traj.states)
+        assert np.array_equal(v, traj.velocities)
+        for a in (traj.states, traj.velocities):  # an order-2 state is split once
+            assert a.flags.c_contiguous and a.flags.writeable
+
+    @pytest.mark.parametrize("run", range(3), ids=["order-1", "order-2", "discrete"])
+    @pytest.mark.parametrize("probe", [
+        lambda t, x, v: float(np.linalg.norm(x[0])),      # the old per-record contract
+        lambda t, x, v: np.linalg.norm(x, axis=1)[:, None],
+        lambda t, x, v: np.linalg.norm(x, axis=1)[1:],
+        lambda t, x, v: np.linalg.norm(x, axis=1).astype(np.float32),
+        lambda t, x, v: list(np.linalg.norm(x, axis=1)),
+    ], ids=["scalar", "column", "short", "float32", "list"])
+    def test_a_result_other_than_a_float64_row_array_names_the_probe(self, run, probe):
+        with pytest.raises(ValueError, match="probe 'bad' returned"):
+            self.runs([("fine", lambda t, x, v: t.copy()), ("bad", probe)])[run]()
+
+    def test_a_diverging_run_probes_its_finite_prefix_once(self):
+        calls = []
+
+        def probe(t, x, v):
+            calls.append(len(t))
+            return np.abs(x).max(axis=1)
+
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
+            run_sequence(lambda n, x, xp: 3.0 * x, np.ones(2), 2000, probes=[("max", probe)])
+        traj = err.value.trajectory
+        assert calls == [26] and traj.records["max"].tolist() == [3.0 ** k for k in range(26)]

@@ -133,6 +133,17 @@ class TestBruteForceCriticals:
         for e in expected:
             assert np.min(np.abs(crits - e)) < 1e-5
 
+    def test_grid_is_scanned_in_one_stacked_call_to_the_same_hits(self):
+        p = get_problem("nonconvex_cos").components["problem"]
+        xs = np.arange(-8.0, 8.0 + 1e-3, 1e-3)
+        per_point = np.array([critical_residual(p, np.array([x])) for x in xs])
+        assert critical_residual(p, xs[:, None]).tobytes() == per_point.tobytes()
+        # the hits of a scan that calls critical_residual once per grid point
+        crits = brute_force_critical_points(p, -8.0, 8.0, step=1e-3)
+        assert [x.hex() for x in crits.tolist()] == [
+            "-0x1.8bb690a6baa0ap+2", "-0x1.9ef1fe7f41dcap+1", "-0x1.16a965e083ffap-36",
+            "0x1.9ef1fe7f44ccap+1", "0x1.8bb690a6bc18ap+2"]
+
 
 @pytest.fixture(scope="module")
 def cos_run():
@@ -194,8 +205,8 @@ class TestTrajectoryProperties:
         assert np.all(np.diff(traj.records["arclength"]) >= -1e-15)
 
     def test_arclength_probe_restarts_when_the_list_is_reused(self):
-        # the stateful probe must see each record once, in time order, in a flow
-        # run and in a discrete run (the unit step) alike
+        # the probe is a function of the stacked records alone, in a flow run and
+        # in a discrete run (the unit step) alike
         p = get_problem("nonconvex_cos").components["problem"]
         probes = nonconvex_probes(p)
         cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=20.0, record_every=10)
