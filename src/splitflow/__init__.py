@@ -6,7 +6,7 @@ from .errors import (DivergenceError, FitError, HypothesisError, SolverError,
 from .integrate import (FlowField, IntegratorConfig, Trajectory, euler_unit_step,
                         integrate, write_trajectory_csv)
 from .operators import (LinearMap, MonotoneMap, ProxFunction, SingleValuedMap,
-                        SmoothFunction, fb_delta, fb_map, prox_eval,
+                        SmoothFunction, fb_delta, prox_eval,
                         reflected_resolvent, resolvent_eval, yosida_eval)
 from .schedules import Schedule, affine_clamped, constant, exp_decay, inv_power, over_t
 
@@ -15,7 +15,7 @@ __all__ = [
     "FlowField", "IntegratorConfig", "Trajectory", "euler_unit_step", "integrate",
     "write_trajectory_csv",
     "LinearMap", "MonotoneMap", "ProxFunction", "SingleValuedMap", "SmoothFunction",
-    "fb_delta", "fb_map", "prox_eval", "reflected_resolvent",
+    "fb_delta", "prox_eval", "reflected_resolvent",
     "resolvent_eval", "yosida_eval",
     "Schedule", "affine_clamped", "constant", "exp_decay", "inv_power", "over_t",
 ]

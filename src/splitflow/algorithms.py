@@ -17,7 +17,7 @@ from .first_order import (check_relaxation, check_tseng_step, fb_increment, fbf_
                           km_increment)
 from .integrate import Trajectory, _drive, _write_csv
 from .operators import (MonotoneMap, ProxFunction, SingleValuedMap, SmoothFunction, as_vector,
-                        check_fb_step, fb_delta, prox_eval, resolvent_eval)
+                        check_fb_step, fb_delta, prox_eval)
 from .primal_dual import PDParams, PDState, StructuredProblem, pd_general_increment
 
 Array = np.ndarray
@@ -38,15 +38,6 @@ def tseng_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x) 
     """Forward-backward-forward update y + lam*(B(x) - B(y)), y = J_{gamma A}(x - gamma*B(x))."""
     check_tseng_step(B, gamma)
     return x + fbf_increment(A, B, gamma, lam, x)
-
-
-def frb_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, x_curr, x_prev) -> Array:
-    """Reflected-gradient style step with a single forward evaluation per iteration."""
-    L = B.lipschitz_L
-    if L is None or not (0.0 < gamma and gamma * L < 0.5):
-        raise SpecError("frb_step needs 0 < gamma*L < 1/2 with a known Lipschitz bound")
-    Bc = B(x_curr)
-    return resolvent_eval(A, gamma, x_curr - gamma * Bc) - gamma * (Bc - B(x_prev))
 
 
 def inertial_fb_step(f: ProxFunction, g: SmoothFunction, eta: float,

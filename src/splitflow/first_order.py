@@ -29,7 +29,7 @@ def check_relaxation(lam: float, cap: float, t: Optional[float] = None) -> float
     """The relaxation hypothesis lam in [0, cap] (to 1e-12), else SpecError; returns lam.
 
     cap is 1/alpha for KM (1 when T is merely nonexpansive), delta for forward-
-    backward, inf in its relaxed regime; t is the time a scheduled lam was read at.
+    backward; t is the time a scheduled lam was read at.
     """
     if not -_BOUND_TOL <= lam <= cap + _BOUND_TOL:
         at = "" if t is None else "(%g)" % t
@@ -120,10 +120,9 @@ class FBFlowSpec:
     lam: Schedule
     epsilon: Optional[Schedule] = None
     tikhonov_sign: float = 1.0
-    allow_relaxed: bool = False
 
     def __post_init__(self):
-        check_fb_step(self.B, self.gamma, relaxed=self.allow_relaxed)
+        check_fb_step(self.B, self.gamma)
         for lam in self.lam.bounds or ():
             check_relaxation(lam, self.lambda_cap)
 
@@ -131,9 +130,7 @@ class FBFlowSpec:
     def delta(self) -> float:
         return fb_delta(self.B.cocoercivity_beta, self.gamma)
 
-    @property
-    def lambda_cap(self) -> float:
-        return np.inf if self.allow_relaxed else self.delta
+    lambda_cap = delta
 
     def _lam_at(self, t: float) -> float:
         return check_relaxation(self.lam(t), self.lambda_cap, t)
@@ -204,14 +201,10 @@ class DRFlowSpec:
 
 
 def _fd_jacobian(B, x):
-    n = x.size
+    """The central-difference Jacobian of B at x, one stacked call of B per side."""
     h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
-    J = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        J[:, i] = (B(x + e) - B(x - e)) / (2.0 * h)
-    return J
+    steps = h * np.eye(x.size)
+    return ((B(x + steps) - B(x - steps)) / (2.0 * h)).T
 
 
 def dr_field(spec: DRFlowSpec) -> FlowField:

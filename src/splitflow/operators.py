@@ -12,9 +12,9 @@ float64 array of shape (R,), where a vector gets a float), each with the
 bits the row alone would get.  The step path hands oracles vectors; the
 probes of a trajectory hand them its stacked records, once.  A caller's
 vector is converted to float64 once, where it enters the package:
-as_vector, prox_eval, resolvent_eval, reflected_resolvent, yosida_eval,
-fb_map and moreau_conjugate_prox here, integrate, run_sequence and
-euler_unit_step for flows, and the public diagnostic and merit functions.
+as_vector, prox_eval, resolvent_eval, reflected_resolvent, yosida_eval and
+moreau_conjugate_prox here, integrate, run_sequence and euler_unit_step for
+flows, and the public diagnostic and merit functions.
 Nothing beneath them converts again, so an elementwise closure that only
 forwards its argument is the callable itself (np.sin, np.negative).
 
@@ -231,18 +231,6 @@ def check_fb_step(B: SingleValuedMap, gamma: float, relaxed: bool = False) -> fl
     return beta
 
 
-def fb_map(A: MonotoneMap, B: SingleValuedMap, gamma: float, x: Array,
-           allow_relaxed: bool = False) -> Array:
-    """One forward-backward pass J_{gamma A}(x - gamma*B(x)).
-
-    check_fb_step(B, gamma, relaxed=allow_relaxed) must hold; with 0 < gamma
-    < 2*beta the map is 1/delta-averaged with delta = fb_delta(beta, gamma).
-    """
-    check_fb_step(B, gamma, relaxed=allow_relaxed)
-    x = np.asarray(x, dtype=float)
-    return resolvent_eval(A, gamma, x - gamma * B(x))
-
-
 # ---------------------------------------------------------------------------
 # analytic prox catalog
 
@@ -301,10 +289,15 @@ def box_prox(lo, hi) -> ProxFunction:
 
 
 def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
-    """Indicator of the Euclidean ball; prox is the radial projection."""
+    """Indicator of the Euclidean ball; prox is the radial projection.
+
+    Its value takes x as inside when ||x - center|| exceeds radius by at most
+    1e-12 * max(1, radius + ||center||), the magnitudes a projection rounds at.
+    """
     if not radius > 0:
         raise ValueError("ball radius must be positive")
     c = 0.0 if center is None else as_vector(center)
+    bound = radius + 1e-12 * max(1.0, radius + float(np.linalg.norm(c)))
 
     def project(gamma, x):
         d = x - c
@@ -314,7 +307,7 @@ def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
         return np.where(np.expand_dims(inside, -1), x, c + d * np.expand_dims(scale, -1))
 
     def value(x):
-        return _indicator(norm(x - c) <= radius + 1e-12, x)
+        return _indicator(norm(x - c) <= bound, x)
 
     return ProxFunction(value=value, prox=project)
 
@@ -322,8 +315,9 @@ def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
 def halfspace_prox(normal, offset: float) -> ProxFunction:
     """Indicator of {x : <normal, x> <= offset}.
 
-    Its value takes a point within distance 1e-12 of the set as inside, as
-    box_prox's does, whatever the scale of normal and offset.
+    Its value takes x as inside when <normal, x> exceeds offset by at most
+    1e-12 * ||normal|| * max(1, ||x||): within distance 1e-12 of the set near
+    the origin, and within 1e-12 * ||x|| of it far away, where <normal, x> rounds.
     """
     a = as_vector(normal)
     a_sq = float(a @ a)
@@ -331,20 +325,25 @@ def halfspace_prox(normal, offset: float) -> ProxFunction:
         raise ValueError("halfspace normal must be nonzero")
     if not math.isfinite(offset):
         raise ValueError("halfspace offset must be finite")
-    bound = offset + 1e-12 * math.sqrt(a_sq)
+    slack = 1e-12 * math.sqrt(a_sq)
 
     def project(gamma, x):
         excess = np.expand_dims(np.vecdot(a, x) - offset, -1)
         return np.where(excess <= 0, x, x - (excess / a_sq) * a)
 
     def value(x):
-        return _indicator(np.vecdot(a, x) <= bound, x)
+        return _indicator(np.vecdot(a, x) <= offset + slack * np.maximum(1.0, norm(x)), x)
 
     return ProxFunction(value=value, prox=project)
 
 
 def affine_prox(C, d) -> ProxFunction:
-    """Indicator of {x : Cx = d}; prox is the affine projection."""
+    """Indicator of {x : Cx = d}; prox is the affine projection.
+
+    Its value takes x as inside when ||Cx - d|| <= 1e-10 * ||C|| * max(1, ||x||),
+    as halfspace_prox's does: relative to the magnitudes Cx - d rounds at (on the
+    set ||d|| <= ||C|| ||x||), and unchanged when C and d are scaled together.
+    """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     d = as_vector(d)
     CT = C.T
@@ -352,6 +351,7 @@ def affine_prox(C, d) -> ProxFunction:
     if not np.all(np.isfinite(gram)):  # np.linalg.pinv may not return on inf or NaN
         raise ValueError("C @ C.T is not finite; rescale the constraint Cx = d")
     gram_inv = np.linalg.pinv(gram)
+    slack = 1e-10 * float(np.linalg.norm(C, 2))
 
     def project(gamma, x):
         if x.ndim == 1:
@@ -359,7 +359,7 @@ def affine_prox(C, d) -> ProxFunction:
         return x - _rows_dot(CT, _rows_dot(gram_inv, _rows_dot(C, x) - d))
 
     def value(x):
-        return _indicator(norm(np.matvec(C, x) - d) <= 1e-10, x)
+        return _indicator(norm(np.matvec(C, x) - d) <= slack * np.maximum(1.0, norm(x)), x)
 
     return ProxFunction(value=value, prox=project)
 

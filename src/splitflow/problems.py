@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import SolverError
 from .nonconvex import NonconvexProblem, critical_residual
-from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, _rows_dot, _solve,
-                        affine_prox, box_prox, difference_matrix, gradient_map, l1_prox,
-                        least_squares_fn, matrix_linear_map, matrix_operator,
+from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, _per_row, _rows_dot,
+                        _solve, affine_prox, box_prox, difference_matrix, gradient_map,
+                        l1_prox, least_squares_fn, matrix_linear_map, matrix_operator,
                         one_minus_cos_fn, quadratic_fn, resolvent_eval, rotation_map,
                         soft_threshold, subdifferential_map, zero_operator)
 from .primal_dual import PDState, StructuredProblem, saddle_residuals
@@ -358,16 +358,16 @@ def _banana_box_problem() -> ProblemDef:
 
     A vector's entries are numpy scalars, whose ** 2 is C pow(); a stack's
     columns are arrays, whose ** 2 squares, to other bits at about 0.1% of
-    points, so a stack squares with np.float_power, which is pow().
+    points.  np.float_power is pow() on both, so the value squares with it
+    alone, and so does the gradient on a stack.
     """
     c = 2.0
     lo, hi = -1.5, 1.5
 
     def val(x):
-        if x.ndim == 1:
-            return float((1.0 - x[0]) ** 2 + c * (x[1] - x[0] ** 2) ** 2)
         x0, x1 = x[..., 0], x[..., 1]
-        return np.float_power(1.0 - x0, 2) + c * np.float_power(x1 - np.float_power(x0, 2), 2)
+        return _per_row(np.float_power(1.0 - x0, 2)
+                        + c * np.float_power(x1 - np.float_power(x0, 2), 2), x)
 
     def grad(x):
         if x.ndim == 1:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splitflow.algorithms import (fb_step, frb_step, inertial_fb_step, km_step, nesterov_step,
+from splitflow.algorithms import (fb_step, inertial_fb_step, km_step, nesterov_step,
                                   prox_admm_step, run_sequence, tseng_step, write_sequence_csv)
 from splitflow.diagnostics import fejer_check
 from splitflow.first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec,
@@ -170,44 +170,6 @@ class TestTsengStep:
             tseng_step(zero_operator(), matrix_operator(np.eye(2)), 1.0, 0.5, np.ones(2))
         with pytest.raises(SpecError):  # no Lipschitz bound
             tseng_step(zero_operator(), SingleValuedMap(fn=lambda x: x), 0.5, 0.5, np.ones(2))
-
-
-class TestFRBStep:
-    def test_without_B_is_resolvent(self):
-        zero = SingleValuedMap(fn=lambda x: np.zeros_like(x), lipschitz_L=0.0)
-        A = subdifferential_map(l1_prox(1.0))
-        got = frb_step(A, zero, 0.4, np.array([3.0]), np.array([1.0]))
-        assert got[0] == soft_threshold(np.array([3.0]), 0.4)[0]
-
-    def test_equal_points_reduce_to_plain_fb(self):
-        p = get_problem("bilinear_saddle")
-        A, B = p.components["A"], p.components["B"]
-        x = np.array([1.0, 0.5])
-        got = frb_step(A, B, 0.4, x, x)
-        want = x - 0.4 * B(x)  # J of the zero operator is the identity
-        assert np.allclose(got, want)
-
-    def test_ten_step_recurrence_matches_scripted_oracle(self):
-        # independent recurrence on the bilinear saddle, raw numpy only
-        K = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        gamma = 0.4
-        xo_prev = np.array([1.0, 0.0])
-        xo = np.array([0.9, 0.1])
-        p = get_problem("bilinear_saddle")
-        x_prev, x = xo_prev.copy(), xo.copy()
-        for _ in range(10):
-            nxt = (xo - gamma * (K @ xo)) - gamma * (K @ xo - K @ xo_prev)
-            xo_prev, xo = xo, nxt
-            got = frb_step(p.components["A"], p.components["B"], gamma, x, x_prev)
-            x_prev, x = x, got
-            assert np.allclose(x, xo, atol=1e-15)
-        assert np.linalg.norm(x) < np.linalg.norm(np.array([0.9, 0.1]))
-
-    def test_range_enforced(self):
-        p = get_problem("bilinear_saddle")
-        for gamma in (0.6, np.nan):
-            with pytest.raises(SpecError):
-                frb_step(p.components["A"], p.components["B"], gamma, np.ones(2), np.ones(2))
 
 
 class TestInertialFBStep:

@@ -12,12 +12,11 @@ import pytest
 
 from splitflow.errors import SpecError
 from splitflow.first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec,
-                                   _fd_jacobian, dr_field, dr_operator, fb_field,
-                                   fb_increment, fbf_field, fbf_increment, km_field,
-                                   km_increment)
+                                   dr_field, dr_operator, fb_field, fb_increment, fbf_field,
+                                   fbf_increment, km_field, km_increment)
 from splitflow.integrate import IntegratorConfig, integrate
 from splitflow.nonconvex import proxgrad_field
-from splitflow.operators import prox_eval, resolvent_eval
+from splitflow.operators import matrix_operator, prox_eval, resolvent_eval
 from splitflow.primal_dual import PDParams, pd_field_general, pd_field_special, special_metric
 from splitflow.problems import get_problem
 from splitflow.schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power,
@@ -48,17 +47,30 @@ def _fbf():
     return fbf_field(spec), lambda t, x: fbf_increment(spec.A, spec.B, spec.gamma, spec.lam, x)
 
 
-def _dr(form):
+def _column_jacobian(B, x):
+    """The central-difference Jacobian column by column, one vector call of B per side and
+    column: the field's two stacked calls must give it bit for bit."""
+    h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
+    J = np.empty((x.size, x.size))
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        J[:, i] = (B(x + e) - B(x - e)) / (2.0 * h)
+    return J
+
+
+def _dr(form, B=None):
     c = get_problem("two_lines").components
-    spec = DRFlowSpec(A=c["A"], B=c["B_mono" if form == "reflected" else "B"], gamma=1.0,
-                      form=form)
+    if B is None:
+        B = c["B_mono" if form == "reflected" else "B"]
+    spec = DRFlowSpec(A=c["A"], B=B, gamma=1.0, form=form)
     A, B, gamma = spec.A, spec.B, spec.gamma
     if form == "reflected":
         return dr_field(spec), lambda t, z: 1.0 * (dr_operator(A, B, gamma, z) - z)
 
     def reference(t, x):
         c = resolvent_eval(A, gamma, x - gamma * B(x)) - x
-        return np.linalg.solve(np.eye(x.size) + gamma * _fd_jacobian(B, x), c)
+        return np.linalg.solve(np.eye(x.size) + gamma * _column_jacobian(B, x), c)
 
     return dr_field(spec), reference
 
@@ -123,6 +135,9 @@ CASES = {
     "fbf": _fbf,
     "dr-reflected": lambda: _dr("reflected"),
     "dr-coupled": lambda: _dr("coupled"),
+    # a B whose Jacobian is not symmetric, so that a transposed Jacobian shows
+    "dr-coupled-nonsymmetric": lambda: _dr("coupled", matrix_operator([[1.0, 2.0],
+                                                                       [-0.5, 1.0]])),
     "proxgrad": _proxgrad,
     "second-order-fb": lambda: _second_order_fb(constant(2.0), constant(1.0)),
     "second-order-fb-varying": lambda: _second_order_fb(affine_clamped(3.0, -0.01, 2.0, 3.0),

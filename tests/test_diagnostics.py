@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from splitflow.config import config_from_dict
 from splitflow.diagnostics import (proxgrad_gap_certificate, envelope_slope,
                                    fejer_check, objective_gap_check, nonincreasing_check,
                                    km_residual_rate_check, rate_fit)
@@ -186,3 +187,69 @@ class TestEnvelopeAndJson:
         report = nonincreasing_check([0, 1], [1.0, 0.5], name="demo")
         payload = json.loads(json.dumps(report, default=float))
         assert {"check", "pass", "first_violation_t", "margin"} <= set(payload)
+
+
+def _config_run(problem_name, flow, integrator):
+    """The trajectory of a config run, with the problem it ran on."""
+    cfg = config_from_dict({"problem": problem_name, "flow": flow, "integrator": integrator})
+    problem, field, probes, x0, _, icfg, _ = cfg.run
+    return problem, integrate(field, x0, icfg, probes=probes)
+
+
+@pytest.fixture(scope="module")
+def rotation_km_run():
+    """The benchmark's rotation2d km run: lambda 0.7, RK4 dt 0.05 to the horizon."""
+    horizon = get_problem("rotation2d").horizon
+    return _config_run("rotation2d", {"name": "km", "lambda": {"family": "constant",
+                                                               "value": 0.7}},
+                       {"method": "rk4", "dt": 0.05, "t_end": horizon,
+                        "record_every": int(round(horizon / 0.05 / 100))})
+
+
+@pytest.fixture(scope="module")
+def certified_lasso_run():
+    """The benchmark's lasso1d-fb-certified run: gamma 0.25, relaxation 1."""
+    return _config_run("lasso1d", {"name": "fb", "gamma": 0.25,
+                                   "lambda": {"family": "constant", "value": 1.0}},
+                       {"method": "rk4", "dt": 0.05, "t_end": 100.0, "record_every": 20})
+
+
+class TestNegativeControls:
+    """A check that passes at the true x* must fail at an x* shifted by a fraction of
+    ||x0 - x*||, or a pass says nothing."""
+
+    FRACTIONS = (1e-4, 1e-2, 0.5)
+
+    @staticmethod
+    def _shift(traj, xstar, frac, direction):
+        return xstar + frac * np.linalg.norm(traj.states[0] - xstar) * direction
+
+    def test_fejer_check_passes_at_the_fixed_point(self, rotation_km_run):
+        problem, traj = rotation_km_run
+        assert fejer_check(traj, problem.known_solution)["pass"]
+
+    @pytest.mark.parametrize("frac", FRACTIONS)
+    def test_fejer_check_fails_at_shifted_fixed_points(self, rotation_km_run, frac):
+        problem, traj = rotation_km_run
+        directions = np.random.default_rng(0).standard_normal((8, 2))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        passed = [fejer_check(traj, self._shift(traj, problem.known_solution, frac, d))["pass"]
+                  for d in directions]
+        assert not any(passed)
+
+    def _certificate(self, run, xstar):
+        problem, traj = run
+        f, g = problem.components["f"], problem.components["g"]
+        return proxgrad_gap_certificate(traj, f, g, 0.25, xstar)
+
+    def test_gap_certificate_passes_at_the_minimizer(self, certified_lasso_run):
+        problem, _ = certified_lasso_run
+        assert self._certificate(certified_lasso_run, problem.known_solution)["pass"]
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    @pytest.mark.parametrize("frac", FRACTIONS)
+    def test_gap_certificate_fails_at_shifted_minimizers(self, certified_lasso_run, frac,
+                                                         sign):
+        problem, traj = certified_lasso_run
+        xstar = self._shift(traj, problem.known_solution, frac, np.array([sign]))
+        assert not self._certificate(certified_lasso_run, xstar)["pass"]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from splitflow.errors import SpecError
-from splitflow.operators import (SingleValuedMap, affine_prox, as_vector, ball_prox,
-                                 box_prox, fb_delta, fb_map, gradient_map, halfspace_prox,
+from splitflow.first_order import fb_increment
+from splitflow.operators import (affine_prox, as_vector, ball_prox,
+                                 box_prox, fb_delta, gradient_map, halfspace_prox,
                                  identity_operator, l1_prox, l1_quadratic_prox,
                                  least_squares_fn, linear_monotone_map, matrix_linear_map,
                                  matrix_operator, moreau_conjugate_prox, norm,
@@ -188,33 +188,13 @@ class TestReflectedAndYosida:
 
 
 class TestFbMap:
-    def test_trivial_identity(self):
-        zero = SingleValuedMap(fn=lambda x: np.zeros_like(x), cocoercivity_beta=1e9,
-                               lipschitz_L=0.0)
-        x = np.array([1.5, -0.5])
-        assert np.allclose(fb_map(zero_operator(), zero, 1.0, x), x)
-
-    def test_equilibrium_is_fixed(self):
-        A = subdifferential_map(box_prox(0.0, np.inf))
-        B = gradient_map(least_squares_fn(np.eye(1), np.array([1.0])))
-        assert fb_map(A, B, 1.0, np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-15)
-
     def test_delta_report(self):
         assert fb_delta(1.0, 1.0) == pytest.approx(1.5)
 
-    def test_gamma_range_enforced_with_override(self):
-        A = zero_operator()
-        B = gradient_map(least_squares_fn(np.eye(1), np.zeros(1)))  # beta = 1
-        with pytest.raises(SpecError):
-            fb_map(A, B, 2.0, np.array([1.0]))
-        fb_map(A, B, 2.0, np.array([1.0]), allow_relaxed=True)
-        with pytest.raises(SpecError):
-            fb_map(A, B, 0.0, np.array([1.0]), allow_relaxed=True)
-        with pytest.raises(SpecError):
-            fb_map(A, SingleValuedMap(fn=lambda x: x), 1.0, np.array([1.0]))  # no beta
-
     def test_averagedness_of_fb_map(self):
-        # with S = delta*FB - (delta-1)*Id, S must be nonexpansive
+        # the map the FB flow uses, FB(x) = x + fb_increment(..., lam=1, x) =
+        # J_{gamma A}(x - gamma*B(x)); with S = delta*FB - (delta-1)*Id, S must be
+        # nonexpansive
         rng = np.random.default_rng(11)
         beta, gamma = 1.0, 1.0
         delta = fb_delta(beta, gamma)
@@ -222,7 +202,8 @@ class TestFbMap:
         B = gradient_map(least_squares_fn(np.eye(3), np.ones(3)))
 
         def S(x):
-            return delta * fb_map(A, B, gamma, x) - (delta - 1.0) * x
+            fb = x + fb_increment(A, B.fn, gamma, 1.0, x)
+            return delta * fb - (delta - 1.0) * x
 
         for _ in range(300):
             x, y = rng.standard_normal(3) * 3, rng.standard_normal(3) * 3
@@ -457,10 +438,8 @@ class TestEntryPointsConvertOnce:
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     def test_resolvent_entry_points(self, name):
         A = self.OPERATORS[name]
-        B = matrix_operator(np.diag([1.0, 2.0, 0.5]))
         for start in self.STARTS:
             for evaluate in (lambda x: resolvent_eval(A, 0.5, x),
                              lambda x: reflected_resolvent(A, 0.5, x),
-                             lambda x: yosida_eval(A, 0.5, x),
-                             lambda x: fb_map(A, B, 0.5, x)):
+                             lambda x: yosida_eval(A, 0.5, x)):
                 self.assert_list_and_int_calls_match(evaluate, start)

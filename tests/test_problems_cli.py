@@ -531,18 +531,12 @@ class TestRunExperiment:
         assert checks == []
 
     def test_divergent_run_keeps_partial_outputs(self, tmp_path):
-        # relaxed regime flag allows a step far outside the convergent range
+        # xdot = x under Euler with dt 1 doubles the state each step
         from splitflow.errors import DivergenceError
-        from splitflow.first_order import FBFlowSpec, fb_field
-        from splitflow.integrate import IntegratorConfig, integrate, \
-            write_trajectory_csv
-        from splitflow.schedules import constant as const_sched
-        p = get_problem("lasso10")
-        spec = FBFlowSpec(A=p.components["A"], B=p.components["B"], gamma=50.0,
-                          lam=const_sched(1.0), allow_relaxed=True)
+        from splitflow.integrate import FlowField, IntegratorConfig, integrate
         cfg = IntegratorConfig(method="euler", dt=1.0, t_end=200.0)
         with pytest.raises(DivergenceError) as err:
-            integrate(fb_field(spec), 1e6 * np.ones(10), cfg)
+            integrate(FlowField(order=1, fn=lambda t, x: x), 1e6 * np.ones(10), cfg)
         assert err.value.trajectory is not None
 
 

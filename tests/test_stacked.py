@@ -186,32 +186,39 @@ def test_corpus_components_give_each_row_its_own_bits(obj, n, data):
         assert_rows_have_their_own_bits(oracle, stack(data, dim, entries))
 
 
-# The indicators take a point within 1e-12 of their set as inside.  Their sets
-# lie within distance about 10 of the origin, as do the points projected, so
-# that a projection's rounding (a few ulps of those distances) stays below it.
+# The indicators take a point as inside up to a tolerance relative to the
+# magnitudes their projections round at, so their sets and the points projected
+# are drawn at every scale from 1 to 1e6: SMALL entries times SCALES.
 SMALL = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+SCALES = st.sampled_from((1.0, 1e3, 1e6))
 
 
-def near_halfspace(data, n):
+def near_ball(data, n, s):
+    return ball_prox(s * data.draw(st.floats(0.1, 10.0)), s * vector(data, n, SMALL))
+
+
+def near_halfspace(data, n, s):
     normal = vector(data, n, SMALL)
     normal[0] = data.draw(st.floats(1.0, 10.0))
-    return halfspace_prox(normal, data.draw(SMALL))
+    return halfspace_prox(normal, s * data.draw(SMALL))
 
 
-def near_affine(data, n):
-    """Cx = d with C = [I 0] + a small perturbation: full row rank, so the set is nonempty."""
-    k = data.draw(st.integers(1, n))
+def near_affine(data, n, s):
+    """Cx = d with C = c([I 0] + a small perturbation), full row rank so that the set is
+    nonempty, c drawn from SCALES too, and d = c*s*v so that the set lies at scale s."""
+    k, c = data.draw(st.integers(1, n)), data.draw(SCALES)
     small = data.draw(arrays(np.float64, (k, n), elements=st.floats(-0.1, 0.1)))
-    return affine_prox(np.eye(k, n) + small, vector(data, k, SMALL))
+    return affine_prox(c * (np.eye(k, n) + small), c * s * vector(data, k, SMALL))
 
 
-# the value closures that no workload reaches, against the prox they sit beside:
-# prox(gamma, x) minimizes f(y) + ||y - x||^2/(2 gamma); True marks an indicator
+# the value closures, against the prox they sit beside: prox(gamma, x) minimizes
+# f(y) + ||y - x||^2/(2 gamma); True marks an indicator
 OPTIMALITY = {
-    "squared_l2_prox": (CATALOG["squared_l2_prox"], False),
+    "squared_l2_prox": (lambda data, n, s: CATALOG["squared_l2_prox"](data, n), False),
+    "ball_prox": (near_ball, True),
     "halfspace_prox": (near_halfspace, True),
     "affine_prox": (near_affine, True),
-    "l1_quadratic_prox": (CATALOG["l1_quadratic_prox"], False),
+    "l1_quadratic_prox": (lambda data, n, s: CATALOG["l1_quadratic_prox"](data, n), False),
 }
 
 
@@ -220,10 +227,10 @@ OPTIMALITY = {
 @given(data=st.data())
 def test_prox_is_optimal_against_its_value(name, data):
     make, indicator = OPTIMALITY[name]
-    n = data.draw(st.integers(1, 4))
-    f = make(data, n)
+    n, s = data.draw(st.integers(1, 4)), data.draw(SCALES)
+    f = make(data, n, s)
     gamma = data.draw(st.floats(min_value=0.05, max_value=5.0))
-    X = stack(data, n, SMALL)
+    X = s * stack(data, n, SMALL)
 
     def objective(Y):
         D = Y - X
@@ -233,7 +240,7 @@ def test_prox_is_optimal_against_its_value(name, data):
     best = objective(P)
     assert best.shape == (X.shape[0],) and np.all(np.isfinite(best))
     for scale in (1e-3, 1e-1, 10.0):  # rivals near the prox and far from it
-        Y = P + scale * data.draw(arrays(np.float64, X.shape, elements=SMALL))
+        Y = P + scale * s * data.draw(arrays(np.float64, X.shape, elements=SMALL))
         if indicator:
             Y = f.prox(1.0, Y)  # a point of the set
         rival = objective(Y)
