@@ -3,7 +3,8 @@
 A config names a corpus problem, a flow with its parameters (schedules as
 named families), an integrator grid, and the probes to record.  Constructing
 a config fully validates and resolves its run, once: every referenced name
-must exist and every schedule bound must hold on the run's grid.
+must exist, every schedule hypothesis must hold on the run's grid, and the
+start and grid must pass integrate's own rules (integrate._check_start).
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import numpy as np
 
 from .diagnostics import fejer_check, proxgrad_gap_certificate, rate_fit, record_monotone_check
 from .errors import DivergenceError, FitError, SpecError
-from .first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec, dr_field,
-                          dr_probes, fb_field, fb_probes, fbf_field, fbf_probes,
+from .first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec, check_relaxation,
+                          dr_field, dr_probes, fb_field, fb_probes, fbf_field, fbf_probes,
                           km_field, km_probes)
-from .integrate import IntegratorConfig, integrate, open_replaced, write_trajectory_csv
+from .integrate import (IntegratorConfig, _check_start, integrate, open_replaced,
+                        write_trajectory_csv)
 from .nonconvex import nonconvex_probes, proxgrad_field
 from .operators import SingleValuedMap, as_vector
-from .primal_dual import PDParams, PDState, _check_tau, pd_field_special, pd_probes
+from .primal_dual import PDParams, PDState, _tau_check, pd_field_special, pd_probes
 from .problems import ProblemDef, get_problem
 from .schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power,
                         over_t)
@@ -219,7 +221,11 @@ def _grid(icfg: IntegratorConfig):
 
 
 def _warn_if_relaxation_vanishes(spec, icfg):
-    if min(spec._lam_at(t) for t in _grid(icfg)) <= 1e-12:
+    grid, cap = _grid(icfg), spec.lambda_cap
+    lam = spec.lam(grid)  # one read; the scalar check raises at the first bad time
+    for value, t in zip(lam.tolist(), grid.tolist()):
+        check_relaxation(value, cap, t)
+    if np.min(lam) <= 1e-12:
         # inf lam > 0 is the condition a finite horizon can certify; the
         # integral alternative cannot be checked numerically
         warnings.warn("relaxation schedule reaches 0 on the run grid; "
@@ -334,8 +340,9 @@ def _build_pd(problem, params, icfg):
     prob, = _components(problem, "structured")
     pd_params = PDParams(c=_read(params, "c"), tau=_read(params, "tau", build_schedule),
                          gamma_relax=_read(params, "gamma_relax", default=1.0))
-    for t in _grid(icfg):
-        _check_tau(prob, pd_params, t)
+    grid, check = _grid(icfg), _tau_check(prob, pd_params)
+    for tau, t in zip(pd_params.tau(grid).tolist(), grid.tolist()):  # tau read once
+        check(tau, t)
     return pd_field_special(prob, pd_params), pd_probes(prob, pd_params), pd_params
 
 
@@ -367,7 +374,8 @@ def build_run(cfg: ExperimentConfig):
     """Resolve a config into (problem, field, probes, x0, v0, integrator, spec).
 
     Every defect of the config raises SpecError: an unknown name, a missing or malformed
-    key, a value out of range, a wrong-size start or a schedule bound failing on the grid.
+    key, a value out of range, a schedule hypothesis failing on the grid, or a start or
+    grid that integrate rejects (a v0 on a first-order flow, say; see _check_start).
     """
     if cfg.seed < 0:
         raise SpecError("seed must be nonnegative, got %d" % cfg.seed)
@@ -393,12 +401,13 @@ def build_run(cfg: ExperimentConfig):
     start = problem.default_start
     start = start.to_vector() if isinstance(start, PDState) else np.array(start, dtype=float)
     x0 = _read(vars(cfg), "x0", as_vector, start)
-    v0 = _read(vars(cfg), "v0", as_vector, np.zeros_like(x0)) if field.order == 2 else None
+    v0 = _read(vars(cfg), "v0", as_vector, np.zeros_like(x0) if field.order == 2 else None)
     for key, vec in (("x0", x0), ("v0", v0)):
         if vec is not None:
             if vec.shape != start.shape:
                 raise SpecError("%s has shape %s, the start %s" % (key, vec.shape, start.shape))
             vec.flags.writeable = False
+    _check_start(field, x0, v0, icfg)
     return problem, field, probes, x0, v0, icfg, spec
 
 
@@ -474,14 +483,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     fitted = {}
     if res_name is not None:
         vals = traj.records[res_name]
-        mask = (vals > 0) & (traj.times > 0)
-        if int(np.sum(mask)) >= 10:
-            try:
-                for model in ("power", "exponential"):
-                    fit = rate_fit(traj.times[mask], vals[mask], model=model)
-                    fitted[model] = {"exponent": fit.exponent, "r2": fit.r2}
-            except FitError:
-                pass
+        mask = (vals > 0) & (traj.times > 0)  # rate_fit rejects the other points
+        try:
+            for model in ("power", "exponential"):
+                fit = rate_fit(traj.times[mask], vals[mask], model=model)
+                fitted[model] = {"exponent": fit.exponent, "r2": fit.r2}
+        except FitError:
+            pass
     diagnostics["rate_fits"] = fitted
     diagnostics["final_residual"] = final_residual
     diagnostics["passed"] = all(c.get("pass", True) for c in diagnostics["checks"])

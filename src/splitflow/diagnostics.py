@@ -175,7 +175,7 @@ def km_residual_rate_check(traj: Trajectory, lam: Schedule) -> dict:
     if "fp_residual" not in traj.records:
         raise KeyError("trajectory has no record 'fp_residual'")
     r = np.asarray(traj.records["fp_residual"], dtype=float)
-    lam_vals = np.array([lam(t) for t in times])
+    lam_vals = lam(times)
     if np.min(lam_vals) <= 0.0 or np.max(lam_vals) >= 1.0:
         raise HypothesisError("need 0 < inf lam <= sup lam < 1 on the grid, got range [%g, %g]"
                               % (np.min(lam_vals), np.max(lam_vals)))

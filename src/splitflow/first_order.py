@@ -89,9 +89,6 @@ class KMFlowSpec:
     def lambda_cap(self) -> float:
         return 1.0 / self.averaged_alpha if self.averaged_alpha is not None else 1.0
 
-    def _lam_at(self, t: float) -> float:
-        return check_relaxation(self.lam(t), self.lambda_cap, t)
-
 
 def _relaxation(spec):
     """The field's reader of spec.lam, checked against the spec's cap (see _bind)."""
@@ -131,9 +128,6 @@ class FBFlowSpec:
         return fb_delta(self.B.cocoercivity_beta, self.gamma)
 
     lambda_cap = delta
-
-    def _lam_at(self, t: float) -> float:
-        return check_relaxation(self.lam(t), self.lambda_cap, t)
 
 
 def fb_field(spec: FBFlowSpec) -> FlowField:

@@ -104,12 +104,19 @@ class Trajectory:
         return self.velocities[-1]
 
 
-def _check_breakpoints(field: FlowField, cfg: IntegratorConfig):
+def _check_start(field: FlowField, x: Array, v: Optional[Array], cfg: IntegratorConfig):
+    """integrate's start and grid rules, each a SpecError: x has the field's dim, v
+    is given for an order-2 field and only for one, with x's size, and every
+    schedule breakpoint inside the run lands on the grid."""
+    if field.dim is not None and x.size != field.dim:
+        raise SpecError("x0 has dimension %d, field expects %d" % (x.size, field.dim))
+    if field.order == 1 and v is not None:
+        raise SpecError("v0 supplied for an order-1 field")
+    if field.order == 2 and (v is None or v.size != x.size):
+        raise SpecError("order-2 field needs v0 of the dimension of x0")
     for b in field.breakpoints:
-        if b <= cfg.t_start or b >= cfg.t_end:
-            continue
         k = (b - cfg.t_start) / cfg.dt
-        if abs(k - round(k)) > 1e-9:
+        if cfg.t_start < b < cfg.t_end and abs(k - round(k)) > 1e-9:
             raise SpecError(
                 "schedule breakpoint t=%g does not land on the integration grid "
                 "(dt=%g); choose dt so breakpoints align" % (b, cfg.dt))
@@ -188,32 +195,24 @@ def integrate(field: FlowField, x0, cfg: IntegratorConfig, v0=None,
     probes is a sequence of (name, fn).  Each fn is called once, after the
     run, on the records every cfg.record_every steps: fn(t, x, v) with t of
     shape (R,) and x, v of shape (R, n), read-only, returning a float64 array
-    of shape (R,) (anything else raises ValueError naming the probe).  Raises
-    DivergenceError (carrying the last finite time and the partial trajectory,
-    with its probes) when a coordinate passes 1e12.
+    of shape (R,) (anything else raises ValueError naming the probe).  A start
+    or grid that breaks _check_start, which config's build_run runs at load
+    too, raises SpecError before the first step; DivergenceError (carrying the last finite time and the partial trajectory,
+    with its probes) comes when a coordinate passes 1e12.
     """
     x = as_vector(x0)
-    if field.dim is not None and x.size != field.dim:
-        raise ValueError("x0 has dimension %d, field expects %d" % (x.size, field.dim))
+    v = None if v0 is None else as_vector(v0)
+    _check_start(field, x, v, cfg)
     n = x.size
     if field.order == 1:
-        if v0 is not None:
-            raise ValueError("v0 supplied for an order-1 field")
         deriv = velocity = field.fn
         u = x
     else:
-        if v0 is None:
-            raise ValueError("order-2 field needs v0")
-        v = as_vector(v0)
-        if v.size != n:
-            raise ValueError("v0 dimension mismatch")
-
         def deriv(t, u):
             return np.concatenate([u[n:], field.fn(t, u[:n], u[n:])])
 
         velocity = None  # the state holds x and v
         u = np.concatenate([x, v])
-    _check_breakpoints(field, cfg)
 
     dt, half = cfg.dt, 0.5 * cfg.dt
     # the step's products take 0-d arrays, which numpy multiplies with a

@@ -89,10 +89,6 @@ def _tau_check(prob: StructuredProblem, params: PDParams):
     return check
 
 
-def _check_tau(prob: StructuredProblem, params: PDParams, t: float) -> float:
-    return _tau_check(prob, params)(params.tau(t), t)
-
-
 @dataclasses.dataclass(frozen=True)
 class LinearizedMetric(LinearMap):
     """M = I/tau - c A*A, the metric that makes the x-line one prox of f.

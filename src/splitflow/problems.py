@@ -196,7 +196,7 @@ def solve_pd_saddle(prob: StructuredProblem, mu: float, nu: float) -> PDState:
     origin.
     """
     n = prob.n
-    A = np.array([prob.A(e) for e in np.eye(n)]).T
+    A = prob.A(np.eye(n)).T  # row i of the stack is A e_i
     b = -prob.h.gradient(np.zeros(n))
     return _polish_until_certified(
         _condat_vu_iterates(prob, A, b, mu, nu),

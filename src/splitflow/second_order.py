@@ -41,14 +41,13 @@ class DampingCondition:
 
 def check_damping_condition(condition: DampingCondition, beta: float, grid) -> dict:
     """Probe gamma, lam > 0, their monotonicity and gamma^2/lam >= (1+theta)/beta on a
-    grid, beta the cocoercivity of the drive; report per-condition pass/fail and bounds."""
+    grid (each schedule read once, at all of it), beta the cocoercivity of the drive;
+    report per-condition pass/fail and bounds."""
     if beta is None or not beta > 0:
         raise SpecError("the damping condition needs the drive's beta > 0, got %r" % (beta,))
     grid = np.asarray(grid, dtype=float)
-    gam = np.array([condition.gamma(t) for t in grid])
-    lam = np.array([condition.lam(t) for t in grid])
-    dgam = np.array([condition.gamma.derivative(t) for t in grid])
-    dlam = np.array([condition.lam.derivative(t) for t in grid])
+    gam, dgam = condition.gamma(grid), condition.gamma.derivative(grid)
+    lam, dlam = condition.lam(grid), condition.lam.derivative(grid)
 
     def first_bad(mask):
         idx = np.nonzero(mask)[0]

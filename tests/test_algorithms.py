@@ -13,7 +13,7 @@ from splitflow.operators import (SingleValuedMap, box_prox, gradient_map, l1_pro
                                  least_squares_fn, matrix_operator, prox_eval,
                                  quadratic_fn, soft_threshold, subdifferential_map,
                                  zero_operator)
-from splitflow.primal_dual import (PDParams, PDState, _check_tau, pd_field_general,
+from splitflow.primal_dual import (PDParams, PDState, _tau_check, pd_field_general,
                                    special_metric)
 from splitflow.problems import get_problem
 from splitflow.schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power,
@@ -129,8 +129,9 @@ NAN_CONSTRUCTORS = {
     "FBFFlowSpec-lam": lambda: FBFFlowSpec(A=zero_operator(), B=neg_id(), gamma=0.5,
                                            lam=NAN),
     "PDParams-c": lambda: PDParams(c=NAN, gamma_relax=1.0, tau=constant(0.26)),
-    "_check_tau": lambda: _check_tau(get_problem("pd_lasso_analysis").components["structured"],
-                                     PDParams(c=1.0, gamma_relax=1.0, tau=nan_schedule()), 0.0),
+    "_tau_check": lambda: _tau_check(get_problem("pd_lasso_analysis").components["structured"],
+                                     PDParams(c=1.0, gamma_relax=1.0,
+                                              tau=nan_schedule()))(NAN, 0.0),
     "check_relaxation": lambda: check_relaxation(NAN, 1.0),
 }
 

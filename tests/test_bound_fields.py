@@ -12,8 +12,9 @@ import pytest
 
 from splitflow.errors import SpecError
 from splitflow.first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec,
-                                   dr_field, dr_operator, fb_field, fb_increment, fbf_field,
-                                   fbf_increment, km_field, km_increment)
+                                   check_relaxation, dr_field, dr_operator, fb_field,
+                                   fb_increment, fbf_field, fbf_increment, km_field,
+                                   km_increment)
 from splitflow.integrate import IntegratorConfig, integrate
 from splitflow.nonconvex import proxgrad_field
 from splitflow.operators import matrix_operator, prox_eval, resolvent_eval
@@ -26,7 +27,8 @@ from splitflow.second_order import DampingCondition, SecondOrderSpec, second_ord
 
 def _km(lam):
     spec = KMFlowSpec(T=get_problem("rotation2d").components["T"], lam=lam)
-    return km_field(spec), lambda t, x: km_increment(spec.T, spec._lam_at(t), x)
+    return km_field(spec), lambda t, x: km_increment(
+        spec.T, check_relaxation(spec.lam(t), spec.lambda_cap, t), x)
 
 
 def _fb(lam, epsilon=None, sign=1.0):
@@ -36,7 +38,8 @@ def _fb(lam, epsilon=None, sign=1.0):
 
     def reference(t, x):
         shift = None if epsilon is None else spec.tikhonov_sign * spec.epsilon(t) * x
-        return fb_increment(spec.A, spec.B, spec.gamma, spec._lam_at(t), x, shift=shift)
+        lam = check_relaxation(spec.lam(t), spec.lambda_cap, t)
+        return fb_increment(spec.A, spec.B, spec.gamma, lam, x, shift=shift)
 
     return fb_field(spec), reference
 

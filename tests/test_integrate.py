@@ -155,6 +155,21 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(field2, np.array([1.0]), cfg)
 
+    @pytest.mark.parametrize("rule", ["dim", "v0-on-order-1", "order-2-without-v0",
+                                      "v0-size", "breakpoint-off-grid"])
+    def test_each_start_rule_raises_spec_error(self, rule):
+        cfg = IntegratorConfig(method="rk4", dt=0.2, t_end=1.0)
+        first = FlowField(order=1, fn=lambda t, x: -x, dim=2, breakpoints=(0.25,))
+        second = FlowField(order=2, fn=lambda t, x, v: -x)
+        x = np.array([1.0, 0.0])
+        call = {"dim": lambda: integrate(first, np.array([1.0]), cfg),
+                "v0-on-order-1": lambda: integrate(first, x, cfg, v0=x),
+                "order-2-without-v0": lambda: integrate(second, x, cfg),
+                "v0-size": lambda: integrate(second, x, cfg, v0=np.array([0.0])),
+                "breakpoint-off-grid": lambda: integrate(first, x, cfg)}[rule]
+        with pytest.raises(SpecError):
+            call()
+
 
 class TestIntegratorConfig:
     def test_rejects_bad_grids(self):

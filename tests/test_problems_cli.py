@@ -620,6 +620,13 @@ class TestCli:
         "record-every-not-integral": {"integrator": {"method": "rk4", "dt": 0.01,
                                                      "t_end": 5.0, "record_every": 2.5}},
         "x0-wrong-size": {"x0": [1, 2, 3]},  # rotation2d is 2-D
+        # integrate's start and grid rules hold at load, under check as under run
+        "breakpoint-off-grid": {"flow": {"name": "km",
+                                         "lambda": {"family": "affine-clamped", "intercept": 0.2,
+                                                    "slope": 0.07, "lo": 0.2, "hi": 0.8}},
+                                "integrator": {"method": "rk4", "dt": 0.4, "t_end": 20.0}},
+        "v0-on-a-first-order-flow": {"v0": [1.0, 2.0]},
+        "v0-junk": {"v0": ["junk"]},
         "second-order-fb-without-cocoercive-B": {
             "problem": "bilinear_saddle",
             "flow": {"name": "second-order-fb", "eta": 0.5, "theta": 0.5,
