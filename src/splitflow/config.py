@@ -1,10 +1,12 @@
 """Experiment configuration: JSON schema, validation, and run orchestration.
 
 A config names a corpus problem, a flow with its parameters (schedules as
-named families), an integrator grid, and the probes to record.  Constructing
-a config fully validates and resolves its run, once: every referenced name
-must exist, every schedule hypothesis must hold on the run's grid, and the
-start and grid must pass integrate's own rules (integrate._check_start).
+named families) and an integrator grid.  A run records every probe its flow
+defines, so its residual, rate fits and checks always read their records.
+Constructing a config fully validates and resolves its run, once: every
+referenced name must exist, every schedule hypothesis must hold on the run's
+grid, and the start and grid must pass integrate's own rules
+(integrate._check_start).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import fejer_check, proxgrad_gap_certificate, rate_fit, record_monotone_check
+from .diagnostics import (_gap_step_holds, fejer_check, proxgrad_gap_certificate, rate_fit,
+                          record_monotone_check)
 from .errors import DivergenceError, FitError, SpecError
 from .first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec, check_relaxation,
                           dr_field, dr_probes, fb_field, fb_probes, fbf_field, fbf_probes,
@@ -130,7 +133,7 @@ def _thawed(value):
 # key is None, and x0 and v0 are converted where they are read
 _SECTIONS = {"problem": (str, "a string", _REQUIRED), "flow": (Mapping, "an object", _REQUIRED),
              "integrator": (Mapping, "an object", _REQUIRED),
-             "probes": ((list, tuple), "a list", None), "out": (str, "a string", None),
+             "out": (str, "a string", None),
              "seed": (int, "an integer", 0)}
 
 
@@ -147,7 +150,6 @@ class ExperimentConfig:
     problem: str
     flow: Mapping
     integrator: Mapping
-    probes: Optional[tuple] = None
     x0: Optional[tuple] = None
     v0: Optional[tuple] = None
     out: Optional[str] = None
@@ -161,7 +163,7 @@ class ExperimentConfig:
                 continue  # an absent optional key
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise SpecError("config key %r must be %s, got %r" % (key, what, value))
-        for key in ("flow", "integrator", "probes", "x0", "v0"):
+        for key in ("flow", "integrator", "x0", "v0"):
             object.__setattr__(self, key, _frozen(getattr(self, key)))
         object.__setattr__(self, "run", build_run(self))
 
@@ -172,7 +174,7 @@ class ExperimentConfig:
         """The config as plain JSON values (fresh dicts and lists)."""
         out = {"problem": self.problem, "flow": _thawed(self.flow),
                "integrator": _thawed(self.integrator)}
-        for key in ("probes", "x0", "v0", "out"):
+        for key in ("x0", "v0", "out"):
             val = getattr(self, key)
             if val is not None:
                 out[key] = _thawed(val)
@@ -249,10 +251,7 @@ def _build_km(problem, params, icfg):
 
 
 def _km_checks(traj, problem, spec):
-    out = _fejer(traj, problem)
-    if "fp_residual" in traj.records:
-        out.append(record_monotone_check(traj, "fp_residual"))
-    return out
+    return _fejer(traj, problem) + [record_monotone_check(traj, "fp_residual")]
 
 
 def _build_fb(problem, params, icfg, tikhonov=False):
@@ -271,11 +270,9 @@ def _fb_checks(traj, problem, spec):
     out = _fejer(traj, problem)
     comps = problem.components
     if (spec.lam.bounds == (1.0, 1.0) and problem.known_solution is not None
-            and "f" in comps and "g" in comps):
-        q = spec.gamma * comps["g"].grad_lipschitz
-        if q * (3.0 + q) <= 1.0:
-            out.append(proxgrad_gap_certificate(traj, comps["f"], comps["g"], spec.gamma,
-                                                problem.known_solution))
+            and "f" in comps and "g" in comps and _gap_step_holds(spec.gamma, comps["g"])):
+        out.append(proxgrad_gap_certificate(traj, comps["f"], comps["g"], spec.gamma,
+                                            problem.known_solution))
     return out
 
 
@@ -308,8 +305,6 @@ def _build_proxgrad(problem, params, icfg):
 
 
 def _proxgrad_checks(traj, problem, spec):
-    if "merit_H" not in traj.records:
-        return []
     return [record_monotone_check(traj, "merit_H")]
 
 
@@ -371,7 +366,8 @@ def list_flows():
 
 
 def build_run(cfg: ExperimentConfig):
-    """Resolve a config into (problem, field, probes, x0, v0, integrator, spec).
+    """Resolve a config into (problem, field, probes, x0, v0, integrator, spec), where
+    probes are all the probes the flow's builder returns.
 
     Every defect of the config raises SpecError: an unknown name, a missing or malformed
     key, a value out of range, a schedule hypothesis failing on the grid, or a start or
@@ -389,12 +385,6 @@ def build_run(cfg: ExperimentConfig):
         raise SpecError("unknown flow %r; known: %s" % (name, ", ".join(list_flows())))
     icfg = integrator_from_dict(cfg.integrator)
     field, probes, spec = flow.done(_FLOW_DEFS[name].build(problem, flow, icfg))
-    if cfg.probes is not None:
-        keep = set(map(str, cfg.probes))
-        unknown = keep - {pname for pname, _ in probes}
-        if unknown:
-            raise SpecError("unknown probes %s for flow %r" % (sorted(unknown), name))
-        probes = [pr for pr in probes if pr[0] in keep]
 
     # the problem, and so its default start, is shared by every config on it:
     # the run gets its own read-only copies of the start vectors
@@ -475,14 +465,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
 
     write_trajectory_csv(traj, csv_path)
     flow = _FLOW_DEFS[cfg.flow["name"]]
-    # a probes filter may have dropped the residual record
-    res_name = flow.residual if flow.residual in traj.records else None
-    final_residual = float(traj.records[res_name][-1]) if res_name else np.nan
     diagnostics = {"diverged": False, "checks": flow.checks(traj, problem, spec)}
 
-    fitted = {}
-    if res_name is not None:
-        vals = traj.records[res_name]
+    final_residual, fitted = np.nan, {}
+    if flow.residual is not None:
+        vals = traj.records[flow.residual]
+        final_residual = float(vals[-1])
         mask = (vals > 0) & (traj.times > 0)  # rate_fit rejects the other points
         try:
             for model in ("power", "exponential"):
@@ -492,7 +480,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             pass
     diagnostics["rate_fits"] = fitted
     diagnostics["final_residual"] = final_residual
-    diagnostics["passed"] = all(c.get("pass", True) for c in diagnostics["checks"])
+    diagnostics["passed"] = all(c["pass"] for c in diagnostics["checks"])
 
     with open_replaced(diag_path) as fh:
         json.dump(diagnostics, fh, indent=2, sort_keys=True, default=float)

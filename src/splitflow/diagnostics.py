@@ -80,17 +80,23 @@ def objective_gap_check(times, gaps, d0_sq_over_2gamma: float, tol: float = 1e-6
             "margin": float(np.max(viol, initial=-np.inf)), "monotone": mono["pass"]}
 
 
+def _gap_step_holds(gamma: float, g: SmoothFunction) -> bool:
+    """The objective-gap certificate's step hypothesis: with L the Lipschitz constant
+    of grad g, gamma*L*(3 + gamma*L) does not exceed 1 (to 1e-12)."""
+    q = gamma * g.grad_lipschitz
+    return q * (3.0 + q) <= 1.0 + 1e-12
+
+
 def proxgrad_gap_certificate(traj: Trajectory, f: ProxFunction, g: SmoothFunction,
                           gamma: float, xstar, tol: float = 1e-6) -> dict:
     """Certify the objective-gap bound of the unrelaxed proximal-gradient flow from the
     run's first state x0: gap(T) <= ||x0 - x*||^2/(2*gamma*T).
 
-    Hypothesis: with L the Lipschitz constant of grad g, gamma*L*(3 + gamma*L)
-    must not exceed 1 (the flow must also run with relaxation 1, which the
-    caller guarantees by construction).
+    Hypothesis: _gap_step_holds(gamma, g) (the flow must also run with relaxation
+    1, which the caller guarantees by construction).
     """
-    q = gamma * g.grad_lipschitz
-    if q * (3.0 + q) > 1.0 + 1e-12:
+    if not _gap_step_holds(gamma, g):
+        q = gamma * g.grad_lipschitz
         raise HypothesisError("step hypothesis violated: gamma*L*(3+gamma*L) = %g > 1"
                               % (q * (3.0 + q)))
     xstar = np.asarray(xstar, dtype=float)

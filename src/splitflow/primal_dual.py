@@ -288,8 +288,7 @@ def special_metric(prob: StructuredProblem, params: PDParams):
     every call of M1 otherwise.
     """
     c, A, check = params.c, prob.A, _tau_check(prob, params)
-    M1 = _bind(params.tau, lambda tau, t: LinearizedMetric(tau=check(tau, t), c=c, A=A),
-               as_array=False)
+    M1 = _bind(params.tau, lambda tau, t: LinearizedMetric(tau=check(tau, t), c=c, A=A))
     return M1, None
 
 

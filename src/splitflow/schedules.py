@@ -46,18 +46,19 @@ def _read(fn, t):
     return float(fn(t))
 
 
-def _bind(s: Schedule, check: Optional[Callable] = None, as_array: bool = True):
+def _bind(s: Schedule, check: Optional[Callable] = None):
     """The reader t -> s(t) of a flow field; check(value, t), if given, raises or
     returns what the reader gives.
 
     A schedule whose declared bounds are equal is constant: it is read at
-    t = 0 and checked once, here, and the reader returns that value, as a
-    0-d float64 array when as_array (the cheaper vector operand, see
-    operators).  Any other schedule is read and checked at every call.
+    t = 0 and checked once, here, and the reader returns that value, a float
+    as a 0-d float64 array (the cheaper vector operand, see operators) and
+    anything else check makes of it (a metric, say) as it is.  Any other
+    schedule is read and checked at every call.
     """
     if s.bounds is not None and s.bounds[0] == s.bounds[1]:
         value = s(0.0) if check is None else check(s(0.0), 0.0)
-        if as_array:
+        if isinstance(value, float):
             value = np.array(value)
         return lambda t: value
     if check is None:
@@ -87,18 +88,14 @@ def affine_clamped(intercept: float, slope: float, lo: float, hi: float) -> Sche
 
     def fn(t):
         raw = intercept + slope * t
-        if isinstance(t, np.ndarray):  # max and min as Python's: a tie keeps the first
-            low = np.where(lo > raw, lo, raw)
-            return np.where(hi < low, hi, low)
-        return min(max(raw, lo), hi)
+        low = np.where(lo > raw, lo, raw)  # max and min as Python's: a tie keeps the first
+        return np.where(hi < low, hi, low)
 
     def dfn(t):
         raw = intercept + slope * t
-        if isinstance(t, np.ndarray):
-            return np.where((lo < raw) & (raw < hi), slope, 0.0)
-        return slope if lo < raw < hi else 0.0
+        return np.where((lo < raw) & (raw < hi), slope, 0.0)
 
-    v0 = fn(0.0)
+    v0 = float(fn(0.0))
     vinf = hi if slope > 0 else (lo if slope < 0 else v0)
     return Schedule(fn=fn, dfn=dfn, bounds=(min(v0, vinf), max(v0, vinf)),
                     breakpoints=tuple(sorted(brk)))
@@ -109,16 +106,12 @@ def inv_power(p: float, scale: float = 1.0) -> Schedule:
     if not (p > 0 and scale > 0):
         raise SpecError("inv_power needs positive p and scale")
     return Schedule(
-        fn=lambda t: scale / _pow(1.0 + t, p),
-        dfn=lambda t: -p * scale / _pow(1.0 + t, p + 1.0),
+        # np.float_power is C pow() on a float and an array alike; ** on an
+        # array has fast paths (p = 2, 0.5, ...) that round otherwise
+        fn=lambda t: scale / np.float_power(1.0 + t, p),
+        dfn=lambda t: -p * scale / np.float_power(1.0 + t, p + 1.0),
         bounds=(0.0, scale),
     )
-
-
-def _pow(a, p):
-    """a ** p as a float computes it, C pow(); on an array ** has fast paths (p = 2,
-    0.5, ...) that round otherwise, and np.float_power is pow()."""
-    return np.float_power(a, p) if isinstance(a, np.ndarray) else a ** p
 
 
 def over_t(alpha: float) -> Schedule:

@@ -237,7 +237,6 @@ class TestConfig:
                      "lambda": {"family": "constant", "value": 0.75}},
             "integrator": {"method": "rk4", "dt": 0.01, "t_end": 10.0,
                            "record_every": 20},
-            "probes": ["fp_residual", "dist_to_ref"],
             "out": "runs/lasso10",
         }
         path = tmp_path / "lasso.json"
@@ -325,15 +324,13 @@ class TestConfig:
           "flow": {"name": "km", "lambda": {"family": "constant", "value": 0.7}},
           "integrator": {"method": "rk4", "dt": 0.01, "t_end": 1.0, "record_every": 10}}
 
-    @pytest.mark.parametrize("key, value", [("flow", [1, 2]), ("seed", 2.0),
-                                            ("probes", "fp_residual"), ("seed", True),
+    @pytest.mark.parametrize("key, value", [("flow", [1, 2]), ("seed", 2.0), ("seed", True),
                                             ("out", 5), ("problem", None), ("seed", None)])
     def test_a_constructed_config_is_checked_as_a_loaded_one(self, key, value):
         with pytest.raises(SpecError, match="config key %r must be" % key):
             ExperimentConfig(**{**self.KM, key: value})
 
-    @pytest.mark.parametrize("extra", [{}, {"seed": 3, "out": "runs/km", "x0": (1.0, 0.5),
-                                            "probes": ["fp_residual"]}])
+    @pytest.mark.parametrize("extra", [{}, {"seed": 3, "out": "runs/km", "x0": (1.0, 0.5)}])
     def test_a_constructed_config_round_trips(self, tmp_path, extra):
         cfg = ExperimentConfig(**self.KM, **extra)
         save_config(cfg, tmp_path / "cfg.json")
@@ -445,37 +442,33 @@ class TestRunExperiment:
         checks = {c["check"]: c for c in diag["checks"]}
         assert checks["objective-gap-certificate"]["pass"]
 
-    # one short run per registered flow, plus a probes filter that drops the residual:
-    # (problem, flow, probes, check names in order, main residual record)
+    # one short run per registered flow: (problem, flow, check names in order,
+    # main residual record)
     FLOW_TABLE = {
         "km": ("rotation2d", {"name": "km", "lambda": {"family": "constant", "value": 0.7}},
-               None, ["fejer", "fp_residual"], "fp_residual"),
-        "km-filtered": ("rotation2d",
-                        {"name": "km", "lambda": {"family": "constant", "value": 0.7}},
-                        ["dist_to_ref"], ["fejer"], None),
+               ["fejer", "fp_residual"], "fp_residual"),
         "fb": ("lasso1d", {"name": "fb", "gamma": 0.25,
                            "lambda": {"family": "constant", "value": 1.0}},
-               None, ["fejer", "objective-gap-certificate"], "fp_residual"),
+               ["fejer", "objective-gap-certificate"], "fp_residual"),
         "fb-tikhonov": ("lasso1d", {"name": "fb-tikhonov", "gamma": 0.25,
                                     "lambda": {"family": "constant", "value": 1.0},
                                     "epsilon": {"family": "inv-power", "p": 2.0, "scale": 0.1}},
-                        None, [], "fp_residual"),
+                        [], "fp_residual"),
         "fbf": ("bilinear_saddle", {"name": "fbf", "gamma": 0.5, "lambda": 0.5},
-                None, [], "fp_residual"),
+                [], "fp_residual"),
         "dr-reflected": ("two_lines", {"name": "dr-reflected", "gamma": 1.0},
-                         None, ["fejer"], "fp_residual"),
-        "dr-coupled": ("two_lines", {"name": "dr-coupled", "gamma": 1.0},
-                       None, [], "fp_residual"),
-        "proxgrad": ("nonconvex_cos", {"name": "proxgrad"}, None, ["merit_H"], "crit_residual"),
+                         ["fejer"], "fp_residual"),
+        "dr-coupled": ("two_lines", {"name": "dr-coupled", "gamma": 1.0}, [], "fp_residual"),
+        "proxgrad": ("nonconvex_cos", {"name": "proxgrad"}, ["merit_H"], "crit_residual"),
         "second-order-fb": ("constrained_quadratic",
                             {"name": "second-order-fb", "eta": 1.0, "theta": 0.5,
                              "gamma": {"family": "constant", "value": 2.0},
                              "lambda": {"family": "constant", "value": 1.0}},
-                            None, [], None),
-        "avd": ("lasso1d", {"name": "avd", "alpha": 3.0}, None, [], None),
+                            [], None),
+        "avd": ("lasso1d", {"name": "avd", "alpha": 3.0}, [], None),
         "pd": ("pd_lasso_analysis",
                {"name": "pd", "c": 1.0, "tau": {"family": "constant", "value": 0.26}},
-               None, [], "feas_norm"),
+               [], "feas_norm"),
     }
 
     def test_flow_table_covers_every_registered_flow(self):
@@ -483,17 +476,16 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("key", sorted(FLOW_TABLE))
     def test_checks_and_main_residual_per_flow(self, tmp_path, key):
-        problem, flow, probes, checks, residual = self.FLOW_TABLE[key]
+        problem, flow, checks, residual = self.FLOW_TABLE[key]
         integ = {"method": "rk4", "dt": 0.05, "t_end": 5.0, "record_every": 10}
         if flow["name"] == "avd":
             integ.update(t_start=1.0, t_end=6.0)
         raw = {"problem": problem, "flow": flow, "integrator": integ}
-        if probes is not None:
-            raw["probes"] = probes
         out = tmp_path / "run"
         run_experiment(config_from_dict(raw), out_dir=str(out))
         diag = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
         assert [c["check"] for c in diag["checks"]] == checks
+        assert sorted(diag["rate_fits"]) == ([] if residual is None else ["exponential", "power"])
         lines = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()
         header = lines[0].split(",")
         if residual is None:
@@ -610,7 +602,8 @@ class TestCli:
         "flow-not-an-object": {"flow": "km"},
         "integrator-not-an-object": {"integrator": "x"},
         "x0-not-numeric": {"x0": [1, "a"]},
-        "probe-name-not-a-string": {"probes": [[1]]},
+        # a run records every probe its flow defines: no key drops one
+        "probes-key": {"probes": ["fp_residual"]},
         "negative-seed": {"seed": -1},
         "dt-not-a-number": {"integrator": {"method": "rk4", "dt": "nan", "t_end": 5.0}},
         "seed-not-an-integer": {"seed": "q"},
