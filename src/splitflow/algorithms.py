@@ -2,7 +2,8 @@
 
 km_step, fb_step, tseng_step and prox_admm_step are written as x + increment
 with the same increment code the flow fields use, so n steps coincide bit for
-bit with n unit-step Euler integrations of the matching flow.  run_sequence
+bit with n unit-step Euler integrations of the matching flow.  A step binds
+its prox or resolvent at every call, where a field binds it once.  run_sequence
 records a discrete run as a Trajectory through integrate's stepping loop.
 """
 
@@ -31,13 +32,13 @@ def km_step(T: SingleValuedMap, lam: float, x) -> Array:
 def fb_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x) -> Array:
     """x + lam*(J_{gamma A}(x - gamma*B(x)) - x) for any step gamma > 0, lam in [0, delta]."""
     delta = fb_delta(check_fb_step(B, gamma, relaxed=True), gamma)
-    return x + fb_increment(A, B, gamma, check_relaxation(lam, delta), x)
+    return x + fb_increment(A.resolvent(gamma), B, gamma, check_relaxation(lam, delta), x)
 
 
 def tseng_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x) -> Array:
     """Forward-backward-forward update y + lam*(B(x) - B(y)), y = J_{gamma A}(x - gamma*B(x))."""
     check_tseng_step(B, gamma)
-    return x + fbf_increment(A, B, gamma, lam, x)
+    return x + fbf_increment(A.resolvent(gamma), B, gamma, lam, x)
 
 
 def inertial_fb_step(f: ProxFunction, g: SmoothFunction, eta: float,

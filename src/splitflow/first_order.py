@@ -5,7 +5,9 @@ coupled and reflected forms.
 Each *_increment function returns the raw field value; the discrete steps in
 algorithms.py reuse the same code paths so that unit-step Euler integration
 and the discrete algorithms coincide bit for bit.  A field passes them the
-values it bound when it was built: B.fn for B, a constant lam as a 0-d array.
+values it bound when it was built: B.fn for B, the resolvent bound at its step
+(see operators), the step and a constant lam as 0-d arrays.  A discrete step
+binds its resolvent at every call.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from .errors import SpecError
 from .integrate import FlowField
-from .operators import (MonotoneMap, SingleValuedMap, check_fb_step, fb_delta, norm,
-                        reflected_resolvent, resolvent_eval)
+from .operators import (MonotoneMap, SingleValuedMap, _reflect, check_fb_step, fb_delta,
+                        norm)
 from .schedules import Schedule, _bind
 
 _BOUND_TOL = 1e-12
@@ -50,22 +52,25 @@ def km_increment(T: Callable, lam, x):
     return lam * (T(x) - x)
 
 
-def fb_increment(A: MonotoneMap, B: Callable, gamma: float, lam, x, shift=None):
+def fb_increment(J: Callable, B: Callable, gamma, lam, x, shift=None):
+    """lam*(J(x - gamma*B(x) (+ shift)) - x), J the resolvent of A bound at gamma."""
     arg = x - gamma * B(x)
     if shift is not None:
         arg = arg + shift
-    return lam * (resolvent_eval(A, gamma, arg) - x)
+    return lam * (J(arg) - x)
 
 
-def fbf_increment(A: MonotoneMap, B: Callable, gamma: float, lam, x):
+def fbf_increment(J: Callable, B: Callable, gamma, lam, x):
+    """-x + y + lam*(B(x) - B(y)), y = J(x - gamma*B(x)), J bound at gamma."""
     Bx = B(x)
-    y = resolvent_eval(A, gamma, x - gamma * Bx)
+    y = J(x - gamma * Bx)
     return -x + y + lam * (Bx - B(y))
 
 
-def dr_operator(A: MonotoneMap, B: MonotoneMap, gamma: float, z):
-    """The averaged Douglas-Rachford operator (Id + R_{gamma A} R_{gamma B})/2."""
-    return _HALF * (reflected_resolvent(A, gamma, reflected_resolvent(B, gamma, z)) + z)
+def dr_operator(JA: Callable, JB: Callable, z):
+    """The averaged Douglas-Rachford operator (Id + R_{gamma A} R_{gamma B})/2, JA and
+    JB the resolvents of A and B bound at gamma."""
+    return _HALF * (_reflect(JA, _reflect(JB, z)) + z)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,15 +136,16 @@ class FBFlowSpec:
 
 
 def fb_field(spec: FBFlowSpec) -> FlowField:
-    A, B, gamma, lam = spec.A, spec.B.fn, spec.gamma, _relaxation(spec)
+    J, B, lam = spec.A.resolvent(spec.gamma), spec.B.fn, _relaxation(spec)
+    gamma = np.array(spec.gamma)
     if spec.epsilon is None:
         return FlowField(order=1, label="fb", breakpoints=spec.lam.breakpoints,
-                         fn=lambda t, x: fb_increment(A, B, gamma, lam(t), x))
+                         fn=lambda t, x: fb_increment(J, B, gamma, lam(t), x))
     sign = spec.tikhonov_sign
     eps = _bind(spec.epsilon, lambda e, t: sign * e)
 
     def fn(t, x):
-        return fb_increment(A, B, gamma, lam(t), x, shift=eps(t) * x)
+        return fb_increment(J, B, gamma, lam(t), x, shift=eps(t) * x)
 
     brk = tuple(sorted(set(spec.lam.breakpoints) | set(spec.epsilon.breakpoints)))
     return FlowField(order=1, fn=fn, label="fb-tikhonov", breakpoints=brk)
@@ -161,8 +167,9 @@ class FBFFlowSpec:
 
 
 def fbf_field(spec: FBFFlowSpec) -> FlowField:
-    A, B, gamma, lam = spec.A, spec.B.fn, spec.gamma, np.array(spec.lam)
-    return FlowField(order=1, label="fbf", fn=lambda t, x: fbf_increment(A, B, gamma, lam, x))
+    J, B = spec.A.resolvent(spec.gamma), spec.B.fn
+    gamma, lam = np.array(spec.gamma), np.array(spec.lam)
+    return FlowField(order=1, label="fbf", fn=lambda t, x: fbf_increment(J, B, gamma, lam, x))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,25 +201,26 @@ class DRFlowSpec:
                                 "use form='reflected' instead")
 
 
-def _fd_jacobian(B, x):
-    """The central-difference Jacobian of B at x, one stacked call of B per side."""
+def _fd_jacobian(B, x, eye):
+    """The central-difference Jacobian of B at x, one stacked call of B per side; eye is
+    the identity of x's dimension."""
     h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
-    steps = h * np.eye(x.size)
+    steps = h * eye
     return ((B(x + steps) - B(x - steps)) / (2.0 * h)).T
 
 
 def dr_field(spec: DRFlowSpec) -> FlowField:
-    A, gamma = spec.A, spec.gamma
+    JA = spec.A.resolvent(spec.gamma)
     if spec.form == "reflected":
-        B = spec.B
+        JB = spec.B.resolvent(spec.gamma)
         return FlowField(order=1, label="dr-reflected",
-                         fn=lambda t, z: dr_operator(A, B, gamma, z) - z)
-    B = spec.B.fn
+                         fn=lambda t, z: dr_operator(JA, JB, z) - z)
+    B, gamma = spec.B.fn, np.array(spec.gamma)
 
     def fn(t, x):
-        c = resolvent_eval(A, gamma, x - gamma * B(x)) - x
-        J = _fd_jacobian(B, x)
-        return np.linalg.solve(np.eye(x.size) + gamma * J, c)
+        eye = np.eye(x.size)
+        c = JA(x - gamma * B(x)) - x
+        return np.linalg.solve(eye + gamma * _fd_jacobian(B, x, eye), c)
 
     return FlowField(order=1, fn=fn, label="dr-coupled")
 
@@ -223,8 +231,10 @@ def dr_field(spec: DRFlowSpec) -> FlowField:
 
 def _fb_residual(A, B, gamma):
     """The probe ||J_{gamma A}(x - gamma*B(x)) - x||."""
+    J = A.resolvent(gamma)
+
     def residual(t, x, v):
-        return norm(resolvent_eval(A, gamma, x - gamma * B(x)) - x)
+        return norm(J(x - gamma * B(x)) - x)
 
     return residual
 
@@ -253,5 +263,5 @@ def fbf_probes(spec: FBFFlowSpec, ref=None):
 def dr_probes(spec: DRFlowSpec, ref=None):
     if spec.form == "coupled":
         return _fp_probes(_fb_residual(spec.A, spec.B, spec.gamma), ref)
-    return _fp_probes(lambda t, z, v: norm(dr_operator(spec.A, spec.B, spec.gamma, z) - z),
-                      ref)
+    JA, JB = spec.A.resolvent(spec.gamma), spec.B.resolvent(spec.gamma)
+    return _fp_probes(lambda t, z, v: norm(dr_operator(JA, JB, z) - z), ref)

@@ -17,7 +17,7 @@ import numpy as np
 from .diagnostics import _loglog_fit
 from .errors import FitError, SpecError
 from .integrate import FlowField, Trajectory
-from .operators import ProxFunction, SmoothFunction, _per_row, norm, prox_eval
+from .operators import ProxFunction, SmoothFunction, _per_row, norm
 
 
 def check_eta(beta: float, eta: float) -> bool:
@@ -46,15 +46,16 @@ class NonconvexProblem:
         return 1.0 / self.eta - (3.0 + self.eta * beta) * beta
 
 
-def proxgrad_increment(f: ProxFunction, eta: float, grad, x):
-    """prox_{eta f}(x - eta*grad(x)) - x, with grad the gradient of g."""
-    return prox_eval(f, eta, x - eta * grad(x)) - x
+def proxgrad_increment(prox, eta, grad, x):
+    """prox(x - eta*grad(x)) - x, with prox the map prox_{eta f} and grad the gradient
+    of g."""
+    return prox(x - eta * grad(x)) - x
 
 
 def proxgrad_field(p: NonconvexProblem) -> FlowField:
     """dx/dt = prox_{eta f}(x - eta*grad g(x)) - x."""
-    f, eta, grad = p.f, p.eta, p.g.gradient
-    return FlowField(order=1, fn=lambda t, x: proxgrad_increment(f, eta, grad, x),
+    prox, eta, grad = p.f.prox(p.eta), np.array(p.eta), p.g.gradient
+    return FlowField(order=1, fn=lambda t, x: proxgrad_increment(prox, eta, grad, x),
                      label="proxgrad")
 
 
@@ -86,7 +87,7 @@ def merit_subgradient_norm(p: NonconvexProblem, x, xdot):
 def critical_residual(p: NonconvexProblem, x):
     """||prox_{eta f}(x - eta*grad g(x)) - x|| / eta, vanishing exactly at critical points;
     one value per row of a stack x."""
-    return norm(proxgrad_increment(p.f, p.eta, p.g.gradient, x)) / p.eta
+    return norm(proxgrad_increment(p.f.prox(p.eta), p.eta, p.g.gradient, x)) / p.eta
 
 
 def merit_series(p: NonconvexProblem, traj: Trajectory) -> np.ndarray:

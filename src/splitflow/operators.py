@@ -32,13 +32,23 @@ but where M has a single column (see _rows_dot).  A bound M.dot is therefore
 no oracle: on a stack it would contract the record axis (and without an
 error when R == n); _matvec(M) is the oracle x -> M x.
 
-A constant scalar that multiplies or clips a vector on the step path is a
-0-d float64 array (soft_threshold's zero, box bounds, the factors of
-reflected_resolvent, a field's constant relaxation): numpy 2.4 dispatches
-such a ufunc about 0.2 us faster than with a Python float (2-vCPU Xeon), to
-the same bits.  The parameters of prox_eval, resolvent_eval and
-moreau_conjugate_prox stay Python floats: gamma > 0 on a 0-d array is itself
-a ufunc call (0.8 us, not 0.05), and a 0-d fb step made the field 30% slower.
+A prox or a resolvent is a binder: f.prox(gamma) and A.resolvent(gamma)
+check the step (ValueError for gamma <= 0 or NaN, before any evaluation) and
+return the map x -> prox_{gamma f}(x) or J_{gamma A}(x), with every constant
+derived from the step computed once (a threshold, a shift, a divisor,
+I + gamma*M).  A flow field and a probe bind their oracles when they are
+built, a discrete step at every call.  prox_eval, resolvent_eval,
+reflected_resolvent, yosida_eval and moreau_conjugate_prox check and convert
+their arguments, bind, and evaluate: the entry points for a caller's vector.
+
+A scalar that multiplies, divides or clips a vector on the step path is a
+0-d float64 array (soft_threshold's zero and threshold, box bounds, the
+binders' constants, a field's step and constant relaxation): numpy 2.4
+dispatches such a ufunc 0.2-0.8 us faster than with a Python float (2-vCPU
+host), to the same bits.  A scalar that changes with t stays a Python float,
+since making a 0-d array of it costs about as much.  A binder checks its step
+once and reads it with float(), so that the constants it derives are
+Python-float products, with the bits the two-argument oracles had.
 """
 
 from __future__ import annotations
@@ -56,6 +66,23 @@ Array = np.ndarray
 
 _ZERO = np.array(0.0)
 _TWO = np.array(2.0)
+
+
+def _positive(gamma) -> float:
+    """A binder's step gamma as a Python float; ValueError unless gamma > 0 (NaN too)."""
+    if not gamma > 0:
+        raise ValueError("step gamma must be positive, got %r" % (gamma,))
+    return float(gamma)
+
+
+def _step_free(oracle):
+    """The binder of a prox or resolvent that does not depend on its step: it checks
+    the step and returns oracle."""
+    def bind(gamma):
+        _positive(gamma)
+        return oracle
+
+    return bind
 
 
 def as_vector(x) -> Array:
@@ -82,13 +109,13 @@ def norm(v):
 def _rows_dot(M, X) -> Array:
     """M.dot(x) for each row x of the stack X, to its bits.
 
-    np.matvec gives them when M has two or more columns.  With one column
+    np.matvec gives them when M has no column or two or more.  With one column
     .dot sums nothing: a 1x1 M gives the bare product, and a k x 1 M goes to
     BLAS gemv, which skips a zero x and fuses the multiply with its +0.0
     start, so that neither the bare product nor np.matvec (which adds it to
     +0.0, as @ does) has its zero signs; such an M is applied row by row.
     """
-    if M.shape[1] > 1:
+    if M.shape[1] != 1:
         return np.matvec(M, X)
     if M.shape[0] == 1:
         return X * M[0]
@@ -124,23 +151,24 @@ def _indicator(inside, x):
 class ProxFunction:
     """A proper convex lsc function accessed through value and prox oracles.
 
-    value(x) may return +inf outside the domain.  prox(gamma, x) returns the
-    minimizer of f(y) + ||y-x||^2/(2*gamma).
+    value(x) may return +inf outside the domain.  prox(gamma) checks gamma > 0
+    and returns the map x -> argmin_y f(y) + ||y-x||^2/(2*gamma).
     """
 
     value: Callable[[Array], float]
-    prox: Callable[[float, Array], Array]
+    prox: Callable[[float], Callable[[Array], Array]]
 
 
 @dataclasses.dataclass(frozen=True)
 class MonotoneMap:
     """A maximally monotone operator, visible only through its resolvent.
 
-    resolvent(gamma, x) = (Id + gamma*A)^{-1}(x).  No strong monotonicity
-    constant is stored: every flow here uses plain monotonicity alone.
+    resolvent(gamma) checks gamma > 0 and returns the map
+    x -> (Id + gamma*A)^{-1}(x).  No strong monotonicity constant is stored:
+    every flow here uses plain monotonicity alone.
     """
 
-    resolvent: Callable[[float, Array], Array]
+    resolvent: Callable[[float], Callable[[Array], Array]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,20 +218,26 @@ def prox_eval(f: ProxFunction, gamma: float, x: Array) -> Array:
     """Evaluate prox_{gamma f}(x)."""
     if not gamma > 0:  # also rejects NaN
         raise ValueError("prox parameter gamma must be positive, got %r" % gamma)
-    return f.prox(gamma, np.asarray(x, dtype=float))
+    return f.prox(gamma)(np.asarray(x, dtype=float))
 
 
 def resolvent_eval(A: MonotoneMap, gamma: float, x: Array) -> Array:
     """Evaluate J_{gamma A}(x) = (Id + gamma*A)^{-1}(x)."""
     if not gamma > 0:  # also rejects NaN
         raise ValueError("resolvent parameter gamma must be positive, got %r" % gamma)
-    return A.resolvent(gamma, np.asarray(x, dtype=float))
+    return A.resolvent(gamma)(np.asarray(x, dtype=float))
+
+
+def _reflect(J: Callable[[Array], Array], x: Array) -> Array:
+    """2*J(x) - x for a bound resolvent J: the reflected resolvent (nonexpansive)."""
+    return _TWO * J(x) - x
 
 
 def reflected_resolvent(A: MonotoneMap, gamma: float, x: Array) -> Array:
     """Evaluate 2*J_{gamma A}(x) - x (nonexpansive)."""
-    x = np.asarray(x, dtype=float)
-    return _TWO * resolvent_eval(A, gamma, x) - x
+    if not gamma > 0:  # also rejects NaN
+        raise ValueError("resolvent parameter gamma must be positive, got %r" % gamma)
+    return _reflect(A.resolvent(gamma), np.asarray(x, dtype=float))
 
 
 def yosida_eval(A: MonotoneMap, lam: float, x: Array) -> Array:
@@ -211,7 +245,7 @@ def yosida_eval(A: MonotoneMap, lam: float, x: Array) -> Array:
     if not lam > 0:  # also rejects NaN
         raise ValueError("Yosida parameter lam must be positive, got %r" % lam)
     x = np.asarray(x, dtype=float)
-    return (x - resolvent_eval(A, lam, x)) / lam
+    return (x - A.resolvent(lam)(x)) / lam
 
 
 def fb_delta(beta: float, gamma: float) -> float:
@@ -238,7 +272,7 @@ def check_fb_step(B: SingleValuedMap, gamma: float, relaxed: bool = False) -> fl
 def zero_prox() -> ProxFunction:
     """f = 0; prox is the identity."""
     return ProxFunction(value=lambda x: _per_row(np.zeros(x.shape[:-1]), x),
-                        prox=lambda gamma, x: x.copy())
+                        prox=_step_free(np.copy))
 
 
 def soft_threshold(x: Array, thresh: float) -> Array:
@@ -249,10 +283,13 @@ def l1_prox(weight: float = 1.0) -> ProxFunction:
     """f = weight * ||x||_1; prox is soft thresholding."""
     if not weight >= 0:
         raise ValueError("l1 weight must be nonnegative")
-    return ProxFunction(
-        value=lambda x: _per_row(weight * np.abs(x).sum(axis=-1), x),
-        prox=lambda gamma, x: soft_threshold(x, gamma * weight),
-    )
+
+    def prox(gamma):
+        thresh = np.array(_positive(gamma) * weight)
+        return lambda x: soft_threshold(x, thresh)
+
+    return ProxFunction(value=lambda x: _per_row(weight * np.abs(x).sum(axis=-1), x),
+                        prox=prox)
 
 
 def squared_l2_prox(scale: float = 1.0, center=None) -> ProxFunction:
@@ -265,8 +302,10 @@ def squared_l2_prox(scale: float = 1.0, center=None) -> ProxFunction:
         d = x - c
         return _per_row(0.5 * scale * np.vecdot(d, d), x)
 
-    def prox(gamma, x):
-        return (x + gamma * scale * c) / (1.0 + gamma * scale)
+    def prox(gamma):
+        gs = _positive(gamma) * scale
+        shift, div = np.asarray(gs * c), np.array(1.0 + gs)
+        return lambda x: (x + shift) / div
 
     return ProxFunction(value=value, prox=prox)
 
@@ -280,12 +319,12 @@ def box_prox(lo, hi) -> ProxFunction:
     def value(x):
         return _indicator(((x >= lo - 1e-12) & (x <= hi + 1e-12)).all(axis=-1), x)
 
-    def clip(gamma, x):
+    def clip(x):
         # np.clip's result, bit for bit for scalar bounds (x is kept where it
         # equals a bound, so -0.0 stays -0.0), at half its dispatch cost
         return np.minimum(hi, np.maximum(lo, x))
 
-    return ProxFunction(value=value, prox=clip)
+    return ProxFunction(value=value, prox=_step_free(clip))
 
 
 def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
@@ -299,7 +338,7 @@ def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
     c = 0.0 if center is None else as_vector(center)
     bound = radius + 1e-12 * max(1.0, radius + float(np.linalg.norm(c)))
 
-    def project(gamma, x):
+    def project(x):
         d = x - c
         nd = norm(d)
         inside = nd <= radius
@@ -309,7 +348,32 @@ def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
     def value(x):
         return _indicator(norm(x - c) <= bound, x)
 
-    return ProxFunction(value=value, prox=project)
+    return ProxFunction(value=value, prox=_step_free(project))
+
+
+def _projection(C: Array, d: Array) -> Callable[[Array], Array]:
+    """The projection x -> x0 + N(N^T x) onto {x : Cx = d}, or onto the least-squares
+    solutions where Cx = d has none: N an orthonormal basis of C's null space and x0
+    the least-norm solution C^+ d.
+
+    The rounding error of N^T x lies in the null space, which C annihilates, so
+    Cx - d rounds at the magnitude of the projection, not at that of x: a point
+    far from a set near the origin projects as accurately as a point near it.
+    C's rank is the one np.linalg.pinv(C @ C.T) sees: the singular values whose
+    square exceeds 1e-15 times the largest square.
+    """
+    u, sv, vt = np.linalg.svd(C)
+    rank = int(np.count_nonzero(sv * sv > 1e-15 * sv[0] ** 2))
+    x0 = vt[:rank].T.dot(u[:, :rank].T.dot(d) / sv[:rank])
+    Nt = vt[rank:]
+    N = np.ascontiguousarray(Nt.T)
+
+    def project(x):
+        if x.ndim == 1:
+            return N.dot(Nt.dot(x)) + x0
+        return _rows_dot(N, _rows_dot(Nt, x)) + x0
+
+    return project
 
 
 def halfspace_prox(normal, offset: float) -> ProxFunction:
@@ -318,6 +382,7 @@ def halfspace_prox(normal, offset: float) -> ProxFunction:
     Its value takes x as inside when <normal, x> exceeds offset by at most
     1e-12 * ||normal|| * max(1, ||x||): within distance 1e-12 of the set near
     the origin, and within 1e-12 * ||x|| of it far away, where <normal, x> rounds.
+    A point outside is projected onto the boundary hyperplane (see _projection).
     """
     a = as_vector(normal)
     a_sq = float(a @ a)
@@ -327,14 +392,15 @@ def halfspace_prox(normal, offset: float) -> ProxFunction:
         raise ValueError("halfspace offset must be finite")
     slack = 1e-12 * math.sqrt(a_sq)
 
-    def project(gamma, x):
-        excess = np.expand_dims(np.vecdot(a, x) - offset, -1)
-        return np.where(excess <= 0, x, x - (excess / a_sq) * a)
+    onto = _projection(a[None, :], np.array([offset]))
+
+    def project(x):
+        return np.where(np.expand_dims(np.vecdot(a, x), -1) <= offset, x, onto(x))
 
     def value(x):
         return _indicator(np.vecdot(a, x) <= offset + slack * np.maximum(1.0, norm(x)), x)
 
-    return ProxFunction(value=value, prox=project)
+    return ProxFunction(value=value, prox=_step_free(project))
 
 
 def affine_prox(C, d) -> ProxFunction:
@@ -343,25 +409,20 @@ def affine_prox(C, d) -> ProxFunction:
     Its value takes x as inside when ||Cx - d|| <= 1e-10 * ||C|| * max(1, ||x||),
     as halfspace_prox's does: relative to the magnitudes Cx - d rounds at (on the
     set ||d|| <= ||C|| ||x||), and unchanged when C and d are scaled together.
+    The projection is _projection's.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     d = as_vector(d)
-    CT = C.T
-    gram = C @ CT
-    if not np.all(np.isfinite(gram)):  # np.linalg.pinv may not return on inf or NaN
+    gram = C @ C.T
+    if not np.all(np.isfinite(gram)):  # np.linalg.svd may not return on inf or NaN
         raise ValueError("C @ C.T is not finite; rescale the constraint Cx = d")
-    gram_inv = np.linalg.pinv(gram)
+    project = _projection(C, d)
     slack = 1e-10 * float(np.linalg.norm(C, 2))
-
-    def project(gamma, x):
-        if x.ndim == 1:
-            return x - CT.dot(gram_inv.dot(C.dot(x) - d))
-        return x - _rows_dot(CT, _rows_dot(gram_inv, _rows_dot(C, x) - d))
 
     def value(x):
         return _indicator(norm(np.matvec(C, x) - d) <= slack * np.maximum(1.0, norm(x)), x)
 
-    return ProxFunction(value=value, prox=project)
+    return ProxFunction(value=value, prox=_step_free(project))
 
 
 def l1_quadratic_prox(weight: float, quad_diag, lin) -> ProxFunction:
@@ -377,8 +438,10 @@ def l1_quadratic_prox(weight: float, quad_diag, lin) -> ProxFunction:
         return _per_row(weight * np.abs(x).sum(axis=-1) + 0.5 * np.vecdot(a, x * x)
                         + np.vecdot(b, x), x)
 
-    def prox(gamma, x):
-        return soft_threshold(x - gamma * b, gamma * weight) / (1.0 + gamma * a)
+    def prox(gamma):
+        g = _positive(gamma)
+        shift, thresh, div = g * b, np.array(g * weight), 1.0 + g * a
+        return lambda x: soft_threshold(x - shift, thresh) / div
 
     return ProxFunction(value=value, prox=prox)
 
@@ -388,7 +451,7 @@ def moreau_conjugate_prox(g: ProxFunction, c: float, w: Array) -> Array:
     if not c > 0:  # also rejects NaN
         raise ValueError("conjugate prox parameter c must be positive")
     w = np.asarray(w, dtype=float)
-    return w - c * prox_eval(g, 1.0 / c, w / c)
+    return w - c * g.prox(1.0 / c)(w / c)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +460,19 @@ def moreau_conjugate_prox(g: ProxFunction, c: float, w: Array) -> Array:
 
 def zero_operator() -> MonotoneMap:
     """A = 0; the resolvent is the identity."""
-    return MonotoneMap(resolvent=lambda gamma, x: x.copy())
+    return MonotoneMap(resolvent=_step_free(np.copy))
 
 
 def identity_operator(scale: float = 1.0) -> MonotoneMap:
     """A = scale * Id (the subdifferential of (scale/2)||x||^2)."""
     if not scale >= 0:
         raise ValueError("identity_operator scale must be nonnegative")
-    return MonotoneMap(resolvent=lambda gamma, x: x / (1.0 + gamma * scale))
+
+    def resolvent(gamma):
+        div = np.array(1.0 + _positive(gamma) * scale)
+        return lambda x: x / div
+
+    return MonotoneMap(resolvent=resolvent)
 
 
 def subdifferential_map(f: ProxFunction) -> MonotoneMap:
@@ -420,7 +488,12 @@ def linear_monotone_map(M) -> MonotoneMap:
     if eigmin < -1e-10:
         raise ValueError("matrix is not monotone: min symmetric eigenvalue %g" % eigmin)
     eye = np.eye(M.shape[0])
-    return MonotoneMap(resolvent=lambda gamma, x: _solve(eye + gamma * M, x))
+
+    def resolvent(gamma):
+        K = eye + _positive(gamma) * M
+        return lambda x: _solve(K, x)
+
+    return MonotoneMap(resolvent=resolvent)
 
 
 def matrix_operator(M) -> SingleValuedMap:

@@ -183,17 +183,13 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
 
 def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
                         M: Optional[LinearMap], w: Array, u0: Array) -> Array:
-    """argmin_u f(u) + <Q u, u>/2 - <w + M u0, u> with Q = c*A*A + M, from u0.
+    """argmin_u f(u) + <Q u, u>/2 - <w + M u0, u> with Q = c*A*A + M, by
+    solve_prox_quadratic from u0.
 
-    A None stands for the identity; M None for the zero metric.  With both
-    None, Q = c*I and the minimiser is prox_{f/c}(w/c) in closed form (no
-    inner solve); otherwise solve_prox_quadratic iterates from u0.  The
-    linearized x-line (Q = I/tau) never gets here: pd_general_increment takes
-    its closed form first.
+    A None stands for the identity, M None for the zero metric, not both: the
+    lines with a closed form (the linearized x-line, Q = I/tau, and the z-line
+    without a metric, Q = c*I) never get here (see _x_line and _z_line).
     """
-    if A is None and M is None:
-        return prox_eval(f, 1.0 / c, w / c)
-
     def q(v):
         out = c * (A.adjoint(A(v)) if A is not None else v)
         if M is not None:
@@ -207,21 +203,44 @@ def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
     return solve_prox_quadratic(f, q, q_norm, w, u0)
 
 
-def _general_rates(prob: StructuredProblem, c: float, cv, gam, A, At, grad_h,
-                   M1: Optional[LinearMap], M2: Optional[LinearMap], x, z, y):
-    """pd_general_increment from bound values: A, At and grad_h are the callables
-    A.apply, A.adjoint and h.gradient, cv and gam the 0-d c and gamma_relax."""
+def _x_line(prob: StructuredProblem, c: float, M1: Optional[LinearMap]):
+    """The x-line solver (x, z, y, Ax) -> xd for the metric M1.
+
+    When M1 is a LinearizedMetric with the field's c and the problem's A itself,
+    Q = c*A*A + M1 = I/tau and the line is the closed form
+    prox_{tau f}(x - tau*(A*(c(Ax - z) + y) + grad h(x))) - x.  Any other M1 (a
+    linearized one built for another c or A included) is solved with
+    solve_prox_quadratic, to its fixed 1e-10 stopping test.
+    """
+    cv, At, grad_h = np.array(c), prob.A.adjoint, prob.h.gradient
     if isinstance(M1, LinearizedMetric) and M1.c == c and M1.A is prob.A:
-        ax = A(x)
-        w1 = x - M1.tau * (At(cv * (ax - z) + y) + grad_h(x))
-        xdot = prox_eval(prob.f, M1.tau, w1) - x
-    else:
-        w1 = At(cv * z - y) - grad_h(x)
-        xdot = _metric_block_solve(prob.f, c, prob.A, M1, w1, x) - x
-        ax = A(x)
+        tau, prox = np.array(M1.tau), prob.f.prox(M1.tau)
+        return lambda x, z, y, ax: prox(x - tau * (At(cv * (ax - z) + y) + grad_h(x))) - x
+    f, A = prob.f, prob.A
+
+    def solve(x, z, y, ax):
+        return _metric_block_solve(f, c, A, M1, At(cv * z - y) - grad_h(x), x) - x
+
+    return solve
+
+
+def _z_line(prob: StructuredProblem, c: float, M2: Optional[LinearMap]):
+    """The z-line solver (w2, z) -> zd for the metric M2: the closed form
+    prox_{g/c}(w2/c) - z without a metric, an inner solve with one."""
+    g = prob.g
+    if M2 is None:
+        cv, prox = np.array(c), g.prox(1.0 / c)
+        return lambda w2, z: prox(w2 / cv) - z
+    return lambda w2, z: _metric_block_solve(g, c, None, M2, w2, z) - z
+
+
+def _rates(x_line, z_line, cv, gam, A, x, z, y):
+    """(xd, zd, yd) from the two line solvers, A the callable A.apply and cv, gam the
+    0-d c and gamma_relax: the dual line closes yd = c*A(x + xd) - c*(z + zd)."""
+    ax = A(x)
+    xdot = x_line(x, z, y, ax)
     axdot = A(xdot)
-    w2 = cv * (ax + gam * axdot) + y
-    zdot = _metric_block_solve(prob.g, c, None, M2, w2, z) - z
+    zdot = z_line(cv * (ax + gam * axdot) + y, z)
     ydot = cv * (ax + axdot - (z + zdot))
     return xdot, zdot, ydot
 
@@ -230,19 +249,35 @@ def pd_general_increment(prob: StructuredProblem, params: PDParams,
                          M1: Optional[LinearMap], M2: Optional[LinearMap], x, z, y):
     """(xd, zd, yd) of the metric-scheduled field for metrics M1, M2 (None for zero).
 
-    When M1 is a LinearizedMetric with the field's c and the problem's A
-    itself, Q = c*A*A + M1 = I/tau and the x-line is the closed form
-    prox_{tau f}(x - tau*(A*(c(Ax - z) + y) + grad h(x))).  Any other M1 (a
-    linearized one built for another c or A included) is solved with
-    solve_prox_quadratic (to its fixed 1e-10 stopping test), and so is the
-    z-line when M2 is given; with M2 None the z-line is the closed form
-    prox_{g/c}(w2/c).  The dual line closes
+    The x-line is the closed form of _x_line when M1 is linearized with the
+    field's c and the problem's A, and an inner solve otherwise; the z-line is
+    the closed form prox_{g/c}(w2/c) - z, w2 = c*(Ax + gamma_relax*A(xd)) + y,
+    with M2 None, and an inner solve otherwise.  The dual line closes
     yd = c*A(x + xd) - c*(z + zd).  By linearity of A an increment needs
-    A(x), A(xd) and one adjoint besides any inner solves.
+    A(x), A(xd) and one adjoint besides any inner solves.  Each call binds its
+    proxes, as a discrete step does (see algorithms).
     """
-    c, A = params.c, prob.A
-    return _general_rates(prob, c, c, params.gamma_relax, A.apply, A.adjoint, prob.h.gradient,
-                          M1, M2, x, z, y)
+    c = params.c
+    return _rates(_x_line(prob, c, M1), _z_line(prob, c, M2), np.array(c),
+                  np.array(params.gamma_relax), prob.A.apply, x, z, y)
+
+
+def _per_metric(line, metric):
+    """t -> line(metric(t)), rebuilt only when metric(t) is another object than at the
+    last call: a constant metric's line is built once, a metric that changes with t
+    rebuilds it.  With metric None, t -> line(None)."""
+    if metric is None:
+        fixed = line(None)
+        return lambda t: fixed
+    last = [object(), None]  # the metric last seen and its line; no metric is a new object
+
+    def at(t):
+        M = metric(t)
+        if M is not last[0]:
+            last[:] = M, line(M)
+        return last[1]
+
+    return at
 
 
 def _pd_field(prob: StructuredProblem, params: PDParams,
@@ -250,15 +285,14 @@ def _pd_field(prob: StructuredProblem, params: PDParams,
               M2: Optional[Callable[[float], LinearMap]], label: str,
               breakpoints=()) -> FlowField:
     """The metric-scheduled field on the stacked state (x, z, y), under the label
-    of the public builder that made it."""
+    of the public builder that made it; its lines bind their proxes once per metric."""
     n, m, c = prob.n, prob.m, params.c
-    cv, gam = np.array(c), np.array(params.gamma_relax)
-    A, At, grad_h = prob.A.apply, prob.A.adjoint, prob.h.gradient
+    cv, gam, A = np.array(c), np.array(params.gamma_relax), prob.A.apply
+    x_line = _per_metric(lambda M: _x_line(prob, c, M), M1)
+    z_line = _per_metric(lambda M: _z_line(prob, c, M), M2)
 
     def fn(t, u):
-        rates = _general_rates(prob, c, cv, gam, A, At, grad_h,
-                               M1(t) if M1 is not None else None,
-                               M2(t) if M2 is not None else None, u[:n], u[n:n + m], u[n + m:])
+        rates = _rates(x_line(t), z_line(t), cv, gam, A, u[:n], u[n:n + m], u[n + m:])
         return np.concatenate(rates)
 
     return FlowField(order=1, fn=fn, label=label, dim=n + 2 * m, breakpoints=breakpoints)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import SolverError
 from .nonconvex import NonconvexProblem, critical_residual
-from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, _per_row, _rows_dot,
-                        _solve, affine_prox, box_prox, difference_matrix, gradient_map,
+from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, _per_row, _positive,
+                        _rows_dot, _solve, affine_prox, box_prox, difference_matrix, gradient_map,
                         l1_prox, least_squares_fn, matrix_linear_map, matrix_operator,
                         one_minus_cos_fn, quadratic_fn, resolvent_eval, rotation_map,
                         soft_threshold, subdifferential_map, zero_operator)
@@ -108,7 +108,7 @@ def _polish_l1_quadratic(Q: Array, b: Array, mu: float, pattern: Array) -> Array
         rhs = b[support] - mu * signs
         x_exact[support] = np.linalg.solve(Q[np.ix_(support, support)], rhs)
     grad = Q @ x_exact - b
-    off = np.setdiff1d(np.arange(len(b)), support)
+    off = np.flatnonzero(pattern == 0.0)
     if support.size and np.any(np.sign(x_exact[support]) != signs):
         raise SolverError("active-set polish produced inconsistent signs")
     if off.size and np.max(np.abs(grad[off])) > mu + 1e-10:
@@ -157,7 +157,7 @@ def _polish_pd_saddle(prob: StructuredProblem, A: Array, b: Array, mu: float, nu
     support = np.flatnonzero(pattern[:n])
     sx = pattern[:n][support]
     free = np.flatnonzero(pattern[n:] == 0.0)       # rows with z_j = 0
-    active = np.setdiff1d(np.arange(m), free)
+    active = np.flatnonzero(pattern[n:] != 0.0)
     sz = pattern[n:][active]
 
     # unknowns: x on the support, y on the free rows
@@ -219,7 +219,13 @@ def affine_monotone_map(M: Array, q: Array) -> MonotoneMap:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     q = np.asarray(q, dtype=float)
     eye = np.eye(M.shape[0])
-    return MonotoneMap(resolvent=lambda gamma, x: _solve(eye + gamma * M, x - gamma * q))
+
+    def resolvent(gamma):
+        g = _positive(gamma)
+        K, shift = eye + g * M, g * q
+        return lambda x: _solve(K, x - shift)
+
+    return MonotoneMap(resolvent=resolvent)
 
 
 def _composite_problem(name: str, f, g, xstar: Array, start: Array, horizon: float,
@@ -356,10 +362,11 @@ def _banana_box_problem() -> ProblemDef:
     g(x) = (1-x0)^2 + 2*(x1 - x0^2)^2 on [-1.5, 1.5]^2; the gradient Lipschitz
     bound is the max Hessian norm over the box (attained at a corner).
 
-    A vector's entries are numpy scalars, whose ** 2 is C pow(); a stack's
-    columns are arrays, whose ** 2 squares, to other bits at about 0.1% of
-    points.  np.float_power is pow() on both, so the value squares with it
-    alone, and so does the gradient on a stack.
+    The gradient of a vector computes on its entries as Python floats
+    (x.tolist()), whose ** 2 is C pow(); a stack's columns are arrays, whose
+    ** 2 squares, to other bits at about 0.1% of points.  np.float_power is
+    pow() on both, so the value squares with it alone, and so does the
+    gradient on a stack.
     """
     c = 2.0
     lo, hi = -1.5, 1.5
@@ -371,8 +378,9 @@ def _banana_box_problem() -> ProblemDef:
 
     def grad(x):
         if x.ndim == 1:
-            return np.array([-2.0 * (1.0 - x[0]) - 4.0 * c * x[0] * (x[1] - x[0] ** 2),
-                             2.0 * c * (x[1] - x[0] ** 2)])
+            x0, x1 = x.tolist()
+            r = x1 - x0 ** 2
+            return np.array([-2.0 * (1.0 - x0) - 4.0 * c * x0 * r, 2.0 * c * r])
         x0, x1 = x[..., 0], x[..., 1]
         r = x1 - np.float_power(x0, 2)
         return np.stack([-2.0 * (1.0 - x0) - 4.0 * c * x0 * r, 2.0 * c * r], axis=-1)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SpecError
 from .integrate import FlowField, Trajectory
 from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, check_fb_step,
-                        fb_delta, norm, resolvent_eval, yosida_eval)
+                        fb_delta, norm, yosida_eval)
 from .schedules import Schedule, _bind, over_t
 
 
@@ -114,7 +114,8 @@ class SecondOrderSpec:
     @classmethod
     def fb(cls, A: MonotoneMap, B: SingleValuedMap, eta: float, condition: DampingCondition):
         beta, Bf = check_fb_step(B, eta), B.fn
-        return cls._scheduled("fb", lambda x: x - resolvent_eval(A, eta, x - eta * Bf(x)),
+        J, step = A.resolvent(eta), np.array(eta)
+        return cls._scheduled("fb", lambda x: x - J(x - step * Bf(x)),
                               fb_delta(beta, eta) / 2.0, condition)
 
     @classmethod

@@ -303,9 +303,8 @@ def test_criterion_13_unit_step_correspondence():
     pt = get_problem("two_lines")
     spec_dr = DRFlowSpec(A=pt.components["A"], B=pt.components["B_mono"], gamma=1.0)
     field_dr = dr_field(spec_dr)
-    T_dr = SingleValuedMap(
-        fn=lambda z: dr_operator(pt.components["A"], pt.components["B_mono"], 1.0, z),
-        lipschitz_L=1.0)
+    JA, JB = pt.components["A"].resolvent(1.0), pt.components["B_mono"].resolvent(1.0)
+    T_dr = SingleValuedMap(fn=lambda z: dr_operator(JA, JB, z), lipschitz_L=1.0)
     z_f = z_d = np.array([3.0, -2.0])
     for k in range(100):
         z_f = euler_unit_step(field_dr, z_f, t=float(k))

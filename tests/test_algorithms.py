@@ -346,7 +346,8 @@ class TestUnitStepCorrespondence:
         A, Bm = p.components["A"], p.components["B_mono"]
         spec = DRFlowSpec(A=A, B=Bm, gamma=1.0)
         field = dr_field(spec)
-        T_dr = SingleValuedMap(fn=lambda z: dr_operator(A, Bm, 1.0, z), lipschitz_L=1.0)
+        JA, JB = A.resolvent(1.0), Bm.resolvent(1.0)
+        T_dr = SingleValuedMap(fn=lambda z: dr_operator(JA, JB, z), lipschitz_L=1.0)
         z_flow = np.array([3.0, -2.0])
         z_disc = np.array([3.0, -2.0])
         for k in range(100):

@@ -119,10 +119,11 @@ def _fields(corpus, sweep):
 
 
 def test_fields_built_before_the_tracer_installs_are_traced_alike(monkeypatch, tmp_path):
-    # a field binds its invariants when it is built, but prox_eval and
-    # resolvent_eval must stay module lookups at call time: a field built
-    # before install must make the same operators.* spans per evaluation as one
-    # built after it, or a traced benchmark run would undercount them
+    # a field binds its invariants and its proxes and resolvents when it is
+    # built, so that an evaluation calls no checked entry point (prox_eval,
+    # resolvent_eval, moreau_conjugate_prox): a field built before install must
+    # make the same operators.* spans per evaluation as one built after it, and
+    # that is none
     monkeypatch.syspath_prepend(BENCH)
     import spans
     import workloads
@@ -152,5 +153,4 @@ def test_fields_built_before_the_tracer_installs_are_traced_alike(monkeypatch, t
     finally:
         tracer.uninstall()
     assert sorted(seen) == sorted(spans.FIELD_LABELS)
-    assert seen["pd-special"] == seen["pd-general"] == {"operators.prox_eval": 2}
-    assert seen["fb"] == {"operators.resolvent_eval": 1}
+    assert all(spans_of_label == {} for spans_of_label in seen.values()), seen

@@ -3,8 +3,10 @@ shared increment arithmetic bit for bit, and keep every hypothesis check.
 
 The references read every spec, schedule and scalar at each evaluation, as the
 fields did before binding, with Python floats where the fields now hold 0-d
-arrays.  A time-varying relaxation (km, fb) and a time-varying tau (pd) keep
-their per-evaluation path and are checked too.
+arrays, and evaluate every prox and resolvent through the checked entry points
+(prox_eval, resolvent_eval, reflected_resolvent) at Python-float steps, so that
+they do not depend on the binders.  A time-varying relaxation (km, fb) and a
+time-varying tau (pd) keep their per-evaluation path and are checked too.
 """
 
 import numpy as np
@@ -12,12 +14,11 @@ import pytest
 
 from splitflow.errors import SpecError
 from splitflow.first_order import (DRFlowSpec, FBFFlowSpec, FBFlowSpec, KMFlowSpec,
-                                   check_relaxation, dr_field, dr_operator, fb_field,
-                                   fb_increment, fbf_field, fbf_increment, km_field,
-                                   km_increment)
+                                   check_relaxation, dr_field, fb_field, fbf_field, km_field)
 from splitflow.integrate import IntegratorConfig, integrate
 from splitflow.nonconvex import proxgrad_field
-from splitflow.operators import matrix_operator, prox_eval, resolvent_eval
+from splitflow.operators import (matrix_operator, prox_eval, reflected_resolvent,
+                                 resolvent_eval)
 from splitflow.primal_dual import PDParams, pd_field_general, pd_field_special, special_metric
 from splitflow.problems import get_problem
 from splitflow.schedules import (Schedule, affine_clamped, constant, exp_decay, inv_power,
@@ -27,8 +28,8 @@ from splitflow.second_order import DampingCondition, SecondOrderSpec, second_ord
 
 def _km(lam):
     spec = KMFlowSpec(T=get_problem("rotation2d").components["T"], lam=lam)
-    return km_field(spec), lambda t, x: km_increment(
-        spec.T, check_relaxation(spec.lam(t), spec.lambda_cap, t), x)
+    return km_field(spec), lambda t, x: (
+        check_relaxation(spec.lam(t), spec.lambda_cap, t) * (spec.T(x) - x))
 
 
 def _fb(lam, epsilon=None, sign=1.0):
@@ -37,9 +38,11 @@ def _fb(lam, epsilon=None, sign=1.0):
                       tikhonov_sign=sign)
 
     def reference(t, x):
-        shift = None if epsilon is None else spec.tikhonov_sign * spec.epsilon(t) * x
+        arg = x - spec.gamma * spec.B(x)
+        if epsilon is not None:
+            arg = arg + spec.tikhonov_sign * spec.epsilon(t) * x
         lam = check_relaxation(spec.lam(t), spec.lambda_cap, t)
-        return fb_increment(spec.A, spec.B, spec.gamma, lam, x, shift=shift)
+        return lam * (resolvent_eval(spec.A, spec.gamma, arg) - x)
 
     return fb_field(spec), reference
 
@@ -47,7 +50,13 @@ def _fb(lam, epsilon=None, sign=1.0):
 def _fbf():
     c = get_problem("bilinear_saddle").components
     spec = FBFFlowSpec(A=c["A"], B=c["B"], gamma=0.5, lam=0.5)
-    return fbf_field(spec), lambda t, x: fbf_increment(spec.A, spec.B, spec.gamma, spec.lam, x)
+
+    def reference(t, x):
+        Bx = spec.B(x)
+        y = resolvent_eval(spec.A, spec.gamma, x - spec.gamma * Bx)
+        return -x + y + spec.lam * (Bx - spec.B(y))
+
+    return fbf_field(spec), reference
 
 
 def _column_jacobian(B, x):
@@ -69,7 +78,8 @@ def _dr(form, B=None):
     spec = DRFlowSpec(A=c["A"], B=B, gamma=1.0, form=form)
     A, B, gamma = spec.A, spec.B, spec.gamma
     if form == "reflected":
-        return dr_field(spec), lambda t, z: 1.0 * (dr_operator(A, B, gamma, z) - z)
+        return dr_field(spec), lambda t, z: 0.5 * (
+            reflected_resolvent(A, gamma, reflected_resolvent(B, gamma, z)) + z) - z
 
     def reference(t, x):
         c = resolvent_eval(A, gamma, x - gamma * B(x)) - x

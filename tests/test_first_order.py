@@ -162,7 +162,8 @@ class TestDRField:
         # z = x + gamma*B(x) at the solution is a fixed point of the DR operator
         xstar = p.known_solution
         zstar = xstar + p.components["B"](xstar)
-        assert np.linalg.norm(dr_operator(A, Bm, 1.0, zstar) - zstar) < 1e-12
+        JA, JB = A.resolvent(1.0), Bm.resolvent(1.0)
+        assert np.linalg.norm(dr_operator(JA, JB, zstar) - zstar) < 1e-12
         assert np.linalg.norm(dr_field(spec).fn(0.0, zstar)) < 1e-12
 
     def test_coupled_requires_differentiable_single_valued_B(self):

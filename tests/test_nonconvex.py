@@ -212,7 +212,8 @@ class TestTrajectoryProperties:
         cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=20.0, record_every=10)
         runs = [integrate(proxgrad_field(p), np.array([2.5]), cfg, probes=probes)
                 for _ in range(2)]
-        step = lambda n, x, x_prev: x + proxgrad_increment(p.f, p.eta, p.g.gradient, x)
+        prox = p.f.prox(p.eta)
+        step = lambda n, x, x_prev: x + proxgrad_increment(prox, p.eta, p.g.gradient, x)
         runs += [run_sequence(step, np.array([2.5]), 200, probes=probes) for _ in range(2)]
         for first, second in (runs[:2], runs[2:]):
             assert np.array_equal(first.records["arclength"], second.records["arclength"])

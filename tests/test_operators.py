@@ -202,7 +202,7 @@ class TestFbMap:
         B = gradient_map(least_squares_fn(np.eye(3), np.ones(3)))
 
         def S(x):
-            fb = x + fb_increment(A, B.fn, gamma, 1.0, x)
+            fb = x + fb_increment(A.resolvent(gamma), B.fn, gamma, 1.0, x)
             return delta * fb - (delta - 1.0) * x
 
         for _ in range(300):
@@ -295,6 +295,19 @@ class TestVectors:
         p = prox_eval(f, 1.0, np.array([3.0, 3.0]))
         assert np.allclose(p, [1.0, 1.0])
 
+    def test_projections_of_far_points_lie_in_their_set(self):
+        # a set near the origin and points of norm 1e6-1e7: the projection's value
+        # must take it as inside, though x - C^T (C C^T)^+ (Cx - d) rounds at ||x||
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            C = np.eye(3) + 0.1 * rng.uniform(-1.0, 1.0, (3, 3))
+            x = rng.standard_normal(3)
+            x *= 10.0 ** rng.uniform(6.0, 7.0) / np.linalg.norm(x)
+            f = affine_prox(C, np.zeros(3))
+            assert f.value(prox_eval(f, 1.0, x)) == 0.0
+            h = halfspace_prox([rng.uniform(0.5, 2.0)], 0.0)
+            assert h.value(prox_eval(h, 1.0, np.array([1e6 * rng.uniform(1.0, 10.0)]))) == 0.0
+
     def test_affine_prox_rejects_a_gram_matrix_that_overflows(self):
         # C @ C.T holds +-inf; the pseudo-inverse of such a matrix may never return
         C = [[1e200, 0.0, 0.0], [-1e200, 0.0, 0.0], [0.0, 0.0, 1.0]]
@@ -384,9 +397,13 @@ class TestCatalogProductsMatchMatmul:
     def test_affine_projection(self):
         for rng, C in self.cases(4):
             x, d = extreme_entries(rng, C.shape[1]), extreme_entries(rng, C.shape[0])
-            gram_inv = np.linalg.pinv(C @ C.T)
-            assert_same_product(prox_eval(affine_prox(C, d), 1.0, x),
-                                x - C.T @ (gram_inv @ (C @ x - d)), min(C.shape) >= 2)
+            # x0 + N (N^T x): N spans C's null space, x0 = C^+ d, at pinv(C @ C.T)'s rank r
+            u, s, vt = np.linalg.svd(C)
+            r = int(np.count_nonzero(s * s > 1e-15 * s[0] ** 2))
+            N = np.ascontiguousarray(vt[r:].T)
+            want = N @ (vt[r:] @ x) + vt[:r].T @ (u[:, :r].T @ d / s[:r])
+            assert_same_product(prox_eval(affine_prox(C, d), 1.0, x), want,
+                                min(C.shape[0], C.shape[1], r) >= 2 and C.shape[1] - r != 1)
 
     def test_rotation_and_two_lines_operator(self):
         rng = np.random.default_rng(5)

@@ -10,7 +10,7 @@ from splitflow.operators import (LinearMap, ProxFunction, ball_prox, box_prox, l
                                  moreau_conjugate_prox, prox_eval, quadratic_fn,
                                  soft_threshold, squared_l2_prox, zero_fn, zero_prox)
 from splitflow.primal_dual import (LinearizedMetric, PDParams, PDState, StructuredProblem,
-                                   _metric_block_solve, lagrangian_eval, pd_field_general,
+                                   lagrangian_eval, pd_field_general,
                                    pd_field_special, pd_general_increment, pd_probes,
                                    saddle_residuals, solve_prox_quadratic, special_metric)
 from splitflow.problems import get_problem
@@ -279,9 +279,11 @@ class TestSolveProxQuadratic:
         points, prox_calls = [], []
         l1 = l1_prox(1.0)
 
-        def prox(s, v):
-            prox_calls.append((s, v.copy()))
-            return l1.prox(s, v)
+        def prox(s):
+            def logged(v):
+                prox_calls.append((s, v.copy()))
+                return l1.prox(s)(v)
+            return logged
 
         def q_apply(v):
             points.append(v.copy())
@@ -337,7 +339,7 @@ class TestSolveProxQuadratic:
         rng = np.random.default_rng(9)
         for _ in range(10):
             w, u0 = rng.standard_normal(4) * 3, rng.standard_normal(4)
-            closed = _metric_block_solve(f, c, None, None, w, u0)
+            closed = prox_eval(f, 1.0 / c, w / c)  # the z-line's closed form
             solved = solve_prox_quadratic(f, lambda v: c * v, c, w, u0)
             assert np.max(np.abs(closed - solved)) < 1e-10
 

@@ -4,6 +4,9 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +100,20 @@ class TestCorpus:
         monkeypatch.setattr(problems, "soft_threshold", counted)
         problems.corpus.__wrapped__(0)  # uncached
         assert 0 < len(calls) <= 1000  # the full budgets make 3*4000 + 20000 calls
+
+    def test_set_up_leaves_numpy_ma_unimported(self):
+        # np.setdiff1d reaches np.ma.is_masked, and importing numpy.ma adds
+        # 13-20 ms and about 1 MB to a CLI process (2-vCPU host); only a fresh
+        # interpreter shows whether set-up imports it
+        code = ("import sys, splitflow.cli\n"
+                "from splitflow import problems\n"
+                "problems.corpus(0)\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_spent_budget_returns_or_raises_the_last_polish(self):
         seen = []

@@ -25,8 +25,9 @@ from splitflow.operators import (LinearMap, MonotoneMap, ProxFunction, SingleVal
                                  gradient_map, halfspace_prox, identity_operator, l1_prox,
                                  l1_quadratic_prox, least_squares_fn, linear_monotone_map,
                                  matrix_linear_map, matrix_operator, one_minus_cos_fn,
-                                 quadratic_fn, rotation_map, squared_l2_prox,
-                                 subdifferential_map, zero_fn, zero_operator, zero_prox)
+                                 prox_eval, quadratic_fn, resolvent_eval, rotation_map,
+                                 squared_l2_prox, subdifferential_map, zero_fn, zero_operator,
+                                 zero_prox)
 from splitflow.primal_dual import LinearizedMetric, StructuredProblem
 from splitflow.problems import affine_monotone_map, corpus
 from splitflow.schedules import affine_clamped, constant, exp_decay, inv_power, over_t
@@ -56,9 +57,9 @@ def oracles(obj, n):
     """(name, oracle of one argument, input dimension) for each oracle of obj."""
     if isinstance(obj, ProxFunction):
         yield "value", obj.value, n
-        yield "prox", lambda x: obj.prox(0.7, x), n
+        yield "prox", obj.prox(0.7), n
     elif isinstance(obj, MonotoneMap):
-        yield "resolvent", lambda x: obj.resolvent(0.7, x), n
+        yield "resolvent", obj.resolvent(0.7), n
     elif isinstance(obj, SingleValuedMap):
         yield "fn", obj.fn, n
     elif isinstance(obj, SmoothFunction):
@@ -163,6 +164,52 @@ def test_catalog_oracles_give_each_row_its_own_bits(name, data):
             assert_rows_have_their_own_bits(oracle, stack(data, dim))
 
 
+# the catalog's binders: prox(gamma) and resolvent(gamma) return the map at that step
+BINDERS = ("affine_monotone_map", "affine_prox", "ball_prox", "box_prox", "halfspace_prox",
+           "identity_operator", "l1_prox", "l1_quadratic_prox", "linear_monotone_map",
+           "squared_l2_prox", "subdifferential_map", "zero_operator", "zero_prox")
+
+
+def bind_and_check(obj, gamma):
+    """(obj's map bound at gamma, the checked entry point prox_eval/resolvent_eval at gamma)."""
+    if isinstance(obj, ProxFunction):
+        return obj.prox(gamma), lambda x: prox_eval(obj, gamma, x)
+    assert isinstance(obj, MonotoneMap)
+    return obj.resolvent(gamma), lambda x: resolvent_eval(obj, gamma, x)
+
+
+@pytest.mark.parametrize("name", BINDERS)
+@SETTINGS
+@given(data=st.data())
+def test_bound_maps_equal_the_checked_entry_points(name, data):
+    # on vectors and on stacks, bound at a Python float and at a 0-d array, and
+    # evaluated twice: a bound map keeps nothing from one call to the next
+    n = data.draw(st.integers(1, 4))
+    obj = CATALOG[name](data, n)
+    gamma = data.draw(POSITIVE)
+    bound, checked = bind_and_check(obj, gamma)
+    bound_0d, _ = bind_and_check(obj, np.array(gamma))
+    with np.errstate(all="ignore"):
+        for x in (vector(data, n), stack(data, n)):
+            want = checked(x)
+            assert want.dtype == np.float64 and want.shape == x.shape
+            for got in (bound(x), bound(x), bound_0d(x)):
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.0, -0.5, -np.inf, np.nan])
+@pytest.mark.parametrize("name", BINDERS)
+@settings(SETTINGS, max_examples=3)
+@given(data=st.data())
+def test_binding_at_a_step_that_is_not_positive_raises(name, gamma, data):
+    obj = CATALOG[name](data, data.draw(st.integers(1, 4)))
+    binder = obj.prox if isinstance(obj, ProxFunction) else obj.resolvent
+    with pytest.raises(ValueError, match="must be positive"):
+        binder(gamma)  # no map is returned, so nothing is evaluated
+    with pytest.raises(ValueError, match="must be positive"):
+        binder(np.array(gamma))
+
+
 ORACLE_KINDS = (ProxFunction, MonotoneMap, SingleValuedMap, SmoothFunction, LinearMap,
                 NonconvexProblem, StructuredProblem)
 
@@ -211,7 +258,7 @@ def near_affine(data, n, s):
     return affine_prox(c * (np.eye(k, n) + small), c * s * vector(data, k, SMALL))
 
 
-# the value closures, against the prox they sit beside: prox(gamma, x) minimizes
+# the value closures, against the prox they sit beside: prox(gamma)(x) minimizes
 # f(y) + ||y - x||^2/(2 gamma); True marks an indicator
 OPTIMALITY = {
     "squared_l2_prox": (lambda data, n, s: CATALOG["squared_l2_prox"](data, n), False),
@@ -236,13 +283,13 @@ def test_prox_is_optimal_against_its_value(name, data):
         D = Y - X
         return f.value(Y) + np.vecdot(D, D) / (2.0 * gamma)
 
-    P = f.prox(gamma, X)
+    P = f.prox(gamma)(X)
     best = objective(P)
     assert best.shape == (X.shape[0],) and np.all(np.isfinite(best))
     for scale in (1e-3, 1e-1, 10.0):  # rivals near the prox and far from it
         Y = P + scale * s * data.draw(arrays(np.float64, X.shape, elements=SMALL))
         if indicator:
-            Y = f.prox(1.0, Y)  # a point of the set
+            Y = f.prox(1.0)(Y)  # a point of the set
         rival = objective(Y)
         assert np.all(best <= rival + 1e-9 * (1.0 + np.abs(best) + np.abs(rival)))
 
