@@ -40,15 +40,24 @@ I + gamma*M).  A flow field and a probe bind their oracles when they are
 built, a discrete step at every call.  prox_eval, resolvent_eval,
 reflected_resolvent, yosida_eval and moreau_conjugate_prox check and convert
 their arguments, bind, and evaluate: the entry points for a caller's vector.
+A bound map is an oracle, so it takes an ndarray: the zero maps bind
+np.ndarray.copy, which raises TypeError on a list, a Python float or a numpy
+scalar that the entry points would have converted.
 
 A scalar that multiplies, divides or clips a vector on the step path is a
-0-d float64 array (soft_threshold's zero and threshold, box bounds, the
-binders' constants, a field's step and constant relaxation): numpy 2.4
-dispatches such a ufunc 0.2-0.8 us faster than with a Python float (2-vCPU
-host), to the same bits.  A scalar that changes with t stays a Python float,
-since making a 0-d array of it costs about as much.  A binder checks its step
-once and reads it with float(), so that the constants it derives are
-Python-float products, with the bits the two-argument oracles had.
+0-d float64 array (the binders' constants, the bound pair lo, hi of a clip,
+a field's step and constant relaxation): numpy 2.4 dispatches such a ufunc
+0.2-0.8 us faster than with a Python float (2-vCPU host), to the same bits.
+A scalar that changes with t stays a Python float, since making a 0-d array
+of it costs about as much.  A binder checks its step once and reads it with
+float(), so that the constants it derives are Python-float products, with
+the bits the two-argument oracles had.
+
+Every clip of the catalog is one call of the clip ufunc that np.clip itself
+dispatches to (_clip), without np.clip's Python wrapper.  The box projection
+is _clip(x, lo, hi); soft thresholding at t is copysign(x - _clip(x, -t, t),
+sign(x)), the bits of sign(x) * max(|x| - t, 0) in four dispatches where
+that takes five (_shrink, the one home of that arithmetic).
 """
 
 from __future__ import annotations
@@ -58,13 +67,13 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
+from numpy._core.umath import clip as _clip
 
 from .errors import SpecError
 
 Array = np.ndarray
 
 
-_ZERO = np.array(0.0)
 _TWO = np.array(2.0)
 
 
@@ -272,11 +281,20 @@ def check_fb_step(B: SingleValuedMap, gamma: float, relaxed: bool = False) -> fl
 def zero_prox() -> ProxFunction:
     """f = 0; prox is the identity."""
     return ProxFunction(value=lambda x: _per_row(np.zeros(x.shape[:-1]), x),
-                        prox=_step_free(np.copy))
+                        prox=_step_free(np.ndarray.copy))
+
+
+def _shrink(thresh) -> Callable[[Array], Array]:
+    """The soft-thresholding map x -> sign(x) * max(|x| - thresh, 0), bit for bit: x
+    less its clip to [-thresh, thresh] is |x| - thresh outside it and +0.0 inside,
+    and copysign gives it the sign of sign(x) (+-0.0 at a zero x, NaN's at NaN)."""
+    lo, hi = np.array(-thresh), np.array(thresh)
+    return lambda x: np.copysign(x - _clip(x, lo, hi), np.sign(x))
 
 
 def soft_threshold(x: Array, thresh: float) -> Array:
-    return np.sign(x) * np.maximum(np.abs(x) - thresh, _ZERO)
+    """sign(x) * max(|x| - thresh, 0), elementwise."""
+    return _shrink(thresh)(x)
 
 
 def l1_prox(weight: float = 1.0) -> ProxFunction:
@@ -285,8 +303,7 @@ def l1_prox(weight: float = 1.0) -> ProxFunction:
         raise ValueError("l1 weight must be nonnegative")
 
     def prox(gamma):
-        thresh = np.array(_positive(gamma) * weight)
-        return lambda x: soft_threshold(x, thresh)
+        return _shrink(_positive(gamma) * weight)
 
     return ProxFunction(value=lambda x: _per_row(weight * np.abs(x).sum(axis=-1), x),
                         prox=prox)
@@ -311,20 +328,23 @@ def squared_l2_prox(scale: float = 1.0, center=None) -> ProxFunction:
 
 
 def box_prox(lo, hi) -> ProxFunction:
-    """Indicator of the box [lo, hi]; prox is the clip, independent of gamma."""
+    """Indicator of the box [lo, hi]; prox is the clip, independent of gamma.
+
+    The clip is np.clip(x, lo, hi) bit for bit, through the clip ufunc.  Where a
+    zero x meets a bound that is a zero of the other sign, that ufunc keeps x
+    when neither bound steps through its loop (0-d bounds, as np.minimum(hi,
+    np.maximum(lo, x)) does) and takes the bound otherwise.  So a bound of one
+    entry is held 0-d: as shape (1,) it would step through a vector's loop but
+    not a stack's, and give a row of a stack other zero signs than the row alone.
+    """
     if not np.all(np.less_equal(lo, hi)):  # also rejects NaN bounds
         raise ValueError("box needs lo <= hi")
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lo, hi = np.squeeze(np.asarray(lo, dtype=float)), np.squeeze(np.asarray(hi, dtype=float))
 
     def value(x):
         return _indicator(((x >= lo - 1e-12) & (x <= hi + 1e-12)).all(axis=-1), x)
 
-    def clip(x):
-        # np.clip's result, bit for bit for scalar bounds (x is kept where it
-        # equals a bound, so -0.0 stays -0.0), at half its dispatch cost
-        return np.minimum(hi, np.maximum(lo, x))
-
-    return ProxFunction(value=value, prox=_step_free(clip))
+    return ProxFunction(value=value, prox=_step_free(lambda x: _clip(x, lo, hi)))
 
 
 def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
@@ -440,8 +460,8 @@ def l1_quadratic_prox(weight: float, quad_diag, lin) -> ProxFunction:
 
     def prox(gamma):
         g = _positive(gamma)
-        shift, thresh, div = g * b, np.array(g * weight), 1.0 + g * a
-        return lambda x: soft_threshold(x - shift, thresh) / div
+        shift, shrink, div = g * b, _shrink(g * weight), 1.0 + g * a
+        return lambda x: shrink(x - shift) / div
 
     return ProxFunction(value=value, prox=prox)
 
@@ -460,7 +480,7 @@ def moreau_conjugate_prox(g: ProxFunction, c: float, w: Array) -> Array:
 
 def zero_operator() -> MonotoneMap:
     """A = 0; the resolvent is the identity."""
-    return MonotoneMap(resolvent=_step_free(np.copy))
+    return MonotoneMap(resolvent=_step_free(np.ndarray.copy))
 
 
 def identity_operator(scale: float = 1.0) -> MonotoneMap:

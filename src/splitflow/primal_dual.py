@@ -203,8 +203,8 @@ def _metric_block_solve(f: ProxFunction, c: float, A: Optional[LinearMap],
     return solve_prox_quadratic(f, q, q_norm, w, u0)
 
 
-def _x_line(prob: StructuredProblem, c: float, M1: Optional[LinearMap]):
-    """The x-line solver (x, z, y, Ax) -> xd for the metric M1.
+def _x_line(prob: StructuredProblem, cv: Array, M1: Optional[LinearMap]):
+    """The x-line solver (x, z, y, Ax) -> xd for the metric M1, cv the 0-d c.
 
     When M1 is a LinearizedMetric with the field's c and the problem's A itself,
     Q = c*A*A + M1 = I/tau and the line is the closed form
@@ -212,7 +212,7 @@ def _x_line(prob: StructuredProblem, c: float, M1: Optional[LinearMap]):
     linearized one built for another c or A included) is solved with
     solve_prox_quadratic, to its fixed 1e-10 stopping test.
     """
-    cv, At, grad_h = np.array(c), prob.A.adjoint, prob.h.gradient
+    c, At, grad_h = float(cv), prob.A.adjoint, prob.h.gradient
     if isinstance(M1, LinearizedMetric) and M1.c == c and M1.A is prob.A:
         tau, prox = np.array(M1.tau), prob.f.prox(M1.tau)
         return lambda x, z, y, ax: prox(x - tau * (At(cv * (ax - z) + y) + grad_h(x))) - x
@@ -224,12 +224,12 @@ def _x_line(prob: StructuredProblem, c: float, M1: Optional[LinearMap]):
     return solve
 
 
-def _z_line(prob: StructuredProblem, c: float, M2: Optional[LinearMap]):
-    """The z-line solver (w2, z) -> zd for the metric M2: the closed form
-    prox_{g/c}(w2/c) - z without a metric, an inner solve with one."""
-    g = prob.g
+def _z_line(prob: StructuredProblem, cv: Array, M2: Optional[LinearMap]):
+    """The z-line solver (w2, z) -> zd for the metric M2, cv the 0-d c: the closed
+    form prox_{g/c}(w2/c) - z without a metric, an inner solve with one."""
+    g, c = prob.g, float(cv)
     if M2 is None:
-        cv, prox = np.array(c), g.prox(1.0 / c)
+        prox = g.prox(1.0 / c)
         return lambda w2, z: prox(w2 / cv) - z
     return lambda w2, z: _metric_block_solve(g, c, None, M2, w2, z) - z
 
@@ -257,8 +257,8 @@ def pd_general_increment(prob: StructuredProblem, params: PDParams,
     A(x), A(xd) and one adjoint besides any inner solves.  Each call binds its
     proxes, as a discrete step does (see algorithms).
     """
-    c = params.c
-    return _rates(_x_line(prob, c, M1), _z_line(prob, c, M2), np.array(c),
+    cv = np.array(params.c)
+    return _rates(_x_line(prob, cv, M1), _z_line(prob, cv, M2), cv,
                   np.array(params.gamma_relax), prob.A.apply, x, z, y)
 
 
@@ -286,10 +286,10 @@ def _pd_field(prob: StructuredProblem, params: PDParams,
               breakpoints=()) -> FlowField:
     """The metric-scheduled field on the stacked state (x, z, y), under the label
     of the public builder that made it; its lines bind their proxes once per metric."""
-    n, m, c = prob.n, prob.m, params.c
-    cv, gam, A = np.array(c), np.array(params.gamma_relax), prob.A.apply
-    x_line = _per_metric(lambda M: _x_line(prob, c, M), M1)
-    z_line = _per_metric(lambda M: _z_line(prob, c, M), M2)
+    n, m = prob.n, prob.m
+    cv, gam, A = np.array(params.c), np.array(params.gamma_relax), prob.A.apply
+    x_line = _per_metric(lambda M: _x_line(prob, cv, M), M1)
+    z_line = _per_metric(lambda M: _z_line(prob, cv, M), M2)
 
     def fn(t, u):
         rates = _rates(x_line(t), z_line(t), cv, gam, A, u[:n], u[n:n + m], u[n + m:])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splitflow import operators
 from splitflow.first_order import fb_increment
 from splitflow.operators import (affine_prox, as_vector, ball_prox,
                                  box_prox, fb_delta, gradient_map, halfspace_prox,
@@ -37,6 +38,25 @@ def prox_oracle_1d(value_fn, gamma, x, lo=-5.0, hi=5.0):
     return golden_min_1d(lambda y: value_fn(y) + (y - x) ** 2 / (2.0 * gamma), lo, hi)
 
 
+def soft_threshold_reference(x, t):
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+THRESHOLDS = [0.0, 1e-300, 0.25, 3.0]
+
+
+def edge_table(t):
+    """100,000 seeded draws at magnitudes from 1e-300 to 1e300, then 16 edges of the
+    threshold t: +-0, +-t and its two neighbours, +-inf, NaN and +-subnormals."""
+    rng = np.random.default_rng(26)
+    scale = rng.choice([1e-300, 1e-8, 0.25, 1.0, 3.0, 1e8, 1e300], 100_000)
+    up, down = np.nextafter(t, np.inf), np.nextafter(t, -np.inf)
+    edges = [0.0, -0.0, t, -t, up, -up, down, -down, np.inf, -np.inf, np.nan,
+             5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310]
+    with np.errstate(over="ignore"):
+        return np.concatenate([rng.standard_normal(100_000) * scale, edges])
+
+
 class TestProxEval:
     def test_zero_prox_is_identity(self):
         f = zero_prox()
@@ -64,11 +84,69 @@ class TestProxEval:
                 x = rng.choice(edge, size=size)
                 got = prox_eval(box_prox(lo, hi), 1.0, x)
                 assert got.tobytes() == np.clip(x, lo, hi).tobytes()
-                # np.clip itself picks the bound's zero sign on a tie with array
-                # bounds, so those agree by value (NaN where x is NaN)
+                # with array bounds np.clip picks the bound's zero sign on a tie; a
+                # bound of one entry is held 0-d (see box_prox), so at size 1 the
+                # bits are those of the scalar bounds
                 lo_v, hi_v = np.full(size, lo), np.full(size, hi)
-                np.testing.assert_array_equal(prox_eval(box_prox(lo_v, hi_v), 1.0, x),
-                                              np.clip(x, lo_v, hi_v))
+                want = np.clip(x, lo_v, hi_v) if size > 1 else np.clip(x, lo, hi)
+                got = prox_eval(box_prox(lo_v, hi_v), 1.0, x)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_box_projection_of_a_stack_gives_each_row_its_own_bits(self, n):
+        # zero entries against zero bounds of either sign are the ties the clip
+        # ufunc breaks by whether a bound steps through its loop
+        entries = np.array([-0.0, 0.0, -1.0, 1.0])
+        X = np.stack(np.meshgrid(*[entries] * n, indexing="ij"), -1).reshape(-1, n)
+        bounds = [(lo, hi) for lo in (-0.0, 0.0, -1.0) for hi in (-0.0, 0.0, 1.0)]
+        for lo, hi in bounds:
+            for shape in ((), (1,), (n,)):
+                clip = box_prox(np.full(shape, lo), np.full(shape, hi)).prox(1.0)
+                got = clip(X)
+                for r in range(X.shape[0]):
+                    assert got[r].tobytes() == clip(X[r].copy()).tobytes(), (lo, hi, shape)
+
+    def test_clip_ufunc_equals_np_clip_bit_for_bit(self):
+        # operators calls the ufunc np.clip dispatches to; a numpy release that
+        # moves it or changes what np.clip does fails here
+        x = edge_table(0.25)
+        lows, highs = (-0.0, 0.0, -0.25, -np.inf), (-0.0, 0.0, 0.25, np.inf)
+        rng = np.random.default_rng(7)
+        for X in (x, x.reshape(-1, 8)):
+            for lo in lows:
+                for hi in highs:
+                    if lo > hi:
+                        continue
+                    for bound in (lambda v: v, np.array,
+                                  lambda v: np.full(X.shape[-1], v)):
+                        want = np.clip(X, bound(lo), bound(hi))
+                        got = operators._clip(X, bound(lo), bound(hi))
+                        assert got.tobytes() == want.tobytes(), (lo, hi)
+            lo = rng.uniform(-1.0, 0.0, X.shape[-1])
+            assert (operators._clip(X, lo, lo + 0.5).tobytes()
+                    == np.clip(X, lo, lo + 0.5).tobytes())
+
+    @pytest.mark.parametrize("t", THRESHOLDS)
+    def test_soft_thresholding_has_the_reference_bits(self, t):
+        # sign(x) * max(|x| - t, 0) is the reference arithmetic; the kernel is
+        # copysign(x - clip(x, -t, t), sign(x)) (see operators)
+        x = edge_table(t)
+        l1 = l1_prox(t).prox(1.0)  # threshold 1.0 * t == t
+        for X in (x, x.reshape(-1, 8), x.reshape(-1, 1)):
+            want = soft_threshold_reference(X, t).tobytes()
+            assert soft_threshold(X, t).tobytes() == want
+            assert soft_threshold(X, np.array(t)).tobytes() == want
+            assert l1(X).tobytes() == want
+        # l1_quadratic_prox at step 1: shift b, threshold t, divisor 1 + a
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(0.0, 3.0, 8), rng.standard_normal(8)
+        a[0], b[1] = 0.0, -0.0
+        X = x.reshape(-1, 8)
+        l1q = l1_quadratic_prox(t, a, b).prox(1.0)
+        want = soft_threshold_reference(X - b, t) / (1.0 + a)
+        assert l1q(X).tobytes() == want.tobytes()
+        for r in range(0, X.shape[0], 97):
+            assert l1q(X[r].copy()).tobytes() == want[r].tobytes()
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError):

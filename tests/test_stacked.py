@@ -5,6 +5,10 @@ integrate calls each probe once on a trajectory's stacked records, so the
 probes and the oracles beneath them have to give every record the value a
 call on that record alone gives.  The stack heights are 1, 2, n and n + 1:
 at R == n a bound M.dot would contract the record axis without an error.
+
+The property tests draw their cases from numpy generators seeded 0 to 39
+(Draws), one test id per seed, so that each test checks the same cases on every
+run, whatever else the suite imports and whatever literals the package holds.
 """
 
 import dataclasses
@@ -13,9 +17,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from splitflow import config
 from splitflow.integrate import IntegratorConfig, integrate
@@ -36,21 +37,54 @@ from splitflow.second_order import (DampingCondition, SecondOrderSpec, second_or
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
-# signed zeros are among the entries hypothesis draws first
-ENTRIES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+# the ranges entries are drawn from
+ENTRIES = (-1e3, 1e3)
+POSITIVE = (1e-3, 1e3)
 
 
-def vector(data, n, elements=ENTRIES):
-    return data.draw(arrays(np.float64, n, elements=elements))
+class Draws:
+    """The inputs of one example, from a numpy generator seeded with its number."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def floats(self, lo, hi, shape=None):
+        """A float in [lo, hi], or an array of them of the given shape.  An entry is,
+        with probability 1/5, one of the edges that lie in [lo, hi]: lo, hi, +-0.0, the
+        least subnormal +-5e-324, the subnormal +-2.2e-308 and the tiny normal
+        +-1e-300.  Otherwise it spreads over the range's magnitudes: log-uniform on
+        [lo, hi] when 0 < lo, and for a range that holds 0, uniform on [lo, hi] and
+        scaled by 10**-k, k uniform in 0..6."""
+        rng, size = self.rng, 1 if shape is None else shape
+        edges = [v for v in (lo, hi, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                             1e-300, -1e-300) if lo <= v <= hi]
+        if lo > 0:
+            spread = np.clip(lo * (hi / lo) ** rng.random(size), lo, hi)
+        else:
+            assert hi >= 0
+            spread = rng.uniform(lo, hi, size) * 10.0 ** -rng.integers(0, 7, size)
+        x = np.where(rng.random(size) < 0.2, rng.choice(edges, size), spread)
+        return float(x[0]) if shape is None else x
+
+    def integers(self, lo, hi):
+        """An int in [lo, hi]."""
+        return int(self.rng.integers(lo, hi + 1))
+
+    def choice(self, options):
+        return options[self.rng.integers(len(options))]
 
 
-def stack(data, n, elements=ENTRIES):
+# the seeds of a property test's examples
+SEEDS = range(40)
+
+
+def vector(draw, n, bounds=ENTRIES):
+    return draw.floats(*bounds, n)
+
+
+def stack(draw, n, bounds=ENTRIES):
     """R x n entries, R one of 1, 2, n and n + 1."""
-    rows = data.draw(st.sampled_from(sorted({1, 2, n, n + 1})))
-    return data.draw(arrays(np.float64, (rows, n), elements=elements))
+    return draw.floats(*bounds, (draw.choice(sorted({1, 2, n, n + 1})), n))
 
 
 def oracles(obj, n):
@@ -86,82 +120,83 @@ def assert_rows_have_their_own_bits(oracle, X):
         assert got[r].tobytes() == want.tobytes(), (r, got[r], want)
 
 
-def square(data, n):
-    return data.draw(arrays(np.float64, (n, n), elements=ENTRIES))
+def square(draw, n):
+    return draw.floats(*ENTRIES, (n, n))
 
 
-def monotone(data, n):
+def monotone(draw, n):
     """S S^T + K - K^T: its symmetric part is positive semidefinite."""
-    S, K = square(data, n), square(data, n)
+    S, K = square(draw, n), square(draw, n)
     return S @ S.T / 1e3 + K - K.T
 
 
-def wide(data, n):
+def wide(draw, n):
     """A k x n matrix, 1 <= k <= n."""
-    return data.draw(arrays(np.float64, (data.draw(st.integers(1, n)), n), elements=ENTRIES))
+    return draw.floats(*ENTRIES, (draw.integers(1, n), n))
 
 
-def box(data, n):
-    lo = vector(data, n)
-    return box_prox(lo, lo + np.abs(vector(data, n)))
+def box(draw, n):
+    lo = vector(draw, n)
+    return box_prox(lo, lo + np.abs(vector(draw, n)))
 
 
-def halfspace(data, n):
-    normal = vector(data, n)
-    normal[0] = data.draw(POSITIVE)  # nonzero
-    return halfspace_prox(normal, data.draw(ENTRIES))
+def halfspace(draw, n):
+    normal = vector(draw, n)
+    normal[0] = draw.floats(*POSITIVE)  # nonzero
+    return halfspace_prox(normal, draw.floats(*ENTRIES))
 
 
-def affine(data, n):
-    C = wide(data, n)
-    return affine_prox(C, vector(data, C.shape[0]))
+def affine(draw, n):
+    C = wide(draw, n)
+    return affine_prox(C, vector(draw, C.shape[0]))
 
 
-def least_squares(data, n):
-    A = wide(data, n)
-    return least_squares_fn(A, vector(data, A.shape[0]))
+def least_squares(draw, n):
+    A = wide(draw, n)
+    return least_squares_fn(A, vector(draw, A.shape[0]))
 
 
 # each catalog constructor with parameters drawn for dimension n
 CATALOG = {
-    "zero_prox": lambda data, n: zero_prox(),
-    "l1_prox": lambda data, n: l1_prox(data.draw(POSITIVE)),
-    "squared_l2_prox": lambda data, n: squared_l2_prox(data.draw(POSITIVE), vector(data, n)),
+    "zero_prox": lambda draw, n: zero_prox(),
+    "l1_prox": lambda draw, n: l1_prox(draw.floats(*POSITIVE)),
+    "squared_l2_prox": lambda draw, n: squared_l2_prox(draw.floats(*POSITIVE), vector(draw, n)),
     "box_prox": box,
-    "ball_prox": lambda data, n: ball_prox(data.draw(POSITIVE), vector(data, n)),
+    "ball_prox": lambda draw, n: ball_prox(draw.floats(*POSITIVE), vector(draw, n)),
     "halfspace_prox": halfspace,
     "affine_prox": affine,
-    "l1_quadratic_prox": lambda data, n: l1_quadratic_prox(
-        data.draw(POSITIVE), np.abs(vector(data, n)), vector(data, n)),
-    "zero_operator": lambda data, n: zero_operator(),
-    "identity_operator": lambda data, n: identity_operator(data.draw(POSITIVE)),
-    "subdifferential_map": lambda data, n: subdifferential_map(l1_prox(data.draw(POSITIVE))),
-    "linear_monotone_map": lambda data, n: linear_monotone_map(monotone(data, n)),
-    "affine_monotone_map": lambda data, n: affine_monotone_map(monotone(data, n),
-                                                               vector(data, n)),
-    "matrix_operator": lambda data, n: matrix_operator(square(data, n)),
-    "rotation_map": lambda data, n: rotation_map(data.draw(st.floats(-4.0, 4.0))),
-    "gradient_map": lambda data, n: gradient_map(quadratic_fn(square(data, n), vector(data, n))),
-    "quadratic_fn": lambda data, n: quadratic_fn(square(data, n), vector(data, n),
-                                                 data.draw(ENTRIES)),
+    "l1_quadratic_prox": lambda draw, n: l1_quadratic_prox(
+        draw.floats(*POSITIVE), np.abs(vector(draw, n)), vector(draw, n)),
+    "zero_operator": lambda draw, n: zero_operator(),
+    "identity_operator": lambda draw, n: identity_operator(draw.floats(*POSITIVE)),
+    "subdifferential_map": lambda draw, n: subdifferential_map(l1_prox(draw.floats(*POSITIVE))),
+    "linear_monotone_map": lambda draw, n: linear_monotone_map(monotone(draw, n)),
+    "affine_monotone_map": lambda draw, n: affine_monotone_map(monotone(draw, n),
+                                                               vector(draw, n)),
+    "matrix_operator": lambda draw, n: matrix_operator(square(draw, n)),
+    "rotation_map": lambda draw, n: rotation_map(draw.floats(-4.0, 4.0)),
+    "gradient_map": lambda draw, n: gradient_map(quadratic_fn(square(draw, n), vector(draw, n))),
+    "quadratic_fn": lambda draw, n: quadratic_fn(square(draw, n), vector(draw, n),
+                                                 draw.floats(*ENTRIES)),
     "least_squares_fn": least_squares,
-    "one_minus_cos_fn": lambda data, n: one_minus_cos_fn(),
-    "zero_fn": lambda data, n: zero_fn(),
-    "matrix_linear_map": lambda data, n: matrix_linear_map(wide(data, n)),
-    "linearized_metric": lambda data, n: LinearizedMetric(
-        tau=data.draw(POSITIVE), c=data.draw(POSITIVE), A=matrix_linear_map(square(data, n))),
+    "one_minus_cos_fn": lambda draw, n: one_minus_cos_fn(),
+    "zero_fn": lambda draw, n: zero_fn(),
+    "matrix_linear_map": lambda draw, n: matrix_linear_map(wide(draw, n)),
+    "linearized_metric": lambda draw, n: LinearizedMetric(
+        tau=draw.floats(*POSITIVE), c=draw.floats(*POSITIVE),
+        A=matrix_linear_map(square(draw, n))),
 }
 
 
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(CATALOG))
-@SETTINGS
-@given(data=st.data())
-def test_catalog_oracles_give_each_row_its_own_bits(name, data):
-    n = 2 if name == "rotation_map" else data.draw(st.integers(1, 4))
-    obj = CATALOG[name](data, n)
+def test_catalog_oracles_give_each_row_its_own_bits(name, seed):
+    draw = Draws(seed)
+    n = 2 if name == "rotation_map" else draw.integers(1, 4)
+    obj = CATALOG[name](draw, n)
     with np.errstate(all="ignore"):
         for _, oracle, dim in oracles(obj, n):
-            assert_rows_have_their_own_bits(oracle, stack(data, dim))
+            assert_rows_have_their_own_bits(oracle, stack(draw, dim))
 
 
 # the catalog's binders: prox(gamma) and resolvent(gamma) return the map at that step
@@ -178,31 +213,31 @@ def bind_and_check(obj, gamma):
     return obj.resolvent(gamma), lambda x: resolvent_eval(obj, gamma, x)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", BINDERS)
-@SETTINGS
-@given(data=st.data())
-def test_bound_maps_equal_the_checked_entry_points(name, data):
+def test_bound_maps_equal_the_checked_entry_points(name, seed):
+    draw = Draws(seed)
     # on vectors and on stacks, bound at a Python float and at a 0-d array, and
     # evaluated twice: a bound map keeps nothing from one call to the next
-    n = data.draw(st.integers(1, 4))
-    obj = CATALOG[name](data, n)
-    gamma = data.draw(POSITIVE)
+    n = draw.integers(1, 4)
+    obj = CATALOG[name](draw, n)
+    gamma = draw.floats(*POSITIVE)
     bound, checked = bind_and_check(obj, gamma)
     bound_0d, _ = bind_and_check(obj, np.array(gamma))
     with np.errstate(all="ignore"):
-        for x in (vector(data, n), stack(data, n)):
+        for x in (vector(draw, n), stack(draw, n)):
             want = checked(x)
             assert want.dtype == np.float64 and want.shape == x.shape
             for got in (bound(x), bound(x), bound_0d(x)):
                 assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("gamma", [0.0, -0.0, -0.5, -np.inf, np.nan])
 @pytest.mark.parametrize("name", BINDERS)
-@settings(SETTINGS, max_examples=3)
-@given(data=st.data())
-def test_binding_at_a_step_that_is_not_positive_raises(name, gamma, data):
-    obj = CATALOG[name](data, data.draw(st.integers(1, 4)))
+def test_binding_at_a_step_that_is_not_positive_raises(name, gamma, seed):
+    draw = Draws(seed)
+    obj = CATALOG[name](draw, draw.integers(1, 4))
     binder = obj.prox if isinstance(obj, ProxFunction) else obj.resolvent
     with pytest.raises(ValueError, match="must be positive"):
         binder(gamma)  # no map is returned, so nothing is evaluated
@@ -224,60 +259,59 @@ def corpus_components():
     return out
 
 
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("obj, n", corpus_components())
-@SETTINGS
-@given(data=st.data())
-def test_corpus_components_give_each_row_its_own_bits(obj, n, data):
-    entries = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+def test_corpus_components_give_each_row_its_own_bits(obj, n, seed):
+    draw = Draws(seed)
     for _, oracle, dim in oracles(obj, n):
-        assert_rows_have_their_own_bits(oracle, stack(data, dim, entries))
+        assert_rows_have_their_own_bits(oracle, stack(draw, dim, (-3.0, 3.0)))
 
 
 # The indicators take a point as inside up to a tolerance relative to the
 # magnitudes their projections round at, so their sets and the points projected
 # are drawn at every scale from 1 to 1e6: SMALL entries times SCALES.
-SMALL = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-SCALES = st.sampled_from((1.0, 1e3, 1e6))
+SMALL = (-10.0, 10.0)
+SCALES = (1.0, 1e3, 1e6)
 
 
-def near_ball(data, n, s):
-    return ball_prox(s * data.draw(st.floats(0.1, 10.0)), s * vector(data, n, SMALL))
+def near_ball(draw, n, s):
+    return ball_prox(s * draw.floats(0.1, 10.0), s * vector(draw, n, SMALL))
 
 
-def near_halfspace(data, n, s):
-    normal = vector(data, n, SMALL)
-    normal[0] = data.draw(st.floats(1.0, 10.0))
-    return halfspace_prox(normal, s * data.draw(SMALL))
+def near_halfspace(draw, n, s):
+    normal = vector(draw, n, SMALL)
+    normal[0] = draw.floats(1.0, 10.0)
+    return halfspace_prox(normal, s * draw.floats(*SMALL))
 
 
-def near_affine(data, n, s):
+def near_affine(draw, n, s):
     """Cx = d with C = c([I 0] + a small perturbation), full row rank so that the set is
     nonempty, c drawn from SCALES too, and d = c*s*v so that the set lies at scale s."""
-    k, c = data.draw(st.integers(1, n)), data.draw(SCALES)
-    small = data.draw(arrays(np.float64, (k, n), elements=st.floats(-0.1, 0.1)))
-    return affine_prox(c * (np.eye(k, n) + small), c * s * vector(data, k, SMALL))
+    k, c = draw.integers(1, n), draw.choice(SCALES)
+    small = draw.floats(-0.1, 0.1, (k, n))
+    return affine_prox(c * (np.eye(k, n) + small), c * s * vector(draw, k, SMALL))
 
 
 # the value closures, against the prox they sit beside: prox(gamma)(x) minimizes
 # f(y) + ||y - x||^2/(2 gamma); True marks an indicator
 OPTIMALITY = {
-    "squared_l2_prox": (lambda data, n, s: CATALOG["squared_l2_prox"](data, n), False),
+    "squared_l2_prox": (lambda draw, n, s: CATALOG["squared_l2_prox"](draw, n), False),
     "ball_prox": (near_ball, True),
     "halfspace_prox": (near_halfspace, True),
     "affine_prox": (near_affine, True),
-    "l1_quadratic_prox": (lambda data, n, s: CATALOG["l1_quadratic_prox"](data, n), False),
+    "l1_quadratic_prox": (lambda draw, n, s: CATALOG["l1_quadratic_prox"](draw, n), False),
 }
 
 
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(OPTIMALITY))
-@SETTINGS
-@given(data=st.data())
-def test_prox_is_optimal_against_its_value(name, data):
+def test_prox_is_optimal_against_its_value(name, seed):
+    draw = Draws(seed)
     make, indicator = OPTIMALITY[name]
-    n, s = data.draw(st.integers(1, 4)), data.draw(SCALES)
-    f = make(data, n, s)
-    gamma = data.draw(st.floats(min_value=0.05, max_value=5.0))
-    X = s * stack(data, n, SMALL)
+    n, s = draw.integers(1, 4), draw.choice(SCALES)
+    f = make(draw, n, s)
+    gamma = draw.floats(0.05, 5.0)
+    X = s * stack(draw, n, SMALL)
 
     def objective(Y):
         D = Y - X
@@ -287,36 +321,35 @@ def test_prox_is_optimal_against_its_value(name, data):
     best = objective(P)
     assert best.shape == (X.shape[0],) and np.all(np.isfinite(best))
     for scale in (1e-3, 1e-1, 10.0):  # rivals near the prox and far from it
-        Y = P + scale * s * data.draw(arrays(np.float64, X.shape, elements=SMALL))
+        Y = P + scale * s * draw.floats(*SMALL, X.shape)
         if indicator:
             Y = f.prox(1.0)(Y)  # a point of the set
         rival = objective(Y)
         assert np.all(best <= rival + 1e-9 * (1.0 + np.abs(best) + np.abs(rival)))
 
 
-def clamped(data):
-    lo = data.draw(ENTRIES)
-    return affine_clamped(data.draw(ENTRIES), data.draw(st.floats(-10.0, 10.0)), lo,
-                          lo + data.draw(POSITIVE))
+def clamped(draw):
+    lo = draw.floats(*ENTRIES)
+    return affine_clamped(draw.floats(*ENTRIES), draw.floats(-10.0, 10.0), lo,
+                          lo + draw.floats(*POSITIVE))
 
 
 SCHEDULES = {
-    "constant": lambda data: constant(data.draw(ENTRIES)),
+    "constant": lambda draw: constant(draw.floats(*ENTRIES)),
     "affine_clamped": clamped,
-    "inv_power": lambda data: inv_power(data.draw(st.floats(0.1, 3.0)), data.draw(POSITIVE)),
-    "over_t": lambda data: over_t(data.draw(POSITIVE)),
-    "exp_decay": lambda data: exp_decay(data.draw(ENTRIES), data.draw(ENTRIES),
-                                        data.draw(st.floats(0.01, 5.0))),
+    "inv_power": lambda draw: inv_power(draw.floats(0.1, 3.0), draw.floats(*POSITIVE)),
+    "over_t": lambda draw: over_t(draw.floats(*POSITIVE)),
+    "exp_decay": lambda draw: exp_decay(draw.floats(*ENTRIES), draw.floats(*ENTRIES),
+                                        draw.floats(0.01, 5.0)),
 }
 
 
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
-@SETTINGS
-@given(data=st.data())
-def test_schedules_read_at_array_times_as_at_each_time(name, data):
-    s = SCHEDULES[name](data)
-    t = data.draw(arrays(np.float64, data.draw(st.integers(1, 6)),
-                         elements=st.floats(min_value=1e-3, max_value=1e3)))
+def test_schedules_read_at_array_times_as_at_each_time(name, seed):
+    draw = Draws(seed)
+    s = SCHEDULES[name](draw)
+    t = draw.floats(1e-3, 1e3, draw.integers(1, 6))
     for read in (s, s.derivative):
         got = read(t)
         assert got.dtype == np.float64 and got.shape == t.shape
