@@ -235,11 +235,10 @@ def _warn_if_relaxation_vanishes(spec, icfg):
                       "a finite horizon cannot verify")
 
 
-def _fejer(traj, problem):
-    """Fejer monotonicity, which only holds for the unperturbed flows."""
-    if problem.known_solution is None:
-        return []
-    return [fejer_check(traj, problem.known_solution)]
+def _fejer(traj, ref):
+    """Fejer monotonicity toward ref, none without one; it only holds for the
+    unperturbed flows."""
+    return [] if ref is None else [fejer_check(traj, ref)]
 
 
 def _build_km(problem, params, icfg):
@@ -251,7 +250,7 @@ def _build_km(problem, params, icfg):
 
 
 def _km_checks(traj, problem, spec):
-    return _fejer(traj, problem) + [record_monotone_check(traj, "fp_residual")]
+    return _fejer(traj, problem.known_solution) + [record_monotone_check(traj, "fp_residual")]
 
 
 def _build_fb(problem, params, icfg, tikhonov=False):
@@ -267,7 +266,7 @@ def _build_fb(problem, params, icfg, tikhonov=False):
 
 def _fb_checks(traj, problem, spec):
     """Fejer and, with relaxation 1 and a short step, the objective-gap bound."""
-    out = _fejer(traj, problem)
+    out = _fejer(traj, problem.known_solution)
     comps = problem.components
     if (spec.lam.bounds == (1.0, 1.0) and problem.known_solution is not None
             and "f" in comps and "g" in comps and _gap_step_holds(spec.gamma, comps["g"])):
@@ -292,11 +291,9 @@ def _build_dr(problem, params, form):
 def _dr_reflected_checks(traj, problem, spec):
     """Fejer monotonicity of z toward the fixed point z* = x* + gamma*B(x*) of the
     reflected flow, with the problem's single-valued B; none without one."""
-    B = problem.components.get("B")
-    if problem.known_solution is None or not isinstance(B, SingleValuedMap):
-        return []
-    xstar = np.asarray(problem.known_solution, dtype=float)
-    return [fejer_check(traj, xstar + spec.gamma * B(xstar))]
+    B, xstar = problem.components.get("B"), problem.known_solution
+    has_target = isinstance(B, SingleValuedMap) and xstar is not None
+    return _fejer(traj, xstar + spec.gamma * B(xstar) if has_target else None)
 
 
 def _build_proxgrad(problem, params, icfg):

@@ -2,7 +2,9 @@
 objective-gap certificate of the unrelaxed proximal-gradient flow.
 
 All reports are plain dicts with keys {check, pass, first_violation_t, margin}
-(plus check-specific extras) and serialize to JSON as-is.
+(plus check-specific extras) and serialize to JSON as-is.  Every check decides
+through one verdict (_verdict): a grid time passes where its value <= bound
+comparison holds, so a NaN is a violation, and so is a rise to +inf.
 """
 
 from __future__ import annotations
@@ -18,22 +20,27 @@ from .operators import ProxFunction, SmoothFunction
 from .schedules import Schedule
 
 
+def _verdict(name: str, times, holds, margin: float, **extra) -> dict:
+    """The report of a check that holds at times[i] where holds[i]: holds is a mask
+    of comparisons value <= bound, which a NaN fails."""
+    bad = ~holds
+    first = float(times[bad][0]) if np.any(bad) else None
+    return {"check": name, "pass": first is None, "first_violation_t": first,
+            "margin": margin, **extra}
+
+
 def nonincreasing_check(times, values, name: str = "nonincreasing",
                         abs_slack: float = 1e-9) -> dict:
     """Verify a sampled series never rises by more than abs_slack plus 1e-12 times the
-    larger magnitude of the pair; report the first violation.  A step to or from
-    NaN is a violation."""
+    larger finite magnitude of the pair; report the first violation.  A step to or
+    from NaN and a rise to +inf are violations; a fall from +inf is not."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     rises = np.diff(values)
-    allowed = abs_slack + 1e-12 * np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
-    bad = ~(rises <= allowed)
-    first = None
-    if np.any(bad):
-        first = float(times[1:][bad][0])
-    return {"check": name, "pass": not bool(np.any(bad)),
-            "first_violation_t": first,
-            "margin": float(np.max(rises)) if rises.size else 0.0}
+    size = np.where(np.isfinite(values), np.abs(values), 0.0)
+    allowed = abs_slack + 1e-12 * np.maximum(size[:-1], size[1:])
+    return _verdict(name, times[1:], rises <= allowed,
+                    float(np.max(rises)) if rises.size else 0.0)
 
 
 def fejer_check(traj: Trajectory, ref) -> dict:
@@ -52,13 +59,11 @@ def record_monotone_check(traj: Trajectory, record: str) -> dict:
     return nonincreasing_check(traj.times, traj.records[record], name=record)
 
 
-def objective_gap_series(traj: Trajectory, f: ProxFunction, g: SmoothFunction,
-                    gamma: float, xstar) -> np.ndarray:
-    """gap(T) = (f+g)(xd(T)+x(T)) - (f+g)(x*) + ||xd(T)||^2/(2*gamma) on the grid."""
-    xstar = np.asarray(xstar, dtype=float)
-    opt = f.value(xstar) + g.value(xstar)
-    u, v = traj.states + traj.velocities, traj.velocities
-    return f.value(u) + g.value(u) - opt + np.vecdot(v, v) / (2.0 * gamma)
+def cumulative_trapezoid(t, y) -> np.ndarray:
+    """The trapezoid integrals of y from t[0] to each t[i] (0.0 at t[0])."""
+    out = np.zeros(len(t))
+    out[1:] = np.cumsum(0.5 * np.diff(t) * (y[1:] + y[:-1]))
+    return out
 
 
 def objective_gap_check(times, gaps, d0_sq_over_2gamma: float, tol: float = 1e-6) -> dict:
@@ -66,6 +71,7 @@ def objective_gap_check(times, gaps, d0_sq_over_2gamma: float, tol: float = 1e-6
 
     The lower bound carries a tiny floating-point allowance so that exact-zero
     gaps at converged tails do not fail on rounding.  A NaN gap is a violation.
+    The first violation is the bound's, else the monotone check's.
     """
     times = np.asarray(times, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
@@ -73,37 +79,45 @@ def objective_gap_check(times, gaps, d0_sq_over_2gamma: float, tol: float = 1e-6
     pos = times > 0
     t, gap = times[pos], gaps[pos]
     viol = np.maximum(-gap - lower_slack, gap - d0_sq_over_2gamma / t * (1.0 + tol))
-    bad = t[~(viol <= 0)]
     mono = nonincreasing_check(times, gaps, name="gap-nonincreasing")
-    return {"check": "objective-gap-certificate", "pass": not bad.size and mono["pass"],
-            "first_violation_t": float(bad[0]) if bad.size else mono["first_violation_t"],
-            "margin": float(np.max(viol, initial=-np.inf)), "monotone": mono["pass"]}
+    # the monotone verdict goes last, at its own first violation (0.0 unused when it holds)
+    return _verdict("objective-gap-certificate",
+                    np.append(t, mono["first_violation_t"] or 0.0),
+                    np.append(viol <= 0, mono["pass"]),
+                    float(np.max(viol, initial=-np.inf)), monotone=mono["pass"])
+
+
+def _step_product(gamma: float, L: float) -> float:
+    """q*(3 + q) for q = gamma*L, the product the proximal-gradient step hypotheses
+    bound by 1, with L the Lipschitz constant of grad g."""
+    q = gamma * L
+    return q * (3.0 + q)
 
 
 def _gap_step_holds(gamma: float, g: SmoothFunction) -> bool:
-    """The objective-gap certificate's step hypothesis: with L the Lipschitz constant
-    of grad g, gamma*L*(3 + gamma*L) does not exceed 1 (to 1e-12)."""
-    q = gamma * g.grad_lipschitz
-    return q * (3.0 + q) <= 1.0 + 1e-12
+    """The objective-gap certificate's step hypothesis: _step_product(gamma, L) does
+    not exceed 1 (to 1e-12)."""
+    return _step_product(gamma, g.grad_lipschitz) <= 1.0 + 1e-12
 
 
 def proxgrad_gap_certificate(traj: Trajectory, f: ProxFunction, g: SmoothFunction,
                           gamma: float, xstar, tol: float = 1e-6) -> dict:
     """Certify the objective-gap bound of the unrelaxed proximal-gradient flow from the
-    run's first state x0: gap(T) <= ||x0 - x*||^2/(2*gamma*T).
+    run's first state x0: gap(T) <= ||x0 - x*||^2/(2*gamma*T), with
+    gap(T) = (f+g)(xd(T)+x(T)) - (f+g)(x*) + ||xd(T)||^2/(2*gamma) on the grid.
 
     Hypothesis: _gap_step_holds(gamma, g) (the flow must also run with relaxation
     1, which the caller guarantees by construction).
     """
     if not _gap_step_holds(gamma, g):
-        q = gamma * g.grad_lipschitz
         raise HypothesisError("step hypothesis violated: gamma*L*(3+gamma*L) = %g > 1"
-                              % (q * (3.0 + q)))
+                              % _step_product(gamma, g.grad_lipschitz))
     xstar = np.asarray(xstar, dtype=float)
     d0 = traj.states[0] - xstar
-    bound = float(d0 @ d0) / (2.0 * gamma)
-    gaps = objective_gap_series(traj, f, g, gamma, xstar)
-    return objective_gap_check(traj.times, gaps, bound, tol=tol)
+    u, v = traj.states + traj.velocities, traj.velocities
+    gaps = (f.value(u) + g.value(u) - (f.value(xstar) + g.value(xstar))
+            + np.vecdot(v, v) / (2.0 * gamma))
+    return objective_gap_check(traj.times, gaps, float(d0 @ d0) / (2.0 * gamma), tol=tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,11 +144,11 @@ def rate_fit(times, values, model: str = "power") -> RateFit:
     values = np.asarray(values, dtype=float)
     if times.size < 10:
         raise FitError("need at least 10 points, got %d" % times.size)
-    if np.any(values <= 0):
-        raise FitError("rate fits need strictly positive values")
+    if not np.all((values > 0) & (values < np.inf)):
+        raise FitError("rate fits need finite positive values")
     ly = np.log(values)
     if model == "power":
-        if np.any(times <= 0):
+        if not np.all(times > 0):
             raise FitError("power fits need positive times")
         lx = np.log(times)
     elif model == "exponential":
@@ -151,7 +165,7 @@ def envelope_slope(times, values, window: float) -> Tuple[float, float]:
     """Log-log slope of sliding-window maxima (for oscillatory decay envelopes)."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if window <= 0:
+    if not window > 0:
         raise FitError("window must be positive")
     env_t, env_v = [], []
     start = times[0]
@@ -164,8 +178,8 @@ def envelope_slope(times, values, window: float) -> Tuple[float, float]:
     if len(env_t) < 5:
         raise FitError("too few envelope windows (%d)" % len(env_t))
     env_t, env_v = np.array(env_t), np.array(env_v)
-    if np.any(env_v <= 0):
-        raise FitError("envelope values must be positive")
+    if not np.all((env_v > 0) & (env_v < np.inf)):
+        raise FitError("envelope values must be finite and positive")
     slope, _, r2 = _loglog_fit(np.log(env_t), np.log(env_v))
     return float(slope), r2
 
@@ -182,20 +196,15 @@ def km_residual_rate_check(traj: Trajectory, lam: Schedule) -> dict:
         raise KeyError("trajectory has no record 'fp_residual'")
     r = np.asarray(traj.records["fp_residual"], dtype=float)
     lam_vals = lam(times)
-    if np.min(lam_vals) <= 0.0 or np.max(lam_vals) >= 1.0:
+    if not (np.min(lam_vals) > 0.0 and np.max(lam_vals) < 1.0):
         raise HypothesisError("need 0 < inf lam <= sup lam < 1 on the grid, got range [%g, %g]"
                               % (np.min(lam_vals), np.max(lam_vals)))
     tau_lo = float(np.min(lam_vals * (1.0 - lam_vals)))
-    integrand = lam_vals * (1.0 - lam_vals) * r ** 2
-    cum = np.zeros_like(times)
-    cum[1:] = np.cumsum(0.5 * np.diff(times) * (integrand[1:] + integrand[:-1]))
+    cum = cumulative_trapezoid(times, lam_vals * (1.0 - lam_vals) * r ** 2)
     dt = times[1] - times[0]
     k = (times >= 2.0 * dt - 1e-12) & (times > times[0])
     t = times[k]
     cum_lo = np.interp(np.maximum(t / 2.0, times[0]), times, cum)
     rhs = (2.0 / tau_lo) * (cum[k] - cum_lo)
     viol = t * r[k] ** 2 - rhs - 1e-6 * (1.0 + rhs)
-    bad = t[viol > 0]
-    return {"check": "km-rate-inequality", "pass": not bad.size,
-            "first_violation_t": float(bad[0]) if bad.size else None,
-            "margin": float(np.max(viol, initial=-np.inf))}
+    return _verdict("km-rate-inequality", t, viol <= 0, float(np.max(viol, initial=-np.inf)))

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import SpecError
 from .integrate import FlowField
-from .operators import (MonotoneMap, SingleValuedMap, _reflect, check_fb_step, fb_delta,
-                        norm)
+from .operators import (MonotoneMap, SingleValuedMap, _nonexpansive, _reflect, check_fb_step,
+                        fb_delta, norm)
 from .schedules import Schedule, _bind
 
 _BOUND_TOL = 1e-12
@@ -84,9 +84,9 @@ class KMFlowSpec:
     def __post_init__(self):
         if self.averaged_alpha is not None and not (0.0 < self.averaged_alpha < 1.0):
             raise SpecError("averagedness parameter must lie in (0,1)")
-        L = self.T.lipschitz_L
-        if L is not None and L > 1.0 + 1e-10:
-            raise SpecError("KM flow needs a nonexpansive T, got Lipschitz bound %g" % L)
+        if not _nonexpansive(self.T):
+            raise SpecError("KM flow needs a nonexpansive T, got Lipschitz bound %g"
+                            % self.T.lipschitz_L)
         for lam in self.lam.bounds or ():
             check_relaxation(lam, self.lambda_cap)
 

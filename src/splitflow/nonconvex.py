@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .diagnostics import _loglog_fit
+from .diagnostics import _loglog_fit, _step_product, cumulative_trapezoid
 from .errors import FitError, SpecError
 from .integrate import FlowField, Trajectory
 from .operators import ProxFunction, SmoothFunction, _per_row, norm
@@ -22,9 +22,9 @@ from .operators import ProxFunction, SmoothFunction, _per_row, norm
 
 def check_eta(beta: float, eta: float) -> bool:
     """True iff eta*beta*(3 + eta*beta) < 1."""
-    if beta < 0 or eta <= 0:
+    if not (beta >= 0 and eta > 0):
         raise ValueError("need beta >= 0 and eta > 0")
-    return eta * beta * (3.0 + eta * beta) < 1.0
+    return _step_product(eta, beta) < 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,9 +35,8 @@ class NonconvexProblem:
 
     def __post_init__(self):
         if not check_eta(self.g.grad_lipschitz, self.eta):
-            raise SpecError(
-                "step condition violated: eta*beta*(3 + eta*beta) = %g >= 1"
-                % (self.eta * self.g.grad_lipschitz * (3.0 + self.eta * self.g.grad_lipschitz)))
+            raise SpecError("step condition violated: eta*beta*(3 + eta*beta) = %g >= 1"
+                            % _step_product(self.eta, self.g.grad_lipschitz))
 
     @property
     def descent_coefficient(self) -> float:
@@ -100,17 +99,9 @@ def subgradient_norm_series(p: NonconvexProblem, traj: Trajectory) -> np.ndarray
     return merit_subgradient_norm(p, traj.states, traj.velocities)
 
 
-def _arclength(t, x, v) -> np.ndarray:
-    """Cumulative trapezoid of ||v|| over the stacked record times t (a probe)."""
-    speed = norm(v)
-    out = np.zeros(len(t))
-    out[1:] = np.cumsum(0.5 * np.diff(t) * (speed[1:] + speed[:-1]))
-    return out
-
-
 def arclength_series(traj: Trajectory) -> np.ndarray:
     """Cumulative trapezoid of ||xd|| over the recorded grid (the arclength probe)."""
-    return _arclength(traj.times, traj.states, traj.velocities)
+    return cumulative_trapezoid(traj.times, norm(traj.velocities))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,5 +187,5 @@ def nonconvex_probes(p: NonconvexProblem):
         ("merit_subgrad", lambda t, x, v: merit_subgradient_norm(p, x, v)),
         ("crit_residual", lambda t, x, v: critical_residual(p, x)),
         ("speed", lambda t, x, v: norm(v)),
-        ("arclength", _arclength),
+        ("arclength", lambda t, x, v: cumulative_trapezoid(t, norm(v))),
     ]

@@ -38,8 +38,10 @@ return the map x -> prox_{gamma f}(x) or J_{gamma A}(x), with every constant
 derived from the step computed once (a threshold, a shift, a divisor,
 I + gamma*M).  A flow field and a probe bind their oracles when they are
 built, a discrete step at every call.  prox_eval, resolvent_eval,
-reflected_resolvent, yosida_eval and moreau_conjugate_prox check and convert
-their arguments, bind, and evaluate: the entry points for a caller's vector.
+reflected_resolvent, yosida_eval and moreau_conjugate_prox convert the
+caller's vector, bind, and evaluate: the entry points for a caller's vector.
+The binder is the one place a step is checked, so a bad step given to an entry
+point raises the binder's ValueError before anything is evaluated.
 A bound map is an oracle, so it takes an ndarray: the zero maps bind
 np.ndarray.copy, which raises TypeError on a list, a Python float or a numpy
 scalar that the entry points would have converted.
@@ -193,6 +195,11 @@ class SingleValuedMap:
         return self.fn(x)
 
 
+def _nonexpansive(T: SingleValuedMap) -> bool:
+    """T has no Lipschitz bound, or one of at most 1 (to 1e-10); a NaN bound has not."""
+    return T.lipschitz_L is None or T.lipschitz_L <= 1.0 + 1e-10
+
+
 @dataclasses.dataclass(frozen=True)
 class SmoothFunction:
     """A differentiable function with a known gradient Lipschitz constant.
@@ -225,15 +232,11 @@ class LinearMap:
 
 def prox_eval(f: ProxFunction, gamma: float, x: Array) -> Array:
     """Evaluate prox_{gamma f}(x)."""
-    if not gamma > 0:  # also rejects NaN
-        raise ValueError("prox parameter gamma must be positive, got %r" % gamma)
     return f.prox(gamma)(np.asarray(x, dtype=float))
 
 
 def resolvent_eval(A: MonotoneMap, gamma: float, x: Array) -> Array:
     """Evaluate J_{gamma A}(x) = (Id + gamma*A)^{-1}(x)."""
-    if not gamma > 0:  # also rejects NaN
-        raise ValueError("resolvent parameter gamma must be positive, got %r" % gamma)
     return A.resolvent(gamma)(np.asarray(x, dtype=float))
 
 
@@ -244,17 +247,14 @@ def _reflect(J: Callable[[Array], Array], x: Array) -> Array:
 
 def reflected_resolvent(A: MonotoneMap, gamma: float, x: Array) -> Array:
     """Evaluate 2*J_{gamma A}(x) - x (nonexpansive)."""
-    if not gamma > 0:  # also rejects NaN
-        raise ValueError("resolvent parameter gamma must be positive, got %r" % gamma)
     return _reflect(A.resolvent(gamma), np.asarray(x, dtype=float))
 
 
 def yosida_eval(A: MonotoneMap, lam: float, x: Array) -> Array:
     """Evaluate the Yosida regularization (x - J_{lam A}(x))/lam, (1/lam)-Lipschitz."""
-    if not lam > 0:  # also rejects NaN
-        raise ValueError("Yosida parameter lam must be positive, got %r" % lam)
+    J = A.resolvent(lam)
     x = np.asarray(x, dtype=float)
-    return (x - A.resolvent(lam)(x)) / lam
+    return (x - J(x)) / lam
 
 
 def fb_delta(beta: float, gamma: float) -> float:
@@ -278,10 +278,14 @@ def check_fb_step(B: SingleValuedMap, gamma: float, relaxed: bool = False) -> fl
 # analytic prox catalog
 
 
+def _zero(x):
+    """The value oracle of f = 0."""
+    return _per_row(np.zeros(x.shape[:-1]), x)
+
+
 def zero_prox() -> ProxFunction:
     """f = 0; prox is the identity."""
-    return ProxFunction(value=lambda x: _per_row(np.zeros(x.shape[:-1]), x),
-                        prox=_step_free(np.ndarray.copy))
+    return ProxFunction(value=_zero, prox=_step_free(np.ndarray.copy))
 
 
 def _shrink(thresh) -> Callable[[Array], Array]:
@@ -468,10 +472,9 @@ def l1_quadratic_prox(weight: float, quad_diag, lin) -> ProxFunction:
 
 def moreau_conjugate_prox(g: ProxFunction, c: float, w: Array) -> Array:
     """prox_{c g*}(w) via the Moreau identity w - c*prox_{g/c}(w/c)."""
-    if not c > 0:  # also rejects NaN
-        raise ValueError("conjugate prox parameter c must be positive")
+    prox = g.prox(1.0 / _positive(c))
     w = np.asarray(w, dtype=float)
-    return w - c * g.prox(1.0 / c)(w / c)
+    return w - c * prox(w / c)
 
 
 # ---------------------------------------------------------------------------
@@ -500,20 +503,28 @@ def subdifferential_map(f: ProxFunction) -> MonotoneMap:
     return MonotoneMap(resolvent=f.prox)
 
 
-def linear_monotone_map(M) -> MonotoneMap:
-    """A = M with M + M^T positive semidefinite; resolvent solves (I + gamma*M)p = x."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    sym = 0.5 * (M + M.T)
-    eigmin = float(np.min(np.linalg.eigvalsh(sym)))
+def affine_monotone_map(M, q) -> MonotoneMap:
+    """A(x) = Mx + q with M + M^T positive semidefinite; the resolvent solves
+    (I + gamma*M)p = x - gamma*q."""
+    M = _finite_matrix(M, "monotone map: M")
+    eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))))
     if eigmin < -1e-10:
         raise ValueError("matrix is not monotone: min symmetric eigenvalue %g" % eigmin)
+    q = np.asarray(q, dtype=float)
     eye = np.eye(M.shape[0])
 
     def resolvent(gamma):
-        K = eye + _positive(gamma) * M
-        return lambda x: _solve(K, x)
+        g = _positive(gamma)
+        K, shift = eye + g * M, g * q
+        return lambda x: _solve(K, x - shift)
 
     return MonotoneMap(resolvent=resolvent)
+
+
+def linear_monotone_map(M) -> MonotoneMap:
+    """A = M with M + M^T positive semidefinite: affine_monotone_map(M, 0), whose
+    shift x - 0.0 keeps every bit of x (a -0.0 and a NaN too)."""
+    return affine_monotone_map(M, 0.0)
 
 
 def matrix_operator(M) -> SingleValuedMap:
@@ -598,8 +609,7 @@ def one_minus_cos_fn() -> SmoothFunction:
 
 
 def zero_fn() -> SmoothFunction:
-    return SmoothFunction(value=lambda x: _per_row(np.zeros(x.shape[:-1]), x),
-                          gradient=np.zeros_like, grad_lipschitz=0.0)
+    return SmoothFunction(value=_zero, gradient=np.zeros_like, grad_lipschitz=0.0)
 
 
 def matrix_linear_map(M) -> LinearMap:

@@ -145,7 +145,7 @@ def solve_prox_quadratic(f: ProxFunction, q_apply: Callable[[Array], Array],
     1/q_norm.  max_iter bounds the number of prox evaluations; SolverError
     carries the last accepted move ||d||/s_safe.
     """
-    if q_norm <= 0:
+    if not q_norm > 0:
         raise ValueError("q_norm must be a positive Lipschitz bound")
     s_safe = 1.0 / q_norm
     s = s_safe

@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import SolverError
 from .nonconvex import NonconvexProblem, critical_residual
-from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, _per_row, _positive,
-                        _rows_dot, _solve, affine_prox, box_prox, difference_matrix, gradient_map,
-                        l1_prox, least_squares_fn, matrix_linear_map, matrix_operator,
-                        one_minus_cos_fn, quadratic_fn, resolvent_eval, rotation_map,
-                        soft_threshold, subdifferential_map, zero_operator)
+from .operators import (SingleValuedMap, SmoothFunction, _per_row, _rows_dot, _shrink,
+                        affine_monotone_map, affine_prox, box_prox, difference_matrix,
+                        gradient_map, l1_prox, least_squares_fn, matrix_linear_map,
+                        matrix_operator, one_minus_cos_fn, quadratic_fn, resolvent_eval,
+                        rotation_map, subdifferential_map, zero_operator)
 from .primal_dual import PDState, StructuredProblem, saddle_residuals
 
 Array = np.ndarray
@@ -90,8 +90,9 @@ def _fista_iterates(Q: Array, b: Array, mu: float):
     x = np.zeros(len(b))
     z = x.copy()
     t_acc = 1.0
+    shrink = _shrink(step * mu)
     for _ in range(4000):
-        x_next = soft_threshold(z - step * (Q @ z - b), step * mu)
+        x_next = shrink(z - step * (Q @ z - b))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2))
         z = x_next + ((t_acc - 1.0) / t_next) * (x_next - x)
         x, t_acc = x_next, t_next
@@ -141,8 +142,9 @@ def _condat_vu_iterates(prob: StructuredProblem, A: Array, b: Array, mu: float, 
     tau = 1.0 / (sigma * prob.A.norm_estimate ** 2 + 0.5 * prob.h.grad_lipschitz + 0.1)
     x = np.zeros(prob.n)
     y = np.zeros(prob.m)
+    shrink = _shrink(tau * mu)
     for _ in range(20000):
-        x_next = soft_threshold(x - tau * ((x - b) + A.T @ y), tau * mu)
+        x_next = shrink(x - tau * ((x - b) + A.T @ y))
         w = y + sigma * (A @ (2.0 * x_next - x))
         y = np.clip(w, -nu, nu)
         x = x_next
@@ -212,20 +214,6 @@ def solve_pd_saddle(prob: StructuredProblem, mu: float, nu: float) -> PDState:
 def _seeded_orthogonal(rng, n: int) -> Array:
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return Q
-
-
-def affine_monotone_map(M: Array, q: Array) -> MonotoneMap:
-    """A(x) = Mx + q with M + M^T PSD; resolvent solves (I + gamma*M)p = x - gamma*q."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    q = np.asarray(q, dtype=float)
-    eye = np.eye(M.shape[0])
-
-    def resolvent(gamma):
-        g = _positive(gamma)
-        K, shift = eye + g * M, g * q
-        return lambda x: _solve(K, x - shift)
-
-    return MonotoneMap(resolvent=resolvent)
 
 
 def _composite_problem(name: str, f, g, xstar: Array, start: Array, horizon: float,

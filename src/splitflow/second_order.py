@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import SpecError
 from .integrate import FlowField, Trajectory
-from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, check_fb_step,
-                        fb_delta, norm, yosida_eval)
+from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, _nonexpansive,
+                        check_fb_step, fb_delta, norm, yosida_eval)
 from .schedules import Schedule, _bind, over_t
 
 
@@ -106,7 +106,7 @@ class SecondOrderSpec:
 
     @classmethod
     def nonexpansive(cls, T: SingleValuedMap, condition: DampingCondition):
-        if T.lipschitz_L is not None and T.lipschitz_L > 1.0 + 1e-10:
+        if not _nonexpansive(T):
             raise SpecError("nonexpansive variant needs a nonexpansive T")
         Tf = T.fn
         return cls._scheduled("nonexpansive", lambda x: x - Tf(x), 0.5, condition)

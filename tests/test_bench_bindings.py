@@ -9,6 +9,7 @@ otherwise surface only when the benchmark runs.
 import collections
 import importlib
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -53,6 +54,14 @@ def test_benchmark_workloads_pass_their_gates(monkeypatch, tmp_path):
     for exp in experiments:
         passed, detail = exp.check(exp.run())
         assert passed, "%s: %s" % (exp.key, detail)
+
+
+def test_benchmark_gate_selftest_passes():
+    # bench/selftest.py perturbs experiment outputs and checks that the gates
+    # count each perturbed run as failed and each clean run as passed
+    done = subprocess.run([sys.executable, os.path.join(BENCH, "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_traced_bindings_are_distinct_functions(monkeypatch):

@@ -13,7 +13,7 @@ from splitflow.first_order import FBFlowSpec, KMFlowSpec, fb_field, fb_probes, k
 from splitflow.integrate import IntegratorConfig, Trajectory, integrate
 from splitflow.operators import quadratic_fn, rotation_map
 from splitflow.problems import get_problem
-from splitflow.schedules import constant
+from splitflow.schedules import Schedule, constant
 
 
 def make_traj(times, values_1d, records=None):
@@ -51,6 +51,13 @@ class TestMonotoneChecks:
         report = nonincreasing_check([0.0, 1.0, 2.0], values)
         assert not report["pass"]
         assert report["first_violation_t"] == first
+
+    def test_a_rise_to_inf_fails_and_a_fall_from_inf_passes(self):
+        # the rounding allowance scales with the finite magnitudes alone
+        report = nonincreasing_check([0.0, 1.0], [1.0, np.inf])
+        assert not report["pass"]
+        assert report["first_violation_t"] == 1.0
+        assert nonincreasing_check([0.0, 1.0], [np.inf, 1.0])["pass"]
 
 
 class TestIstaGapCheck:
@@ -141,6 +148,15 @@ class TestRateFit:
         with pytest.raises(FitError):
             rate_fit(np.linspace(1, 2, 20), np.linspace(-1, 1, 20))  # nonpositive
 
+    @pytest.mark.parametrize("model", ["power", "exponential"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_nan_or_inf_value_is_rejected(self, bad, model):
+        t = np.linspace(1.0, 50.0, 100)
+        values = 5.0 / t ** 2
+        values[40] = bad
+        with pytest.raises(FitError, match="finite positive"):
+            rate_fit(t, values, model=model)
+
 
 class TestRate2Inequality:
     def _km_run(self, lam_value):
@@ -172,16 +188,40 @@ class TestRate2Inequality:
         assert not report["pass"]
         assert report["first_violation_t"] is not None
 
+    def test_nan_residual_fails(self):
+        traj, lam = self._km_run(0.5)
+        bad = dict(traj.records)
+        bad["fp_residual"] = traj.records["fp_residual"].copy()
+        bad["fp_residual"][300] = np.nan
+        corrupted = Trajectory(times=traj.times, states=traj.states,
+                               velocities=traj.velocities, records=bad)
+        report = km_residual_rate_check(corrupted, lam)
+        assert not report["pass"]
+        assert report["first_violation_t"] == traj.times[300]
+
     def test_lambda_hypothesis_enforced(self):
         traj, _ = self._km_run(0.5)
         with pytest.raises(HypothesisError):
             km_residual_rate_check(traj, constant(1.0))
+
+    def test_nan_lambda_fails_the_hypothesis(self):
+        traj, _ = self._km_run(0.5)
+        with pytest.raises(HypothesisError):
+            km_residual_rate_check(traj, Schedule(fn=lambda t: np.nan * t, dfn=lambda t: 0.0))
 
 
 class TestEnvelopeAndJson:
     def test_envelope_needs_enough_windows(self):
         with pytest.raises(FitError):
             envelope_slope(np.linspace(0, 1, 10), np.ones(10), window=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_envelope_rejects_a_nan_or_inf_value(self, bad):
+        t = np.linspace(1.0, 50.0, 500)
+        values = 1.0 / t
+        values[200] = bad
+        with pytest.raises(FitError, match="finite and positive"):
+            envelope_slope(t, values, window=5.0)
 
     def test_report_serializes_with_required_keys(self):
         report = nonincreasing_check([0, 1], [1.0, 0.5], name="demo")

@@ -48,6 +48,11 @@ class TestKMField:
         with pytest.raises(SpecError):
             KMFlowSpec(T=bad, lam=constant(0.5))
 
+    def test_nan_lipschitz_bound_rejected(self):
+        bad = SingleValuedMap(fn=np.negative, lipschitz_L=np.nan)
+        with pytest.raises(SpecError, match="nonexpansive"):
+            KMFlowSpec(T=bad, lam=constant(0.5))
+
 
 class TestFBField:
     def test_equilibrium_field_vanishes(self):

@@ -3,7 +3,7 @@ import pytest
 
 from splitflow import operators
 from splitflow.first_order import fb_increment
-from splitflow.operators import (affine_prox, as_vector, ball_prox,
+from splitflow.operators import (affine_monotone_map, affine_prox, as_vector, ball_prox,
                                  box_prox, fb_delta, gradient_map, halfspace_prox,
                                  identity_operator, l1_prox, l1_quadratic_prox,
                                  least_squares_fn, linear_monotone_map, matrix_linear_map,
@@ -13,7 +13,7 @@ from splitflow.operators import (affine_prox, as_vector, ball_prox,
                                  resolvent_eval, rotation_map, soft_threshold,
                                  squared_l2_prox, subdifferential_map, yosida_eval,
                                  zero_operator, zero_prox)
-from splitflow.problems import affine_monotone_map, get_problem
+from splitflow.problems import get_problem
 
 
 def golden_min_1d(fn, lo, hi, tol=1e-12):
@@ -36,6 +36,19 @@ def golden_min_1d(fn, lo, hi, tol=1e-12):
 
 def prox_oracle_1d(value_fn, gamma, x, lo=-5.0, hi=5.0):
     return golden_min_1d(lambda y: value_fn(y) + (y - x) ** 2 / (2.0 * gamma), lo, hi)
+
+
+# the entry points evaluate at the step they are given; the binder checks it
+STEP_ENTRY_POINTS = {
+    "prox_eval": lambda s: prox_eval(l1_prox(1.0), s, np.array([1.0])),
+    "resolvent_eval": lambda s: resolvent_eval(identity_operator(), s, np.array([1.0])),
+    "reflected_resolvent": lambda s: reflected_resolvent(identity_operator(), s,
+                                                         np.array([1.0])),
+    "yosida_eval": lambda s: yosida_eval(identity_operator(), s, np.array([1.0])),
+    "moreau_conjugate_prox": lambda s: moreau_conjugate_prox(l1_prox(1.0), s,
+                                                             np.array([1.0])),
+}
+NONPOSITIVE_STEPS = {"zero": 0.0, "neg-inf": -np.inf}
 
 
 def soft_threshold_reference(x, t):
@@ -153,11 +166,10 @@ class TestProxEval:
             prox_eval(zero_prox(), 0.0, np.array([1.0]))
 
     @pytest.mark.parametrize("evaluate,message", [
-        (lambda s: prox_eval(l1_prox(1.0), s, np.array([1.0])), "must be positive"),
-        (lambda s: resolvent_eval(identity_operator(), s, np.array([1.0])), "must be positive"),
-        (lambda s: yosida_eval(identity_operator(), s, np.array([1.0])), "must be positive"),
-        (lambda s: moreau_conjugate_prox(l1_prox(1.0), s, np.array([1.0])),
-         "must be positive"),
+        *[(evaluate, "must be positive") for evaluate in STEP_ENTRY_POINTS.values()],
+        # and at the steps 0 and -inf, given in place of the NaN
+        *[(lambda _, evaluate=evaluate, s=s: evaluate(s), "must be positive")
+          for evaluate in STEP_ENTRY_POINTS.values() for s in NONPOSITIVE_STEPS.values()],
         # a catalog parameter that is NaN is rejected where the function is built
         (l1_prox, "must be nonnegative"),
         (squared_l2_prox, "must be positive"),
@@ -172,11 +184,11 @@ class TestProxEval:
         # a center with a NaN entry is rejected where the function is built
         (lambda v: ball_prox(1.0, [v]), "must be finite"),
         (lambda v: squared_l2_prox(1.0, [v]), "must be finite"),
-    ], ids=["prox_eval", "resolvent_eval", "yosida_eval",
-            "moreau_conjugate_prox", "l1_prox", "squared_l2_prox", "ball_prox",
-            "identity_operator", "l1_quadratic_prox", "halfspace_prox", "box_prox",
-            "l1_quadratic_prox-negative", "box_prox-empty", "ball_prox-center",
-            "squared_l2_prox-center"])
+    ], ids=[*STEP_ENTRY_POINTS,
+            *["%s-%s" % (name, tag) for name in STEP_ENTRY_POINTS for tag in NONPOSITIVE_STEPS],
+            "l1_prox", "squared_l2_prox", "ball_prox", "identity_operator", "l1_quadratic_prox",
+            "halfspace_prox", "box_prox", "l1_quadratic_prox-negative", "box_prox-empty",
+            "ball_prox-center", "squared_l2_prox-center"])
     def test_nan_step_rejected(self, evaluate, message):
         with pytest.raises(ValueError, match=message):
             evaluate(np.nan)
@@ -232,6 +244,32 @@ class TestResolvent:
                 lhs = np.sum((Jx - Jy) ** 2)
                 rhs = float((x - y) @ (Jx - Jy))
                 assert lhs <= rhs + 1e-10
+
+    @pytest.mark.parametrize("make", [linear_monotone_map,
+                                      lambda M: affine_monotone_map(M, [1.0, -1.0])],
+                             ids=["linear", "affine"])
+    @pytest.mark.parametrize("M,message", [([[1.0, np.nan], [0.0, 1.0]], "non-finite"),
+                                           ([[1.0, 3.0], [-1.0, -0.5]], "not monotone")],
+                             ids=["nan", "not-monotone"])
+    def test_monotone_map_rejects_a_bad_matrix(self, make, M, message):
+        with pytest.raises(ValueError, match=message):
+            make(M)
+
+    def test_linear_map_is_the_affine_map_without_shift(self):
+        # x - 0.0 keeps every bit of x, so both solve (I + gamma*M)p = x to one set of bits
+        rng = np.random.default_rng(3)
+        skew = rng.standard_normal((4, 4))
+        M = skew - skew.T + np.diag([0.0, 0.5, 1.0, 2.0])
+        X = rng.standard_normal((6, 4))
+        X[0], X[1, 2] = -0.0, -0.0
+        for gamma in (0.3, 2.0):
+            linear = linear_monotone_map(M).resolvent(gamma)
+            affine = affine_monotone_map(M, 0).resolvent(gamma)
+            K = np.eye(4) + gamma * M
+            assert linear(X).tobytes() == affine(X).tobytes()
+            for x in X:
+                assert linear(x).tobytes() == affine(x).tobytes()
+                assert linear(x).tobytes() == np.linalg.solve(K, x).tobytes()
 
 
 class TestReflectedAndYosida:

@@ -326,6 +326,11 @@ class TestSolveProxQuadratic:
         for i in at_solution:
             assert bases[i + 1] == i + 1  # the next step starts from the trial's result
 
+    @pytest.mark.parametrize("q_norm", [0.0, np.nan])
+    def test_q_norm_must_be_positive(self, q_norm):
+        with pytest.raises(ValueError, match="q_norm must be a positive"):
+            solve_prox_quadratic(l1_prox(1.0), lambda v: v, q_norm, self.w, np.zeros(3))
+
     def test_ill_conditioned_start_takes_few_prox_evaluations(self):
         # without the floor, rounding-level rejections alternate s = 1 and
         # s_safe here for 4,479 prox evaluations

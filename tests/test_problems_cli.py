@@ -19,7 +19,7 @@ from splitflow.config import (ExperimentConfig, config_from_dict, list_flows, lo
                               run_experiment, save_config)
 from splitflow.errors import SolverError, SpecError
 from splitflow.integrate import IntegratorConfig, integrate
-from splitflow.operators import SingleValuedMap, l1_prox, soft_threshold, subdifferential_map
+from splitflow.operators import SingleValuedMap, _shrink, l1_prox, subdifferential_map
 from splitflow.primal_dual import PDState
 from splitflow.problems import (ProblemDef, affine_monotone_map, corpus, get_problem,
                                 solution_residual, state_residual)
@@ -93,11 +93,16 @@ class TestCorpus:
     def test_oracles_stop_at_their_certificate(self, monkeypatch):
         calls = []
 
-        def counted(x, thresh):
-            calls.append(1)
-            return soft_threshold(x, thresh)
+        def counted(thresh):  # each oracle binds its threshold once, before its loop
+            shrink = _shrink(thresh)
 
-        monkeypatch.setattr(problems, "soft_threshold", counted)
+            def count_and_shrink(x):
+                calls.append(1)
+                return shrink(x)
+
+            return count_and_shrink
+
+        monkeypatch.setattr(problems, "_shrink", counted)
         problems.corpus.__wrapped__(0)  # uncached
         assert 0 < len(calls) <= 1000  # the full budgets make 3*4000 + 20000 calls
 

@@ -52,6 +52,12 @@ class TestCheckA1:
             check_damping_condition(DampingCondition(constant(3.0), constant(1.0), 0.1), beta,
                                     np.linspace(0, 5, 10))
 
+    @pytest.mark.parametrize("L", [2.0, np.nan])
+    def test_nonexpansive_variant_needs_a_nonexpansive_T(self, L):
+        T = SingleValuedMap(fn=np.negative, lipschitz_L=L)
+        with pytest.raises(SpecError, match="nonexpansive"):
+            SecondOrderSpec.nonexpansive(T, DampingCondition(constant(3.0), constant(1.0), 0.1))
+
     def test_required_bound_per_variant(self):
         # (1/spec.beta)*(1+theta) equals the former per-kind bound
         # (1+theta)*{1/beta, 2, 2/delta} bit for bit
