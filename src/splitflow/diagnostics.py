@@ -130,7 +130,10 @@ class RateFit:
 
 
 def _loglog_fit(lx, ly) -> Tuple[float, float, float]:
-    """Least-squares line ly ~ slope*lx + intercept; returns (slope, intercept, r2 in [0, 1])."""
+    """Least-squares line ly ~ slope*lx + intercept; returns (slope, intercept, r2 in [0, 1]).
+    FitError unless every lx and ly is finite."""
+    if not (np.all(np.isfinite(lx)) and np.all(np.isfinite(ly))):
+        raise FitError("log-log fits need finite coordinates")
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
@@ -144,7 +147,7 @@ def rate_fit(times, values, model: str = "power") -> RateFit:
     values = np.asarray(values, dtype=float)
     if times.size < 10:
         raise FitError("need at least 10 points, got %d" % times.size)
-    if not np.all((values > 0) & (values < np.inf)):
+    if not np.all(values > 0):
         raise FitError("rate fits need finite positive values")
     ly = np.log(values)
     if model == "power":
@@ -178,7 +181,7 @@ def envelope_slope(times, values, window: float) -> Tuple[float, float]:
     if len(env_t) < 5:
         raise FitError("too few envelope windows (%d)" % len(env_t))
     env_t, env_v = np.array(env_t), np.array(env_v)
-    if not np.all((env_v > 0) & (env_v < np.inf)):
+    if not np.all(env_v > 0):
         raise FitError("envelope values must be finite and positive")
     slope, _, r2 = _loglog_fit(np.log(env_t), np.log(env_v))
     return float(slope), r2

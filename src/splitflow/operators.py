@@ -18,19 +18,18 @@ flows, and the public diagnostic and merit functions.
 Nothing beneath them converts again, so an elementwise closure that only
 forwards its argument is the callable itself (np.sin, np.negative).
 
-Small products on the step path go through ndarray.dot: every matrix-vector
-product of the catalog (M.dot(x)) and every self-dot (v.dot(v)).  On vectors
-of a few entries a product costs numpy's dispatch, not arithmetic, and
-ndarray.dot dispatches in half the time of @ or less.  The two give the same
-bits except when the summed dimension is 1 (a 1-column matrix, or two
-1-entry vectors): there .dot returns the bare product, so an exact zero can
-come out as -0.0 where @ adds it to +0.0.  A self-dot is never -0.0, so
-self-dots are always safe.  Cross dots (u @ v of two different vectors) stay
-@, since a 1-D flow's -0.0 would change the CSV outputs.  A stack goes through
-np.matvec and np.vecdot, which give each row the bits of @, and so of .dot
-but where M has a single column (see _rows_dot).  A bound M.dot is therefore
-no oracle: on a stack it would contract the record axis (and without an
-error when R == n); _matvec(M) is the oracle x -> M x.
+Small products on the step path go through ndarray.dot: every self-dot
+(v.dot(v)), and every matrix-vector product of the catalog, whose one path is
+_matvec(M), the oracle x -> M x.  On vectors of a few entries a product costs
+numpy's dispatch, not arithmetic, and ndarray.dot dispatches in half the time
+of @ or less.  The two give the same bits except when the summed dimension is
+1 (a 1-column matrix, or two 1-entry vectors): there .dot returns the bare
+product, so an exact zero can come out as -0.0 where @ adds it to +0.0.  A
+self-dot is never -0.0, so self-dots are always safe.  Cross dots (u @ v of
+two different vectors) stay @, since a 1-D flow's -0.0 would change the CSV
+outputs.  On a stack _matvec gives each row its .dot bits, the one-column
+case included, where a bound M.dot would contract the record axis (without
+an error when R == n); dots of a stack go through np.vecdot.
 
 A prox or a resolvent is a binder: f.prox(gamma) and A.resolvent(gamma)
 check the step (ValueError for gamma <= 0 or NaN, before any evaluation) and
@@ -66,7 +65,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy._core.umath import clip as _clip
@@ -117,26 +116,23 @@ def norm(v):
     return np.sqrt(np.vecdot(v, v))
 
 
-def _rows_dot(M, X) -> Array:
-    """M.dot(x) for each row x of the stack X, to its bits.
-
-    np.matvec gives them when M has no column or two or more.  With one column
-    .dot sums nothing: a 1x1 M gives the bare product, and a k x 1 M goes to
-    BLAS gemv, which skips a zero x and fuses the multiply with its +0.0
-    start, so that neither the bare product nor np.matvec (which adds it to
-    +0.0, as @ does) has its zero signs; such an M is applied row by row.
-    """
-    if M.shape[1] != 1:
-        return np.matvec(M, X)
-    if M.shape[0] == 1:
-        return X * M[0]
-    return np.array([M.dot(x) for x in X]).reshape(X.shape[:-1] + M.shape[:1])
-
-
 def _matvec(M) -> Callable[[Array], Array]:
-    """The oracle x -> M x: M.dot on a vector, _rows_dot on a stack."""
+    """The oracle x -> M x: M.dot on a vector, and on a stack the bits M.dot gives
+    each row.  np.matvec gives them when M has no column or two or more.  With
+    one column .dot sums nothing: a 1x1 M gives the bare product, and a k x 1 M
+    goes to BLAS gemv, which skips a zero x and fuses the multiply with its +0.0
+    start, so that neither the bare product nor np.matvec (which adds it to
+    +0.0, as @ does) has its zero signs; such an M is applied row by row."""
     dot = M.dot
-    return lambda x: dot(x) if x.ndim == 1 else _rows_dot(M, x)
+
+    def rows(X):
+        if M.shape[1] != 1:
+            return np.matvec(M, X)
+        if M.shape[0] == 1:
+            return X * M[0]
+        return np.array([dot(x) for x in X]).reshape(X.shape[:-1] + M.shape[:1])
+
+    return lambda x: dot(x) if x.ndim == 1 else rows(x)
 
 
 def _solve(K, x) -> Array:
@@ -390,14 +386,8 @@ def _projection(C: Array, d: Array) -> Callable[[Array], Array]:
     rank = int(np.count_nonzero(sv * sv > 1e-15 * sv[0] ** 2))
     x0 = vt[:rank].T.dot(u[:, :rank].T.dot(d) / sv[:rank])
     Nt = vt[rank:]
-    N = np.ascontiguousarray(Nt.T)
-
-    def project(x):
-        if x.ndim == 1:
-            return N.dot(Nt.dot(x)) + x0
-        return _rows_dot(N, _rows_dot(Nt, x)) + x0
-
-    return project
+    N_dot, Nt_dot = _matvec(np.ascontiguousarray(Nt.T)), _matvec(Nt)
+    return lambda x: N_dot(Nt_dot(x)) + x0
 
 
 def halfspace_prox(normal, offset: float) -> ProxFunction:
@@ -415,7 +405,6 @@ def halfspace_prox(normal, offset: float) -> ProxFunction:
     if not math.isfinite(offset):
         raise ValueError("halfspace offset must be finite")
     slack = 1e-12 * math.sqrt(a_sq)
-
     onto = _projection(a[None, :], np.array([offset]))
 
     def project(x):
@@ -440,19 +429,18 @@ def affine_prox(C, d) -> ProxFunction:
     gram = C @ C.T
     if not np.all(np.isfinite(gram)):  # np.linalg.svd may not return on inf or NaN
         raise ValueError("C @ C.T is not finite; rescale the constraint Cx = d")
-    project = _projection(C, d)
     slack = 1e-10 * float(np.linalg.norm(C, 2))
 
     def value(x):
         return _indicator(norm(np.matvec(C, x) - d) <= slack * np.maximum(1.0, norm(x)), x)
 
-    return ProxFunction(value=value, prox=_step_free(project))
+    return ProxFunction(value=value, prox=_step_free(_projection(C, d)))
 
 
 def l1_quadratic_prox(weight: float, quad_diag, lin) -> ProxFunction:
     """f = weight*||x||_1 + sum_i (a_i/2) x_i^2 + b_i x_i, separable closed-form prox."""
     a = as_vector(quad_diag)
-    b = as_vector(lin)
+    b = _entries(as_vector(lin), a.size, "l1_quadratic_prox: lin")
     if not weight >= 0:
         raise ValueError("l1 weight must be nonnegative")
     if np.any(a < 0):
@@ -506,12 +494,11 @@ def subdifferential_map(f: ProxFunction) -> MonotoneMap:
 def affine_monotone_map(M, q) -> MonotoneMap:
     """A(x) = Mx + q with M + M^T positive semidefinite; the resolvent solves
     (I + gamma*M)p = x - gamma*q."""
-    M = _finite_matrix(M, "monotone map: M")
-    eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))))
-    if eigmin < -1e-10:
-        raise ValueError("matrix is not monotone: min symmetric eigenvalue %g" % eigmin)
-    q = np.asarray(q, dtype=float)
-    eye = np.eye(M.shape[0])
+    M, eigs, _ = _symmetric_part(M, "monotone map: M")
+    if eigs[0] < -1e-10:
+        raise ValueError("matrix is not monotone: min symmetric eigenvalue %g" % eigs[0])
+    q = _entries(np.asarray(q, dtype=float), len(M), "monotone map: q")
+    eye = np.eye(len(M))
 
     def resolvent(gamma):
         g = _positive(gamma)
@@ -528,15 +515,12 @@ def linear_monotone_map(M) -> MonotoneMap:
 
 
 def matrix_operator(M) -> SingleValuedMap:
-    """B(x) = Mx with Lipschitz constant ||M||; cocoercive only when M is symmetric PSD."""
-    M = _finite_matrix(M, "matrix_operator: M")
-    L = float(np.linalg.norm(M, 2))
-    beta = None
-    if np.allclose(M, M.T, atol=1e-12):
-        eigs = np.linalg.eigvalsh(M)
-        if np.min(eigs) >= -1e-12 and np.max(eigs) > 0:
-            beta = 1.0 / float(np.max(eigs))
-    return SingleValuedMap(fn=_matvec(M), cocoercivity_beta=beta, lipschitz_L=L)
+    """B(x) = Mx with Lipschitz constant ||M||; cocoercive with beta = 1/lambda_max only
+    when M is symmetric (see _symmetric_part) and positive semidefinite to 1e-12."""
+    M, eigs, symmetric = _symmetric_part(M, "matrix_operator: M")
+    cocoercive = symmetric and eigs[0] >= -1e-12 and eigs[-1] > 0
+    return SingleValuedMap(fn=_matvec(M), lipschitz_L=float(np.linalg.norm(M, 2)),
+                           cocoercivity_beta=1.0 / float(eigs[-1]) if cocoercive else None)
 
 
 def rotation_map(angle: float) -> SingleValuedMap:
@@ -565,37 +549,51 @@ def _finite_matrix(M, name: str) -> Array:
     return M
 
 
+def _symmetric_part(M, name: str) -> Tuple[Array, Array, bool]:
+    """M as _finite_matrix gives it, the ascending eigenvalues of (M + M^T)/2, and whether
+    M is symmetric: max|M - M^T| <= 1e-12 * max|M|.  ValueError naming M unless square."""
+    M = _finite_matrix(M, name)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError("%s must be square, got shape %s" % (name, M.shape))
+    symmetric = np.max(np.abs(M - M.T)) <= 1e-12 * np.max(np.abs(M))
+    return M, np.linalg.eigvalsh(0.5 * M + 0.5 * M.T), bool(symmetric)
+
+
+def _entries(v: Array, n: int, name: str) -> Array:
+    """v; ValueError naming it unless it is a scalar or a vector of n entries."""
+    if v.ndim and v.shape != (n,):
+        raise ValueError("%s has shape %s, expected (%d,)" % (name, v.shape, n))
+    return v
+
+
 def quadratic_fn(Q, b=None, constant: float = 0.0) -> SmoothFunction:
-    """g(x) = x^T Q x / 2 - b^T x + constant with symmetric Q."""
-    Q = _finite_matrix(Q, "quadratic_fn: Q")
-    n = Q.shape[0]
-    bv = np.zeros(n) if b is None else as_vector(b)
-    eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    L = float(np.max(np.abs(eigs)))
+    """g(x) = x^T Q x / 2 - b^T x + constant with symmetric Q (see _symmetric_part)."""
+    Q, eigs, symmetric = _symmetric_part(Q, "quadratic_fn: Q")
+    if not symmetric:
+        raise ValueError("quadratic_fn: Q is not symmetric")
+    bv = np.zeros(len(Q)) if b is None else _entries(as_vector(b), len(Q), "quadratic_fn: b")
+    Q_dot = _matvec(Q)
     return SmoothFunction(
         value=lambda x: _per_row(0.5 * np.vecdot(x, np.matvec(Q, x)) - np.vecdot(bv, x)
                                  + constant, x),
-        gradient=lambda x: (Q.dot(x) if x.ndim == 1 else _rows_dot(Q, x)) - bv,
-        grad_lipschitz=L,
-        convex=bool(np.min(eigs) >= -1e-12),
+        gradient=lambda x: Q_dot(x) - bv,
+        grad_lipschitz=float(np.max(np.abs(eigs))),
+        convex=bool(eigs[0] >= -1e-12),
     )
 
 
 def least_squares_fn(A, b) -> SmoothFunction:
     """g(x) = ||Ax - b||^2 / 2."""
     A = _finite_matrix(A, "least_squares_fn: A")
-    b = as_vector(b)
-    AT = A.T
+    b = _entries(as_vector(b), A.shape[0], "least_squares_fn: b")
+    A_dot, AT_dot = _matvec(A), _matvec(A.T)
     try:
         L = float(np.linalg.norm(A, 2)) ** 2
     except OverflowError:
         raise ValueError("||A||^2 overflows a float; rescale A and b") from None
     return SmoothFunction(
         value=lambda x: _per_row(0.5 * np.sum((np.matvec(A, x) - b) ** 2, axis=-1), x),
-        gradient=lambda x: (AT.dot(A.dot(x) - b) if x.ndim == 1
-                            else _rows_dot(AT, _rows_dot(A, x) - b)),
-        grad_lipschitz=L,
-    )
+        gradient=lambda x: AT_dot(A_dot(x) - b), grad_lipschitz=L)
 
 
 def one_minus_cos_fn() -> SmoothFunction:
@@ -615,8 +613,7 @@ def zero_fn() -> SmoothFunction:
 def matrix_linear_map(M) -> LinearMap:
     """Dense-matrix LinearMap with exact 2-norm estimate."""
     M = _finite_matrix(M, "matrix_linear_map: M")
-    MT = M.T
-    return LinearMap(apply=_matvec(M), adjoint=_matvec(MT),
+    return LinearMap(apply=_matvec(M), adjoint=_matvec(M.T),
                      norm_estimate=float(np.linalg.norm(M, 2)))
 
 

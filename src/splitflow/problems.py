@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SolverError
 from .nonconvex import NonconvexProblem, critical_residual
-from .operators import (SingleValuedMap, SmoothFunction, _per_row, _rows_dot, _shrink,
+from .operators import (SingleValuedMap, SmoothFunction, _matvec, _per_row, _shrink,
                         affine_monotone_map, affine_prox, box_prox, difference_matrix,
                         gradient_map, l1_prox, least_squares_fn, matrix_linear_map,
                         matrix_operator, one_minus_cos_fn, quadratic_fn, resolvent_eval,
@@ -314,15 +314,14 @@ def corpus(seed: int = 0):
     nrm = np.array([1.0, 1.0]) / np.sqrt(2.0)
     p0 = np.array([1.0, 1.0])  # a point on the second line
     N = np.outer(nrm, nrm)
-
-    def b_two_lines(x):
-        return N.dot(x - p0) if x.ndim == 1 else _rows_dot(N, x - p0)
+    N_dot = _matvec(N)
 
     problems.append(ProblemDef(
         name="two_lines", kind="inclusion",
         components={
             "A": subdifferential_map(affine_prox(line1, np.array([0.0]))),
-            "B": SingleValuedMap(fn=b_two_lines, cocoercivity_beta=1.0, lipschitz_L=1.0),
+            "B": SingleValuedMap(fn=lambda x: N_dot(x - p0), cocoercivity_beta=1.0,
+                                 lipschitz_L=1.0),
             "B_mono": affine_monotone_map(N, -N @ p0),
             "beta": 1.0,
         },

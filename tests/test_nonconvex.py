@@ -242,3 +242,20 @@ class TestLojasiewiczFit:
         traj = integrate(proxgrad_field(p), np.array([3.0]), cfg)
         with pytest.raises(FitError):
             lojasiewicz_fit(traj, p)
+
+    def test_an_infinite_subgradient_norm_in_the_window_is_rejected(self):
+        # the fit's mask keeps Z > 0, so an inf passed it and reached the log-log fit
+        g = quadratic_fn(np.eye(1))
+        p = NonconvexProblem(f=zero_prox(), g=g, eta=0.2)
+        cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=150.0, record_every=50)
+        traj = integrate(proxgrad_field(p), np.array([3.0]), cfg)
+        gap = merit_series(p, traj) - merit_series(p, traj)[-1]
+        k = np.flatnonzero((gap >= 1e-10) & (gap <= 1e-2))[3]
+        u = traj.states[k] + traj.velocities[k]
+        # the same problem, with a gradient that overflows at the one point u
+        spiked = SmoothFunction(value=g.value, grad_lipschitz=1.0,
+                                gradient=lambda x: np.where(x == u, np.inf, x))
+        q = NonconvexProblem(f=zero_prox(), g=spiked, eta=0.2)
+        assert np.isinf(subgradient_norm_series(q, traj)[k])
+        with pytest.raises(FitError, match="finite"):
+            lojasiewicz_fit(traj, q)

@@ -377,6 +377,48 @@ class TestLinearAndSmooth:
         assert B.cocoercivity_beta is None
         assert B.lipschitz_L == pytest.approx(1.0)
 
+    def test_a_nearly_symmetric_matrix_operator_has_no_beta(self):
+        # np.allclose's rtol of 1e-5 took this M as symmetric, with beta 0.500001; but
+        # at x = (1, -1)/sqrt(2), <Mx, x> = 8.9e-17 lies below beta*||Mx||^2 = 8e-12
+        M = np.array([[1.0, 1.0 + 4e-6], [1.0 - 4e-6, 1.0]])
+        x = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        assert (M @ x) @ x < 0.5 * (M @ x) @ (M @ x)
+        assert matrix_operator(M).cocoercivity_beta is None
+
+    def test_symmetric_part_of_a_matrix_near_the_float_limit(self):
+        # the symmetric part is M/2 + M^T/2, which does not overflow where M + M^T does
+        M = np.array([[1e308, 0.0], [0.0, 1.0]])
+        assert matrix_operator(M).cocoercivity_beta == 1.0 / 1e308
+        assert quadratic_fn(M).grad_lipschitz == 1e308
+        assert linear_monotone_map(M).resolvent(1.0)(np.ones(2))[1] == 0.5
+
+    def test_quadratic_fn_rejects_a_non_symmetric_q(self):
+        # its gradient was Qx - b with the Q given: (3, 2) at x = (1, 2), where the
+        # central differences of its value read (2, 2.5)
+        with pytest.raises(ValueError, match="quadratic_fn: Q is not symmetric"):
+            quadratic_fn([[1.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("make, name", [
+        (quadratic_fn, "quadratic_fn: Q"),
+        (matrix_operator, "matrix_operator: M"),
+        (linear_monotone_map, "monotone map: M"),
+    ], ids=["quadratic_fn", "matrix_operator", "linear_monotone_map"])
+    def test_constructors_reject_a_non_square_matrix(self, make, name):
+        with pytest.raises(ValueError, match="%s must be square" % name):
+            make(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: quadratic_fn(np.eye(3), b=[1.0]), "quadratic_fn: b"),
+        (lambda: least_squares_fn(np.ones((3, 2)), b=[1.0]), "least_squares_fn: b"),
+        (lambda: affine_monotone_map(np.eye(3), q=[1.0]), "monotone map: q"),
+        (lambda: l1_quadratic_prox(1.0, quad_diag=[1.0, 2.0], lin=[0.5]),
+         "l1_quadratic_prox: lin"),
+    ], ids=["quadratic_fn", "least_squares_fn", "affine_monotone_map", "l1_quadratic_prox"])
+    def test_a_vector_must_match_its_matrix(self, make, name):
+        # each broadcast silently: quadratic_fn's gradient took b = [1] as (1, 1, 1)
+        with pytest.raises(ValueError, match="%s has shape" % name):
+            make()
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("make, name", [
         (lambda M: quadratic_fn(M), "quadratic_fn: Q"),
@@ -502,7 +544,9 @@ class TestCatalogProductsMatchMatmul:
             x, b = extreme_entries(rng, M.shape[1]), extreme_entries(rng, M.shape[1])
             exact = M.shape[1] >= 2
             assert_same_product(matrix_operator(M)(x), M @ x, exact)
-            assert_same_product(quadratic_fn(M, b).gradient(x), M @ x - b, exact)
+            # quadratic_fn takes a symmetric Q only, in M's memory order
+            Q = np.asarray(M + M.T, order="F" if M.flags.f_contiguous else "C")
+            assert_same_product(quadratic_fn(Q, b).gradient(x), Q @ x - b, exact)
 
     def test_least_squares_gradient(self):
         for rng, M in self.cases(3):

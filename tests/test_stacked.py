@@ -124,6 +124,11 @@ def square(draw, n):
     return draw.floats(*ENTRIES, (n, n))
 
 
+def symmetric(draw, n):
+    S = square(draw, n)
+    return S + S.T
+
+
 def monotone(draw, n):
     """S S^T + K - K^T: its symmetric part is positive semidefinite."""
     S, K = square(draw, n), square(draw, n)
@@ -175,8 +180,9 @@ CATALOG = {
                                                                vector(draw, n)),
     "matrix_operator": lambda draw, n: matrix_operator(square(draw, n)),
     "rotation_map": lambda draw, n: rotation_map(draw.floats(-4.0, 4.0)),
-    "gradient_map": lambda draw, n: gradient_map(quadratic_fn(square(draw, n), vector(draw, n))),
-    "quadratic_fn": lambda draw, n: quadratic_fn(square(draw, n), vector(draw, n),
+    "gradient_map": lambda draw, n: gradient_map(quadratic_fn(symmetric(draw, n),
+                                                              vector(draw, n))),
+    "quadratic_fn": lambda draw, n: quadratic_fn(symmetric(draw, n), vector(draw, n),
                                                  draw.floats(*ENTRIES)),
     "least_squares_fn": least_squares,
     "one_minus_cos_fn": lambda draw, n: one_minus_cos_fn(),
