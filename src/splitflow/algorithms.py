@@ -1,8 +1,9 @@
 """Discrete counterparts of the flows, obtained by unit-step explicit discretization.
 
 km_step, fb_step, tseng_step and prox_admm_step are written as x + increment
-with the same increment code the flow fields use, so n steps coincide bit for
-bit with n unit-step Euler integrations of the matching flow.  A step binds
+with the same increment code the flow fields use (fb_step's is lam times
+operators.fb_residual, as the fb field's is), so n steps coincide bit for bit
+with n unit-step Euler integrations of the matching flow.  A step binds
 its prox or resolvent at every call, where a field binds it once.  run_sequence
 records a discrete run as a Trajectory through integrate's stepping loop.
 """
@@ -14,11 +15,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SpecError
-from .first_order import (check_relaxation, check_tseng_step, fb_increment, fbf_increment,
-                          km_increment)
+from .first_order import check_relaxation, check_tseng_step, fbf_increment, km_increment
 from .integrate import Trajectory, _drive, _write_csv
 from .operators import (MonotoneMap, ProxFunction, SingleValuedMap, SmoothFunction, as_vector,
-                        check_fb_step, fb_delta, prox_eval)
+                        check_fb_step, fb_delta, fb_residual, prox_eval)
 from .primal_dual import PDParams, PDState, StructuredProblem, pd_general_increment
 
 Array = np.ndarray
@@ -32,7 +32,7 @@ def km_step(T: SingleValuedMap, lam: float, x) -> Array:
 def fb_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x) -> Array:
     """x + lam*(J_{gamma A}(x - gamma*B(x)) - x) for any step gamma > 0, lam in [0, delta]."""
     delta = fb_delta(check_fb_step(B, gamma, relaxed=True), gamma)
-    return x + fb_increment(A.resolvent(gamma), B, gamma, check_relaxation(lam, delta), x)
+    return x + check_relaxation(lam, delta) * fb_residual(A.resolvent(gamma), B, gamma, x)
 
 
 def tseng_step(A: MonotoneMap, B: SingleValuedMap, gamma: float, lam: float, x) -> Array:

@@ -2,12 +2,15 @@
 Tikhonov-regularized), forward-backward-forward, and Douglas-Rachford in its
 coupled and reflected forms.
 
-Each *_increment function returns the raw field value; the discrete steps in
-algorithms.py reuse the same code paths so that unit-step Euler integration
-and the discrete algorithms coincide bit for bit.  A field passes them the
-values it bound when it was built: B.fn for B, the resolvent bound at its step
-(see operators), the step and a constant lam as 0-d arrays.  A discrete step
-binds its resolvent at every call.
+km_increment and fbf_increment return the raw field value of their flows.  The
+fb fields, dr-coupled's right-hand side and the fb, fbf and dr-coupled
+residual probes apply the forward-backward residual operators.fb_residual,
+with a relaxation multiplied outside it.  The discrete steps in algorithms.py
+reuse the same code paths so that unit-step Euler integration and the
+discrete algorithms coincide bit for bit.  A field passes them the values it
+bound when it was built: B.fn for B, the resolvent bound at its step (see
+operators), the step and a constant lam as 0-d arrays.  A discrete step binds
+its resolvent at every call.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .errors import SpecError
 from .integrate import FlowField
 from .operators import (MonotoneMap, SingleValuedMap, _nonexpansive, _reflect, check_fb_step,
-                        fb_delta, norm)
+                        fb_delta, fb_residual, norm)
 from .schedules import Schedule, _bind
 
 _BOUND_TOL = 1e-12
@@ -50,14 +53,6 @@ def check_tseng_step(B: SingleValuedMap, gamma: float):
 
 def km_increment(T: Callable, lam, x):
     return lam * (T(x) - x)
-
-
-def fb_increment(J: Callable, B: Callable, gamma, lam, x, shift=None):
-    """lam*(J(x - gamma*B(x) (+ shift)) - x), J the resolvent of A bound at gamma."""
-    arg = x - gamma * B(x)
-    if shift is not None:
-        arg = arg + shift
-    return lam * (J(arg) - x)
 
 
 def fbf_increment(J: Callable, B: Callable, gamma, lam, x):
@@ -140,12 +135,12 @@ def fb_field(spec: FBFlowSpec) -> FlowField:
     gamma = np.array(spec.gamma)
     if spec.epsilon is None:
         return FlowField(order=1, label="fb", breakpoints=spec.lam.breakpoints,
-                         fn=lambda t, x: fb_increment(J, B, gamma, lam(t), x))
+                         fn=lambda t, x: lam(t) * fb_residual(J, B, gamma, x))
     sign = spec.tikhonov_sign
     eps = _bind(spec.epsilon, lambda e, t: sign * e)
 
     def fn(t, x):
-        return fb_increment(J, B, gamma, lam(t), x, shift=eps(t) * x)
+        return lam(t) * fb_residual(J, B, gamma, x, shift=eps(t) * x)
 
     brk = tuple(sorted(set(spec.lam.breakpoints) | set(spec.epsilon.breakpoints)))
     return FlowField(order=1, fn=fn, label="fb-tikhonov", breakpoints=brk)
@@ -219,7 +214,7 @@ def dr_field(spec: DRFlowSpec) -> FlowField:
 
     def fn(t, x):
         eye = np.eye(x.size)
-        c = JA(x - gamma * B(x)) - x
+        c = fb_residual(JA, B, gamma, x)
         return np.linalg.solve(eye + gamma * _fd_jacobian(B, x, eye), c)
 
     return FlowField(order=1, fn=fn, label="dr-coupled")
@@ -229,14 +224,10 @@ def dr_field(spec: DRFlowSpec) -> FlowField:
 # probes
 
 
-def _fb_residual(A, B, gamma):
+def _fb_residual_probe(A, B, gamma):
     """The probe ||J_{gamma A}(x - gamma*B(x)) - x||."""
     J = A.resolvent(gamma)
-
-    def residual(t, x, v):
-        return norm(J(x - gamma * B(x)) - x)
-
-    return residual
+    return lambda t, x, v: norm(fb_residual(J, B, gamma, x))
 
 
 def _fp_probes(residual, ref):
@@ -253,15 +244,15 @@ def km_probes(spec: KMFlowSpec, ref=None):
 
 
 def fb_probes(spec: FBFlowSpec, ref=None):
-    return _fp_probes(_fb_residual(spec.A, spec.B, spec.gamma), ref)
+    return _fp_probes(_fb_residual_probe(spec.A, spec.B, spec.gamma), ref)
 
 
 def fbf_probes(spec: FBFFlowSpec, ref=None):
-    return _fp_probes(_fb_residual(spec.A, spec.B, spec.gamma), ref)
+    return _fp_probes(_fb_residual_probe(spec.A, spec.B, spec.gamma), ref)
 
 
 def dr_probes(spec: DRFlowSpec, ref=None):
     if spec.form == "coupled":
-        return _fp_probes(_fb_residual(spec.A, spec.B, spec.gamma), ref)
+        return _fp_probes(_fb_residual_probe(spec.A, spec.B, spec.gamma), ref)
     JA, JB = spec.A.resolvent(spec.gamma), spec.B.resolvent(spec.gamma)
     return _fp_probes(lambda t, z, v: norm(dr_operator(JA, JB, z) - z), ref)

@@ -4,7 +4,8 @@ Here beta denotes the Lipschitz constant of grad g itself (||grad g(x) -
 grad g(y)|| <= beta*||x - y||), g possibly nonconvex, and the step eta must
 satisfy eta*beta*(3 + eta*beta) < 1.  The merit function is
 H(u, v) = (f+g)(u) + ||u - v||^2/(2*eta), evaluated along trajectories at
-u = xd + x, v = x.
+u = xd + x, v = x.  The field and critical_residual are the forward-backward
+residual operators.fb_residual with J = prox_{eta f} and B = grad g.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .diagnostics import _loglog_fit, _step_product, cumulative_trapezoid
 from .errors import FitError, SpecError
 from .integrate import FlowField, Trajectory
-from .operators import ProxFunction, SmoothFunction, _per_row, norm
+from .operators import ProxFunction, SmoothFunction, _per_row, fb_residual, norm
 
 
 def check_eta(beta: float, eta: float) -> bool:
@@ -45,16 +46,10 @@ class NonconvexProblem:
         return 1.0 / self.eta - (3.0 + self.eta * beta) * beta
 
 
-def proxgrad_increment(prox, eta, grad, x):
-    """prox(x - eta*grad(x)) - x, with prox the map prox_{eta f} and grad the gradient
-    of g."""
-    return prox(x - eta * grad(x)) - x
-
-
 def proxgrad_field(p: NonconvexProblem) -> FlowField:
     """dx/dt = prox_{eta f}(x - eta*grad g(x)) - x."""
     prox, eta, grad = p.f.prox(p.eta), np.array(p.eta), p.g.gradient
-    return FlowField(order=1, fn=lambda t, x: proxgrad_increment(prox, eta, grad, x),
+    return FlowField(order=1, fn=lambda t, x: fb_residual(prox, grad, eta, x),
                      label="proxgrad")
 
 
@@ -86,7 +81,7 @@ def merit_subgradient_norm(p: NonconvexProblem, x, xdot):
 def critical_residual(p: NonconvexProblem, x):
     """||prox_{eta f}(x - eta*grad g(x)) - x|| / eta, vanishing exactly at critical points;
     one value per row of a stack x."""
-    return norm(proxgrad_increment(p.f.prox(p.eta), p.eta, p.g.gradient, x)) / p.eta
+    return norm(fb_residual(p.f.prox(p.eta), p.g.gradient, p.eta, x)) / p.eta
 
 
 def merit_series(p: NonconvexProblem, traj: Trajectory) -> np.ndarray:

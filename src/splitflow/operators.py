@@ -258,6 +258,15 @@ def fb_delta(beta: float, gamma: float) -> float:
     return (4.0 * beta - gamma) / (2.0 * beta)
 
 
+def fb_residual(J: Callable, B: Callable, gamma, x, shift=None):
+    """The forward-backward residual J(x - gamma*B(x) (+ shift)) - x, J the resolvent (or
+    prox) bound at gamma; it vanishes exactly at the zeros of A + B."""
+    arg = x - gamma * B(x)
+    if shift is not None:
+        arg = arg + shift
+    return J(arg) - x
+
+
 def check_fb_step(B: SingleValuedMap, gamma: float, relaxed: bool = False) -> float:
     """The forward-backward step hypothesis: B cocoercive and 0 < gamma < 2*beta, the
     upper bound dropped in a relaxed regime.  Returns beta; raises SpecError otherwise."""
@@ -290,11 +299,6 @@ def _shrink(thresh) -> Callable[[Array], Array]:
     and copysign gives it the sign of sign(x) (+-0.0 at a zero x, NaN's at NaN)."""
     lo, hi = np.array(-thresh), np.array(thresh)
     return lambda x: np.copysign(x - _clip(x, lo, hi), np.sign(x))
-
-
-def soft_threshold(x: Array, thresh: float) -> Array:
-    """sign(x) * max(|x| - thresh, 0), elementwise."""
-    return _shrink(thresh)(x)
 
 
 def l1_prox(weight: float = 1.0) -> ProxFunction:
@@ -425,7 +429,7 @@ def affine_prox(C, d) -> ProxFunction:
     The projection is _projection's.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    d = as_vector(d)
+    d = _entries(as_vector(d), len(C), "affine_prox: d")
     gram = C @ C.T
     if not np.all(np.isfinite(gram)):  # np.linalg.svd may not return on inf or NaN
         raise ValueError("C @ C.T is not finite; rescale the constraint Cx = d")
@@ -560,9 +564,11 @@ def _symmetric_part(M, name: str) -> Tuple[Array, Array, bool]:
 
 
 def _entries(v: Array, n: int, name: str) -> Array:
-    """v; ValueError naming it unless it is a scalar or a vector of n entries."""
+    """v; ValueError naming it unless it is a finite scalar or vector of n entries."""
     if v.ndim and v.shape != (n,):
         raise ValueError("%s has shape %s, expected (%d,)" % (name, v.shape, n))
+    if not np.all(np.isfinite(v)):
+        raise ValueError("%s has a non-finite entry" % name)
     return v
 
 

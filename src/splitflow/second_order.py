@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SpecError
 from .integrate import FlowField, Trajectory
 from .operators import (MonotoneMap, SingleValuedMap, SmoothFunction, _nonexpansive,
-                        check_fb_step, fb_delta, norm, yosida_eval)
+                        check_fb_step, fb_delta, fb_residual, norm, yosida_eval)
 from .schedules import Schedule, _bind, over_t
 
 
@@ -115,7 +115,7 @@ class SecondOrderSpec:
     def fb(cls, A: MonotoneMap, B: SingleValuedMap, eta: float, condition: DampingCondition):
         beta, Bf = check_fb_step(B, eta), B.fn
         J, step = A.resolvent(eta), np.array(eta)
-        return cls._scheduled("fb", lambda x: x - J(x - step * Bf(x)),
+        return cls._scheduled("fb", lambda x: -fb_residual(J, Bf, step, x),
                               fb_delta(beta, eta) / 2.0, condition)
 
     @classmethod

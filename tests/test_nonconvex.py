@@ -9,10 +9,10 @@ from splitflow.nonconvex import (NonconvexProblem, arclength_series,
                                  brute_force_critical_points, check_eta,
                                  critical_residual, lojasiewicz_fit, merit_eval,
                                  merit_series, merit_subgradient, merit_subgradient_norm,
-                                 nonconvex_probes, proxgrad_field, proxgrad_increment,
+                                 nonconvex_probes, proxgrad_field,
                                  subgradient_norm_series)
-from splitflow.operators import (SmoothFunction, l1_prox, one_minus_cos_fn,
-                                 quadratic_fn, soft_threshold, zero_prox)
+from splitflow.operators import (SmoothFunction, fb_residual, l1_prox, one_minus_cos_fn,
+                                 quadratic_fn, zero_prox)
 from splitflow.problems import get_problem
 
 
@@ -213,7 +213,7 @@ class TestTrajectoryProperties:
         runs = [integrate(proxgrad_field(p), np.array([2.5]), cfg, probes=probes)
                 for _ in range(2)]
         prox = p.f.prox(p.eta)
-        step = lambda n, x, x_prev: x + proxgrad_increment(prox, p.eta, p.g.gradient, x)
+        step = lambda n, x, x_prev: x + fb_residual(prox, p.g.gradient, p.eta, x)
         runs += [run_sequence(step, np.array([2.5]), 200, probes=probes) for _ in range(2)]
         for first, second in (runs[:2], runs[2:]):
             assert np.array_equal(first.records["arclength"], second.records["arclength"])

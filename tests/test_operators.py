@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from splitflow import operators
-from splitflow.first_order import fb_increment
 from splitflow.operators import (affine_monotone_map, affine_prox, as_vector, ball_prox,
-                                 box_prox, fb_delta, gradient_map, halfspace_prox,
+                                 box_prox, fb_delta, fb_residual, gradient_map, halfspace_prox,
                                  identity_operator, l1_prox, l1_quadratic_prox,
                                  least_squares_fn, linear_monotone_map, matrix_linear_map,
                                  matrix_operator, moreau_conjugate_prox, norm,
                                  one_minus_cos_fn, prox_eval, quadratic_fn,
                                  reflected_resolvent,
-                                 resolvent_eval, rotation_map, soft_threshold,
+                                 resolvent_eval, rotation_map,
                                  squared_l2_prox, subdifferential_map, yosida_eval,
                                  zero_operator, zero_prox)
 from splitflow.problems import get_problem
@@ -147,8 +146,6 @@ class TestProxEval:
         l1 = l1_prox(t).prox(1.0)  # threshold 1.0 * t == t
         for X in (x, x.reshape(-1, 8), x.reshape(-1, 1)):
             want = soft_threshold_reference(X, t).tobytes()
-            assert soft_threshold(X, t).tobytes() == want
-            assert soft_threshold(X, np.array(t)).tobytes() == want
             assert l1(X).tobytes() == want
         # l1_quadratic_prox at step 1: shift b, threshold t, divisor 1 + a
         rng = np.random.default_rng(11)
@@ -308,7 +305,7 @@ class TestFbMap:
         assert fb_delta(1.0, 1.0) == pytest.approx(1.5)
 
     def test_averagedness_of_fb_map(self):
-        # the map the FB flow uses, FB(x) = x + fb_increment(..., lam=1, x) =
+        # the map the FB flow uses, FB(x) = x + fb_residual(J, B, gamma, x) =
         # J_{gamma A}(x - gamma*B(x)); with S = delta*FB - (delta-1)*Id, S must be
         # nonexpansive
         rng = np.random.default_rng(11)
@@ -318,12 +315,32 @@ class TestFbMap:
         B = gradient_map(least_squares_fn(np.eye(3), np.ones(3)))
 
         def S(x):
-            fb = x + fb_increment(A.resolvent(gamma), B.fn, gamma, 1.0, x)
+            fb = x + fb_residual(A.resolvent(gamma), B.fn, gamma, x)
             return delta * fb - (delta - 1.0) * x
 
         for _ in range(300):
             x, y = rng.standard_normal(3) * 3, rng.standard_normal(3) * 3
             assert np.linalg.norm(S(x) - S(y)) <= np.linalg.norm(x - y) + 1e-8
+
+    @pytest.mark.parametrize("A", [
+        subdifferential_map(l1_prox(0.3)),
+        subdifferential_map(box_prox(-0.5, 0.5)),
+        affine_monotone_map([[2.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.5]],
+                            [1.0, 0.0, -1.0]),
+    ], ids=["l1", "box", "affine"])
+    def test_fb_residual_has_the_inline_bits(self, A):
+        # every field, probe and step applies J(x - gamma*B(x) (+ shift)) - x through
+        # fb_residual; it must keep the bits of that expression written out
+        rng = np.random.default_rng(30)
+        gamma = np.array(0.5)
+        J = A.resolvent(gamma)
+        B = least_squares_fn(rng.standard_normal((4, 3)), rng.standard_normal(4)).gradient
+        for x in (rng.standard_normal(3), rng.standard_normal((6, 3))):
+            want = J(x - gamma * B(x)) - x
+            assert fb_residual(J, B, gamma, x).tobytes() == want.tobytes()
+            shift = np.array(0.1) * x  # the fb-tikhonov field's eps(t) * x
+            want = J(x - gamma * B(x) + shift) - x
+            assert fb_residual(J, B, gamma, x, shift=shift).tobytes() == want.tobytes()
 
 
 class TestMoreau:
@@ -413,11 +430,20 @@ class TestLinearAndSmooth:
         (lambda: affine_monotone_map(np.eye(3), q=[1.0]), "monotone map: q"),
         (lambda: l1_quadratic_prox(1.0, quad_diag=[1.0, 2.0], lin=[0.5]),
          "l1_quadratic_prox: lin"),
-    ], ids=["quadratic_fn", "least_squares_fn", "affine_monotone_map", "l1_quadratic_prox"])
+        (lambda: affine_prox(np.eye(2), [1.0, 2.0, 3.0]), "affine_prox: d"),
+    ], ids=["quadratic_fn", "least_squares_fn", "affine_monotone_map", "l1_quadratic_prox",
+            "affine_prox"])
     def test_a_vector_must_match_its_matrix(self, make, name):
-        # each broadcast silently: quadratic_fn's gradient took b = [1] as (1, 1, 1)
+        # each broadcast silently (quadratic_fn's gradient took b = [1] as (1, 1, 1)),
+        # or, as affine_prox, raised numpy's "shapes (2,2) and (3,) not aligned"
         with pytest.raises(ValueError, match="%s has shape" % name):
             make()
+
+    @pytest.mark.parametrize("q", [[np.nan, 0.0], np.inf], ids=["nan-entry", "inf-scalar"])
+    def test_affine_monotone_map_rejects_a_non_finite_shift(self, q):
+        # before: it built, and its resolvents returned [nan nan]
+        with pytest.raises(ValueError, match="monotone map: q has a non-finite entry"):
+            affine_monotone_map(np.eye(2), q)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("make, name", [
@@ -446,7 +472,8 @@ class TestVectors:
             as_vector(np.zeros((2, 2)))
 
     def test_soft_threshold(self):
-        assert np.allclose(soft_threshold(np.array([3.0, -0.5]), 1.0), [2.0, 0.0])
+        # the independent reference of the l1 prox's bit checks, against hand arithmetic
+        assert np.array_equal(soft_threshold_reference(np.array([3.0, -0.5]), 1.0), [2.0, 0.0])
 
     def test_affine_projection(self):
         f = affine_prox(np.array([[1.0, 1.0]]), np.array([2.0]))
