@@ -101,18 +101,23 @@ def run_sequence(update: Callable[[int, Array, Optional[Array]], Array], x0,
     returning a float64 array of shape (R,) (anything else raises ValueError
     naming the probe).  Each iterate is a float64 copy of what update
     returned, so update may reuse its output buffer; it is lent to update
-    read-only, so an update that writes into x or x_prev raises ValueError.
+    read-only, so an update that writes into x or x_prev raises ValueError,
+    as does one that returns another shape than the iterate's.
     The loop and the divergence guard are integrate's: the run stops at the
     first iterate with a coordinate past 1e12, NaN or inf with
     DivergenceError, which carries the finite prefix and its probes.
     """
     x = as_vector(x0).copy()
     x.flags.writeable = False
+    shape = x.shape
     x_prev, step = None, np.zeros_like(x)  # the increment recorded at n = 0 is zero
 
     def advance(n, t, x):
         nonlocal x_prev, step
         x_next = np.array(update(n, x, x_prev), dtype=float)
+        if x_next.shape != shape:  # a record row would broadcast a scalar
+            raise ValueError("update returned shape %s, not the iterate's %s"
+                             % (x_next.shape, shape))
         x_next.flags.writeable = False
         x_prev, step = x, x_next - x
         return x_next

@@ -31,7 +31,8 @@ class FlowField:
     order 1: fn(t, x) -> dx/dt.  order 2: fn(t, x, v) -> dv/dt.  fn obeys the
     oracle contract of operators: x and v are 1-D float64 arrays, the result
     is a new array, and fn never modifies its arguments.  integrate converts
-    the start once and records an order-1 fn's results without copying them.
+    the start once and copies each recorded result of an order-1 fn into a
+    row of its velocities.
     The fields of second_order also take stacked records (x, v of shape
     (R, n), t of shape (R, 1)), which the accel probe hands them.
     """
@@ -128,30 +129,38 @@ def _drive(advance, velocity, u, t_start, dt, n_steps, every, probes, label) -> 
     Steps u = advance(k, t, u) for k = 1..n_steps, t = t_start + (k-1)*dt, and
     records t, u and velocity(t, u) at t_start and every `every` steps; with
     velocity None, u is an order-2 state (x, v) side by side, recorded whole.
-    The recorded arrays are kept, not copied: advance returns a new array and
-    nothing modifies one in place.  The divergence guard first tests
-    u.dot(u) <= (1e12/2)**2, one dot product, which bounds every |u_i| by
-    about 5e11.  Only when that fails (a large sum, NaN or inf) does it apply
-    the exact test max|u_i| <= 1e12, so DivergenceError (with the last finite
-    time and the partial trajectory) comes at the same step as with the exact
-    test alone.  The probes run once, on the stacked records of the run or of
-    its finite prefix (see _probe_records).
+    The grid fixes the record count, n_steps // every + 1, so each record
+    array is allocated once and each record is one row write into it.
+    np.empty leaves the rows not yet written unpaged: a run that diverges
+    early pays only for the rows it wrote, which are its trajectory.  The
+    divergence guard first tests u.dot(u) <= (1e12/2)**2, one dot product,
+    which bounds every |u_i| by about 5e11.  Only when that fails (a large
+    sum, NaN or inf) does it apply the exact test max|u_i| <= 1e12, so
+    DivergenceError (with the last finite time and the partial trajectory)
+    comes at the same step as with the exact test alone.  The probes run
+    once, on the stacked records of the run or of its finite prefix (see
+    _probe_records).
     """
-    times, states, vels = [], [], []
+    rows = n_steps // every + 1
+    times, states = np.empty(rows), np.empty((rows, u.size))
+    vels = None if velocity is None else np.empty((rows, u.size))
+    i = 0  # the rows written so far
 
     def record(t, u):
-        times.append(t)
-        states.append(u)
-        if velocity is not None:
-            vels.append(velocity(t, u))
+        nonlocal i
+        times[i] = t
+        states[i] = u
+        if vels is not None:
+            vels[i] = velocity(t, u)
+        i += 1
 
     def partial() -> Trajectory:
-        T, X = np.array(times), np.array(states)
-        if velocity is None:  # split (x, v) once, into C-contiguous halves
+        T, X = times[:i], states[:i]
+        if vels is None:  # split (x, v) once, into C-contiguous halves
             n = X.shape[1] // 2
             X, V = X[:, :n].copy(), X[:, n:].copy()
         else:
-            V = np.array(vels)
+            V = vels[:i]
         return Trajectory(times=T, states=X, velocities=V,
                           records=_probe_records(probes, T, X, V), label=label)
 

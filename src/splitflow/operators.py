@@ -313,6 +313,21 @@ def l1_prox(weight: float = 1.0) -> ProxFunction:
                         prox=prox)
 
 
+def _centered(c, fn: Callable, name: str) -> Callable:
+    """fn, except that a point or stack whose last axis is not the center's size
+    raises ValueError naming the center; fn itself for the origin (a 0-d c)."""
+    if not np.ndim(c):
+        return fn
+
+    def checked(x):
+        if x.shape[-1] != c.size:
+            raise ValueError("%s: center has %d entries, x has %d"
+                             % (name, c.size, x.shape[-1]))
+        return fn(x)
+
+    return checked
+
+
 def squared_l2_prox(scale: float = 1.0, center=None) -> ProxFunction:
     """f = (scale/2) * ||x - center||^2."""
     if not scale > 0:
@@ -326,9 +341,9 @@ def squared_l2_prox(scale: float = 1.0, center=None) -> ProxFunction:
     def prox(gamma):
         gs = _positive(gamma) * scale
         shift, div = np.asarray(gs * c), np.array(1.0 + gs)
-        return lambda x: (x + shift) / div
+        return _centered(c, lambda x: (x + shift) / div, "squared_l2_prox")
 
-    return ProxFunction(value=value, prox=prox)
+    return ProxFunction(value=_centered(c, value, "squared_l2_prox"), prox=prox)
 
 
 def box_prox(lo, hi) -> ProxFunction:
@@ -372,7 +387,8 @@ def ball_prox(radius: float = 1.0, center=None) -> ProxFunction:
     def value(x):
         return _indicator(norm(x - c) <= bound, x)
 
-    return ProxFunction(value=value, prox=_step_free(project))
+    return ProxFunction(value=_centered(c, value, "ball_prox"),
+                        prox=_step_free(_centered(c, project, "ball_prox")))
 
 
 def _projection(C: Array, d: Array) -> Callable[[Array], Array]:
@@ -429,7 +445,7 @@ def affine_prox(C, d) -> ProxFunction:
     The projection is _projection's.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    d = _entries(as_vector(d), len(C), "affine_prox: d")
+    d = _entries(np.atleast_1d(d), len(C), "affine_prox: d")
     gram = C @ C.T
     if not np.all(np.isfinite(gram)):  # np.linalg.svd may not return on inf or NaN
         raise ValueError("C @ C.T is not finite; rescale the constraint Cx = d")
@@ -443,8 +459,8 @@ def affine_prox(C, d) -> ProxFunction:
 
 def l1_quadratic_prox(weight: float, quad_diag, lin) -> ProxFunction:
     """f = weight*||x||_1 + sum_i (a_i/2) x_i^2 + b_i x_i, separable closed-form prox."""
-    a = as_vector(quad_diag)
-    b = _entries(as_vector(lin), a.size, "l1_quadratic_prox: lin")
+    a = _entries(np.atleast_1d(quad_diag), None, "l1_quadratic_prox: quad_diag")
+    b = _entries(np.atleast_1d(lin), a.size, "l1_quadratic_prox: lin")
     if not weight >= 0:
         raise ValueError("l1 weight must be nonnegative")
     if np.any(a < 0):
@@ -501,7 +517,7 @@ def affine_monotone_map(M, q) -> MonotoneMap:
     M, eigs, _ = _symmetric_part(M, "monotone map: M")
     if eigs[0] < -1e-10:
         raise ValueError("matrix is not monotone: min symmetric eigenvalue %g" % eigs[0])
-    q = _entries(np.asarray(q, dtype=float), len(M), "monotone map: q")
+    q = _entries(q, len(M), "monotone map: q")
     eye = np.eye(len(M))
 
     def resolvent(gamma):
@@ -563,10 +579,13 @@ def _symmetric_part(M, name: str) -> Tuple[Array, Array, bool]:
     return M, np.linalg.eigvalsh(0.5 * M + 0.5 * M.T), bool(symmetric)
 
 
-def _entries(v: Array, n: int, name: str) -> Array:
-    """v; ValueError naming it unless it is a finite scalar or vector of n entries."""
-    if v.ndim and v.shape != (n,):
-        raise ValueError("%s has shape %s, expected (%d,)" % (name, v.shape, n))
+def _entries(v, n: Optional[int], name: str) -> Array:
+    """v as a float64 array; ValueError naming it unless it is a finite scalar or a
+    vector of n entries (of any positive number of entries when n is None)."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim and not (v.ndim == 1 and v.size > 0 and n in (None, v.size)):
+        raise ValueError("%s has shape %s, expected %s" % (
+            name, v.shape, "a nonempty vector" if n is None else "(%d,)" % n))
     if not np.all(np.isfinite(v)):
         raise ValueError("%s has a non-finite entry" % name)
     return v
@@ -577,7 +596,7 @@ def quadratic_fn(Q, b=None, constant: float = 0.0) -> SmoothFunction:
     Q, eigs, symmetric = _symmetric_part(Q, "quadratic_fn: Q")
     if not symmetric:
         raise ValueError("quadratic_fn: Q is not symmetric")
-    bv = np.zeros(len(Q)) if b is None else _entries(as_vector(b), len(Q), "quadratic_fn: b")
+    bv = np.zeros(len(Q)) if b is None else _entries(np.atleast_1d(b), len(Q), "quadratic_fn: b")
     Q_dot = _matvec(Q)
     return SmoothFunction(
         value=lambda x: _per_row(0.5 * np.vecdot(x, np.matvec(Q, x)) - np.vecdot(bv, x)
@@ -591,7 +610,7 @@ def quadratic_fn(Q, b=None, constant: float = 0.0) -> SmoothFunction:
 def least_squares_fn(A, b) -> SmoothFunction:
     """g(x) = ||Ax - b||^2 / 2."""
     A = _finite_matrix(A, "least_squares_fn: A")
-    b = _entries(as_vector(b), A.shape[0], "least_squares_fn: b")
+    b = _entries(np.atleast_1d(b), A.shape[0], "least_squares_fn: b")
     A_dot, AT_dot = _matvec(A), _matvec(A.T)
     try:
         L = float(np.linalg.norm(A, 2)) ** 2

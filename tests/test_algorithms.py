@@ -481,6 +481,14 @@ class TestSequenceRunner:
         assert calls == [1]
         assert start.flags.writeable and np.array_equal(start, np.zeros(2))
 
+    @pytest.mark.parametrize("update", [lambda n, x, xp: np.float64(1.0),
+                                        lambda n, x, xp: x[:2], lambda n, x, xp: x[:, None]],
+                             ids=["scalar", "short", "column"])
+    def test_update_must_keep_the_iterate_shape(self, update):
+        # before: a scalar was recorded as a ragged row, or (into a record row) broadcast
+        with pytest.raises(ValueError, match=r"update returned shape .*, not the iterate's \(3,\)"):
+            run_sequence(update, np.ones(3), 4)
+
     @pytest.mark.parametrize("x0", [[np.nan], [1.0, np.inf], [], np.eye(2)],
                              ids=["nan", "inf", "empty", "matrix"])
     def test_start_must_be_a_finite_vector(self, x0):

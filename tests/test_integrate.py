@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,3 +456,28 @@ class TestProbesRunOnceOnTheStackedRecords:
             run_sequence(lambda n, x, xp: 3.0 * x, np.ones(2), 2000, probes=[("max", probe)])
         traj = err.value.trajectory
         assert calls == [26] and traj.records["max"].tolist() == [3.0 ** k for k in range(26)]
+
+
+class TestRecordsTakeTheirRowsOnly:
+    """A recorded run holds its records in rows sized from the grid, not one array each."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_traced_peak_stays_near_the_returned_bytes(self, order):
+        # n = 3, 20,000 euler steps, every one recorded, no probes
+        cfg = IntegratorConfig(method="euler", dt=1e-3, t_end=20.0)
+        x0 = np.array([1.0, -2.0, 0.5])
+        if order == 1:
+            run = lambda: integrate(decay_field(0.1), x0, cfg)
+        else:
+            second = FlowField(order=2, fn=lambda t, x, v: -v - x)
+            run = lambda: integrate(second, x0, cfg, v0=np.zeros(3))
+        tracemalloc.start()
+        try:
+            traj = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = traj.times.nbytes + traj.states.nbytes + traj.velocities.nbytes
+        assert len(traj.times) == 20001
+        # a Python list of one ndarray per record took 7.3x (order 1) and 5.4x (order 2)
+        assert peak <= 2.5 * kept + 64 * 1024

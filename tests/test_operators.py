@@ -439,6 +439,19 @@ class TestLinearAndSmooth:
         with pytest.raises(ValueError, match="%s has shape" % name):
             make()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: affine_prox(np.eye(2), [v, 0.0]), "affine_prox: d"),
+        (lambda v: least_squares_fn(np.eye(2), [v, 0.0]), "least_squares_fn: b"),
+        (lambda v: quadratic_fn(np.eye(2), b=[v, 0.0]), "quadratic_fn: b"),
+        (lambda v: l1_quadratic_prox(1.0, [v, 1.0], [0.0, 0.0]), "l1_quadratic_prox: quad_diag"),
+        (lambda v: l1_quadratic_prox(1.0, [1.0, 1.0], [v, 0.0]), "l1_quadratic_prox: lin"),
+    ], ids=["affine_prox", "least_squares_fn", "quadratic_fn", "quad_diag", "lin"])
+    def test_a_non_finite_vector_is_named(self, make, name, bad):
+        # before: as_vector's unnamed "vector entries must be finite"
+        with pytest.raises(ValueError, match="%s has a non-finite entry" % name):
+            make(bad)
+
     @pytest.mark.parametrize("q", [[np.nan, 0.0], np.inf], ids=["nan-entry", "inf-scalar"])
     def test_affine_monotone_map_rejects_a_non_finite_shift(self, q):
         # before: it built, and its resolvents returned [nan nan]
@@ -647,3 +660,31 @@ class TestEntryPointsConvertOnce:
                              lambda x: reflected_resolvent(A, 0.5, x),
                              lambda x: yosida_eval(A, 0.5, x)):
                 self.assert_list_and_int_calls_match(evaluate, start)
+
+
+class TestCenters:
+    """A center must have x's size: a short one broadcast to every coordinate."""
+
+    MAKERS = {"squared_l2_prox": lambda c: squared_l2_prox(1.0, c),
+              "ball_prox": lambda c: ball_prox(1.0, c)}
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 3))], ids=["vector", "stack"])
+    @pytest.mark.parametrize("center", [[5.0], [1.0, 2.0, 3.0, 4.0]], ids=["short", "long"])
+    @pytest.mark.parametrize("name", list(MAKERS))
+    def test_a_center_of_another_size_is_refused_by_value_and_prox(self, name, center, x):
+        # before: squared_l2_prox(1.0, [1.0]).prox(1.0)(zeros(3)) gave (0.5, 0.5, 0.5)
+        # and ball_prox(1.0, [5.0]) projected zeros(3) onto (4.42, 4.42, 4.42)
+        f = self.MAKERS[name](center)
+        with pytest.raises(ValueError, match="%s: center has" % name):
+            f.value(x)
+        with pytest.raises(ValueError, match="%s: center has" % name):
+            f.prox(1.0)(x)
+
+    @pytest.mark.parametrize("name", list(MAKERS))
+    def test_a_center_of_x_size_and_the_origin_are_kept(self, name):
+        x = np.array([[0.0, 0.0, 0.0], [3.0, -1.0, 2.0]])
+        centered, origin = self.MAKERS[name]([1.0, 1.0, 1.0]), self.MAKERS[name](None)
+        shifted = centered.prox(1.0)(x)
+        assert np.array_equal(shifted, origin.prox(1.0)(x - 1.0) + 1.0)
+        assert np.array_equal(centered.value(x), origin.value(x - 1.0))
+        assert origin.prox(1.0)(np.zeros(5)).shape == (5,)
